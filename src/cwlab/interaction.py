@@ -1,10 +1,12 @@
 """Three-wave interaction experiments on the gated semilinear wave model.
 
-Builds superposed plane-wave data, isolates the nonlinear response by
-solver differencing, locates the emitted light circle, estimates the
-transversal decay order across it, and recovers the cubic coupling from
-cone amplitudes.  All probes carry the band and window they were computed
-with so reported numbers stay reproducible.
+Builds superposed plane-wave data, solves for the nonlinear response
+w = u - u_lin directly (the source gate confines the cubic term to the
+crossing region, and the solver kicks only while the gate is open),
+locates the emitted light circle, estimates the transversal decay order
+across it, and recovers the cubic coupling from cone amplitudes.  All
+probes carry the band and window they were computed with so reported
+numbers stay reproducible, and look up only slices the run recorded.
 """
 
 from __future__ import annotations
@@ -29,9 +31,19 @@ from .solver import (
     energy,
     grid2d,
     solve,
+    solve_response,
     z_cutoff,
 )
-from .spectral import DecayFit, Grid1D, GridND, decay_exponent, plateau_window, windowed_slice
+from .spectral import (
+    DecayFit,
+    Grid1D,
+    GridND,
+    TooFewBins,
+    decay_exponent,
+    dft_forward,
+    plateau_window,
+    windowed_slice,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -248,25 +260,20 @@ def _data_for(config: ExperimentConfig, eps):
     )
 
 
-def _difference_field(a: SpaceTimeField, b: SpaceTimeField, metadata) -> SpaceTimeField:
-    du = a.u - b.u
-    dut = a.ut - b.ut
-    en = np.array([energy(du[i], dut[i], a.grid) for i in range(len(a.times))])
-    return SpaceTimeField(a.grid, a.times.copy(), du, dut, en, metadata=dict(metadata))
-
-
 def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
-    """solve(P) - solve(P=0) on identical data and integrator settings.
+    """The source-driven part w = u - u_lin of the field, in one solve.
 
-    The difference removes the free waves exactly (same discretization on
-    both sides), leaving the source-driven part of the field.
+    The solver carries the free waves u_lin exactly and integrates w in the
+    interaction picture, kicking it by P(u_lin + w) only on steps where the
+    source gate is open; the closed stretches before and after the crossing
+    are single exact propagations.  This is solve(P) - solve(P=None) up to
+    roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
     """
     eps = (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
     u0, ut0 = _data_for(config, eps)
-    nl = solve(u0, ut0, config.grid, config.solver, P=config.P)
-    lin = solve(u0, ut0, config.grid, config.solver, P=None)
-    meta = {"frame": config.frame, "eps": eps, "kind": "nonlinear_response"}
-    return _difference_field(nl, lin, meta)
+    out = solve_response(u0, ut0, config.grid, config.solver, P=config.P)
+    out.metadata.update({"frame": config.frame, "eps": eps, "kind": "nonlinear_response"})
+    return out
 
 
 def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
@@ -341,15 +348,6 @@ def locate_cone(frame: CharFrame, t_probe: float) -> ConeCircle:
     return ConeCircle(
         float(t_probe), tuple(_omega_angle(w) for w in frame.omegas)
     )
-
-
-def _nearest_state(fld: SpaceTimeField, t: float) -> WaveState:
-    i = int(np.argmin(np.abs(fld.times - t)))
-    gap = abs(float(fld.times[i]) - t)
-    tol = 0.5 * float(fld.times[1] - fld.times[0]) if len(fld.times) > 1 else 1e-6
-    if gap > tol + 1e-12:
-        raise ValueError(f"no recorded slice near t={t}")
-    return WaveState(fld.grid, float(fld.times[i]), fld.u[i], fld.ut[i])
 
 
 def default_band(grid: GridND) -> tuple[float, float]:
@@ -479,7 +477,7 @@ def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None)
     exclusion of a plane tangency.
     """
     frame = _frame_of(fld, frame)
-    state = _nearest_state(fld, probe.t_probe)
+    state = fld.state_at(probe.t_probe)
     band = band if band is not None else amplitude_band(fld.grid)
     bp, mask = _tube_values(state, probe, frame, band)
     return float(np.max(np.abs(bp[mask])))
@@ -488,7 +486,7 @@ def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None)
 def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None) -> float:
     """Band-passed squared mass in the probe tube (the two-wave null metric)."""
     frame = _frame_of(fld, frame)
-    state = _nearest_state(fld, probe.t_probe)
+    state = fld.state_at(probe.t_probe)
     band = band if band is not None else amplitude_band(fld.grid)
     bp, mask = _tube_values(state, probe, frame, band)
     return float(np.sum(bp[mask] ** 2) * fld.grid.cell_volume)
@@ -528,23 +526,49 @@ def _clean_half_length(grid, probe, frame, r0, t_traces, cap=None):
     return ell
 
 
+def _under_window_leakage(profile, band) -> bool:
+    """Whether every bin in band lies within what the window leaks into it.
+
+    Bin k of a windowed slice can receive up to
+    sum_j |S(eta_j)| |W(eta_k - eta_j)| / |W(0)| from the slice content S
+    below the band, with W the window's spectrum.  A band whose bins all sit
+    under that bound shows nothing the window resolves.
+    """
+    g = profile.grid
+    eta = g.freqs()
+    spec = np.abs(dft_forward(profile.windowed, g))
+    win = np.abs(dft_forward(profile.window, g))
+    below = np.flatnonzero(np.abs(eta) < band[0])
+    inside = np.flatnonzero((eta >= band[0]) & (eta <= band[1]))
+    leak = win[(inside[:, None] - below[None, :]) % g.points] @ spec[below] / win[0]
+    return inside.size > 0 and bool(np.all(spec[inside] <= leak))
+
+
 def _slice_fit(profile, band, min_bins) -> DecayFit:
-    """Power-law fit of a windowed slice, flagging fits the data cannot support."""
+    """Power-law fit of a windowed slice, flagging fits the data cannot support.
+
+    A fit left with too few bins reads superpolynomial (slope -inf) only when
+    the band shows nothing above the instrument's floor: the bins sit at the
+    roundoff floor, or, in a band too short to fit, every bin lies within
+    the window's leakage of the content below the band.  Otherwise too few
+    bins is no measurement (slope NaN, flagged insufficient_bins).
+    """
     try:
         return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=min_bins)
-    except ValueError as err:
-        if "usable bins" not in str(err):
-            raise
-        # Whole band at the noise floor: decay beat the instrument, which is
-        # itself evidence that nothing of finite order crossed the window.
-        b = band if band is not None else (8.0, profile.grid.nyquist / 4.0)
+    except TooFewBins as err:
+        if err.noise_floor or _under_window_leakage(profile, err.band):
+            # Decay beat the instrument, which is itself evidence that
+            # nothing of finite order crossed the window.
+            slope, flags = -np.inf, {"superpolynomial", "noise_floor", "inconclusive"}
+        else:
+            slope, flags = np.nan, {"insufficient_bins", "inconclusive"}
         return DecayFit(
-            slope=-np.inf,
+            slope=slope,
             intercept=np.nan,
             rms_residual=np.nan,
             n_bins=0,
-            band=(float(b[0]), float(b[1])),
-            flags=frozenset({"superpolynomial", "noise_floor", "inconclusive"}),
+            band=err.band,
+            flags=frozenset(flags),
         )
 
 
@@ -569,7 +593,7 @@ def cone_order_estimate(
     circle, e.g. onto a smooth region as a control.
     """
     frame = _frame_of(fld, frame)
-    state = _nearest_state(fld, probe.t_probe)
+    state = fld.state_at(probe.t_probe)
     r0 = float(state.t) if center_radius is None else float(center_radius)
     if half_length is None:
         half_length = _clean_half_length(fld.grid, probe, frame, r0, state.t)
@@ -601,7 +625,7 @@ def front_order_estimate(
     offset; pick the offset so other fronts stay outside the window.
     """
     t = float(fld.times[-1]) if t is None else float(t)
-    state = _nearest_state(fld, t)
+    state = fld.state_at(t)
     w = np.asarray(omega, dtype=float)
     w = w / np.hypot(*w)
     perp = np.array([-w[1], w[0]])
@@ -632,7 +656,7 @@ def ridge_radius(
     band wavelength off it.
     """
     frame = _frame_of(fld, frame)
-    state = _nearest_state(fld, t)
+    state = fld.state_at(t)
     grid = fld.grid
     g = _square_axis(grid)
     band = band if band is not None else default_band(grid)
@@ -749,7 +773,7 @@ def coefficient_recovery(base: ExperimentConfig, trials, probe=None, band=None):
         probe = base.probes[0]
     band = band if band is not None else amplitude_band(base.grid)
     resp0 = nonlinear_response(base)
-    state0 = _nearest_state(resp0, probe.t_probe)
+    state0 = resp0.state_at(probe.t_probe)
     bp0, mask = _tube_values(state0, probe, base.frame, band)
     amp0 = float(np.max(np.abs(bp0[mask])))
     if amp0 <= 1e3 * _EPS * float(np.max(np.abs(bp0))):
@@ -760,7 +784,7 @@ def coefficient_recovery(base: ExperimentConfig, trials, probe=None, band=None):
         if replace(cfg, P=base.P) != base:
             raise ValueError("trial must differ from the baseline only in the coupling")
         resp = nonlinear_response(cfg)
-        state = _nearest_state(resp, probe.t_probe)
+        state = resp.state_at(probe.t_probe)
         bp, _ = _tube_values(state, probe, cfg.frame, band)
         amp = float(np.max(np.abs(bp[mask])))
         corr = _tube_correlation(state0, state, probe, base.frame, band)
@@ -830,14 +854,13 @@ def run_experiment(
 ) -> ExperimentReport:
     """Full pipeline: nulls, cone slope and amplitude, scaling, recovery.
 
-    The cone slope is read from the plain nonlinear response: its two runs
-    share the data, so their common discretization error cancels in the
-    difference.  polarization=True adds the seven-run isolated trilinear
-    field's slope to the notes as a cross-check.  Removing the pair and
-    self content reshapes the slice spectrum (the result is insensitive to
-    the step size), so the polarized slope is an independent reading with
-    its own scatter, not the plain slope minus noise; expect it to sit
-    shallower at a single probe angle.
+    The cone slope is read from the plain nonlinear response, solved
+    directly in the interaction picture.  polarization=True adds the
+    seven-run isolated trilinear field's slope to the notes as a
+    cross-check.  Removing the pair and self content reshapes the slice
+    spectrum (the result is insensitive to the step size), so the polarized
+    slope is an independent reading with its own scatter, not the plain
+    slope minus noise; expect it to sit shallower at a single probe angle.
     """
     if not config.probes:
         raise ValueError("config carries no probe")

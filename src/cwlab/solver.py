@@ -2,8 +2,15 @@
 
 Linear propagation is exact per Fourier mode (unitary in the wave energy),
 so the only time-discretization error comes from the nonlinear kick, applied
-by Strang splitting with 2/3-rule dealiasing of the powers.  The forced
-variant with zero data realizes the forward fundamental solution.
+by Strang splitting with 2/3-rule dealiasing of the powers.  The splitting
+runs in the interaction picture: the free flow u_lin of the data is carried
+exactly, and only w = u - u_lin is kicked, by P(u_lin + w).  P is gated by a
+SourceGate, a separable space-time bump whose space factor is cached per
+grid; P is evaluated only on the box holding the gate's spatial support,
+steps whose midpoint lies outside its time support are not kicked, and
+each closed stretch is crossed in one exact propagation.  solve_response
+returns w itself, solve returns u_lin + w, and the forced variant with zero
+data realizes the forward fundamental solution.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ __all__ = [
     "NonlinearitySpec",
     "cubic_nonlinearity",
     "SolverConfig",
+    "SourceGate",
     "SpaceTimeField",
     "WaveState",
     "duhamel_apply",
@@ -31,6 +39,7 @@ __all__ = [
     "grid2d",
     "linear_propagate",
     "solve",
+    "solve_response",
     "step_semilinear",
     "z_cutoff",
 ]
@@ -92,15 +101,41 @@ class CharFrame:
         return np.asarray(y) @ inv.T
 
 
-def z_cutoff(t, x1, x2):
-    """Space-time gate: product of plateau bumps in t and |x|.
+@dataclass(frozen=True)
+class SourceGate:
+    """Separable space-time gate: a plateau bump in t times one in |x|.
 
-    Equal to 1 on {|t| < 0.4, |x| < 0.4} and 0 once |t| >= 0.9 or
-    |x| >= 0.9; in particular it vanishes for t < -1 with margin.
+    Equal to 1 on {|t| < flat, |x| < flat} and 0 once |t| >= edge or
+    |x| >= edge.  The time factor is one scalar per time, the space factor
+    depends on the grid alone and is cached per grid, and the gate vanishes
+    identically outside the open time interval ``support``, so a solver can
+    skip the source there without changing the solution.
     """
-    r = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    gate_t = plateau_window(np.abs(np.asarray(t, dtype=float)), 0.4, 0.9)
-    return gate_t * plateau_window(r, 0.4, 0.9)
+
+    flat: float
+    edge: float
+
+    def __post_init__(self):
+        if not 0.0 < self.flat < self.edge:
+            raise ValueError("need 0 < flat < edge")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return -self.edge, self.edge
+
+    def time_factor(self, t):
+        return plateau_window(np.abs(np.asarray(t, dtype=float)), self.flat, self.edge)
+
+    def space_factor(self, x1, x2):
+        r = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+        return plateau_window(r, self.flat, self.edge)
+
+    def __call__(self, t, x1, x2):
+        return self.time_factor(t) * self.space_factor(x1, x2)
+
+
+# The source gate of the experiments; it vanishes for t < -1 with margin.
+z_cutoff = SourceGate(flat=0.4, edge=0.9)
 
 
 @dataclass(frozen=True)
@@ -109,7 +144,9 @@ class NonlinearitySpec:
 
     Coefficients are reals or callables of (t, X1, X2); cutoff is a smooth
     compactly supported space-time bump (None disables the gate, which is
-    only appropriate for manufactured-solution checks).
+    only appropriate for manufactured-solution checks).  A SourceGate cutoff
+    lets the solver skip the source outside its support; any other callable
+    is treated as open at all times.
     """
 
     degree: int
@@ -126,13 +163,32 @@ class NonlinearitySpec:
                 raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    def __call__(self, t, x1, x2, u):
-        acc = np.zeros_like(u)
-        for a in reversed(self.coeffs):
-            aval = a(t, x1, x2) if callable(a) else a
-            acc = acc * u + aval
-        if self.cutoff is not None:
-            acc = acc * self.cutoff(t, x1, x2)
+    @property
+    def support(self) -> tuple[float, float]:
+        """Open time interval outside which P vanishes identically."""
+        if isinstance(self.cutoff, SourceGate):
+            return self.cutoff.support
+        return -math.inf, math.inf
+
+    def __call__(self, t, x1, x2, u, cutoff_value=None):
+        """P at time t for u sampled on the meshes (x1, x2); cutoff_value,
+        when given, is the cutoff already evaluated there (the solver passes
+        its cached gate)."""
+        # Horner's rule, in place after the first product; adding a zero
+        # real coefficient changes no value and is skipped.
+        top, *rest = reversed(self.coeffs)
+        acc = np.multiply(top(t, x1, x2) if callable(top) else top, u)
+        for k, a in enumerate(rest):
+            if k:
+                acc *= u
+            if callable(a):
+                acc = acc + a(t, x1, x2)
+            elif a != 0.0:
+                acc += a
+        if cutoff_value is None and self.cutoff is not None:
+            cutoff_value = self.cutoff(t, x1, x2)
+        if cutoff_value is not None:
+            acc *= cutoff_value
         return acc
 
 
@@ -214,14 +270,19 @@ def _wavenumbers(grid: GridND):
     return kx[:, None], ky[None, :]
 
 
-@lru_cache(maxsize=64)
-def _propagator(grid: GridND, dt: float):
+def _free_propagator(grid: GridND, dt: float, rows=slice(None)):
+    """(cos, sinc, ksin) of |k| dt on the given rows of the spectrum."""
     kx, ky = _wavenumbers(grid)
-    k = np.hypot(kx, ky)
+    k = np.hypot(kx[rows], ky)
     cos = np.cos(k * dt)
     sinc = dt * np.sinc(k * dt / np.pi)  # sin(k dt)/k with the k=0 limit dt
     ksin = k * np.sin(k * dt)
     return cos, sinc, ksin
+
+
+# Step and half-step propagators are reused; a jump across a closed stretch
+# of the gate is computed block by block for that jump and never cached.
+_propagator = lru_cache(maxsize=64)(_free_propagator)
 
 
 @lru_cache(maxsize=32)
@@ -237,6 +298,19 @@ def _meshes(grid: GridND):
     return x1[:, None], x2[None, :]
 
 
+@lru_cache(maxsize=8)
+def _gate_box(gate: SourceGate, grid: GridND):
+    """Index box of grid holding the gate's spatial support (|x| < edge),
+    its meshes, and the space factor on it."""
+    x1, x2 = _meshes(grid)
+    box = tuple(
+        slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+        for idx in (np.flatnonzero(np.abs(x) < gate.edge) for x in (x1[:, 0], x2[0]))
+    )
+    bx1, bx2 = x1[box[0]], x2[:, box[1]]
+    return box, bx1, bx2, gate.space_factor(bx1, bx2)
+
+
 def _check_grid(grid: GridND, *fields):
     if grid.ndim != 2:
         raise ValueError("solver grids are 2D")
@@ -245,44 +319,93 @@ def _check_grid(grid: GridND, *fields):
             raise ValueError("field shape does not match grid")
 
 
-def _linear_spec(uh, vh, grid, dt):
-    cos, sinc, ksin = _propagator(grid, float(dt))
-    return cos * uh + sinc * vh, -ksin * uh + cos * vh
+# Rows of the spectrum propagated per block: the operands of a block of a
+# 512-point grid stay in a core's L2 cache.
+_BLOCK_ROWS = 32
+
+
+def _propagate(uh, vh, grid: GridND, dt: float, cached=True):
+    """Advance spectra (uh, vh), shaped (..., n, m), in place by free flow
+    over dt.  Works a block of rows at a time, so the operands stay in cache
+    and the scratch stays small; an uncached propagator is only ever built
+    one block at a time."""
+    rows = _BLOCK_ROWS
+    full = _propagator(grid, float(dt)) if cached else None
+    a = np.empty(uh.shape[:-2] + (min(rows, uh.shape[-2]),) + uh.shape[-1:], dtype=uh.dtype)
+    b = np.empty_like(a)
+    for r in range(0, uh.shape[-2], rows):
+        k = slice(r, r + rows)
+        cos, sinc, ksin = (f[k] for f in full) if cached else _free_propagator(grid, dt, k)
+        u, v = uh[..., k, :], vh[..., k, :]
+        sa, sb = a[..., : u.shape[-2], :], b[..., : u.shape[-2], :]
+        np.multiply(sinc, v, out=sa)
+        np.multiply(ksin, u, out=sb)
+        u *= cos
+        u += sa
+        v *= cos
+        v -= sb
 
 
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
     _check_grid(grid, u, ut)
     uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
-    uh, vh = _linear_spec(uh, vh, grid, dt)
+    _propagate(uh, vh, grid, dt)
     return sfft.irfft2(uh, s=grid.shape), sfft.irfft2(vh, s=grid.shape)
 
 
-def _kick_spec(uh, vh, grid, t_mid, dt, P, fraction):
-    mask = _dealias_mask(grid, fraction)
-    ud = sfft.irfft2(uh * mask, s=grid.shape)
+def _abs_max(a) -> float:
+    """max |a|; not finite exactly when some entry of a is not."""
+    return max(float(a.max()), -float(a.min()))
+
+
+def _nonlinear_source(P: NonlinearitySpec, grid: GridND, fraction: float):
+    """(p, max |p|) at time t from uh: P on the dealiased field whose rfft2
+    is uh, raising BlowupError where P overflows.  uh is overwritten.
+
+    A SourceGate cutoff vanishes outside its spatial support, so P is
+    evaluated on the box holding that support only, with the gate's cached
+    space factor; p is zero elsewhere.
+    """
     x1, x2 = _meshes(grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = P(t_mid, x1, x2, ud)
-    if not np.all(np.isfinite(p)):
-        raise BlowupError(f"nonlinear term overflowed at t = {t_mid:.6g}")
-    return vh + dt * (mask * sfft.rfft2(p))
+    mask = _dealias_mask(grid, fraction)
+    gate = P.cutoff if isinstance(P.cutoff, SourceGate) else None
+    if gate is not None:
+        box, bx1, bx2, space = _gate_box(gate, grid)
+
+    def source(t, uh):
+        uh *= mask
+        ud = sfft.irfft2(uh, s=grid.shape, overwrite_x=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gate is None:
+                p = P(t, x1, x2, ud)
+            else:
+                p = np.zeros(grid.shape)
+                p[box] = P(t, bx1, bx2, ud[box], cutoff_value=gate.time_factor(t) * space)
+            peak = _abs_max(p)
+        if not math.isfinite(peak):
+            raise BlowupError(f"nonlinear term overflowed at t = {t:.6g}")
+        return p, peak
+
+    return source
 
 
 def step_semilinear(state: WaveState, dt: float, P: NonlinearitySpec | None,
                     dealias: float = 2.0 / 3.0) -> WaveState:
     """One Strang step: half linear, nonlinear kick at midpoint, half linear."""
-    _check_grid(state.grid, state.u, state.ut)
+    grid = state.grid
+    _check_grid(grid, state.u, state.ut)
     uh, vh = sfft.rfft2(state.u), sfft.rfft2(state.ut)
-    uh, vh = _linear_spec(uh, vh, state.grid, 0.5 * dt)
+    _propagate(uh, vh, grid, 0.5 * dt)
     if P is not None:
-        vh = _kick_spec(uh, vh, state.grid, state.t + 0.5 * dt, dt, P, dealias)
-    uh, vh = _linear_spec(uh, vh, state.grid, 0.5 * dt)
+        p, _ = _nonlinear_source(P, grid, dealias)(state.t + 0.5 * dt, uh.copy())
+        vh += dt * (_dealias_mask(grid, dealias) * sfft.rfft2(p))
+    _propagate(uh, vh, grid, 0.5 * dt)
     return WaveState(
-        state.grid,
+        grid,
         state.t + dt,
-        sfft.irfft2(uh, s=state.grid.shape),
-        sfft.irfft2(vh, s=state.grid.shape),
+        sfft.irfft2(uh, s=grid.shape),
+        sfft.irfft2(vh, s=grid.shape),
     )
 
 
@@ -296,9 +419,22 @@ def energy(u, ut, grid: GridND) -> float:
     return float(grid.cell_volume * np.sum(ut**2 + ux**2 + uy**2))
 
 
-def _run(u0, ut0, grid, config, kick):
-    """Shared stepping loop; kick(uh, vh, t_mid, dt) or None for free flow."""
-    _check_grid(grid, u0, ut0)
+def _run(data, grid, config, source, support=(-math.inf, math.inf), response=False):
+    """Strang splitting in the interaction picture, kicking only where needed.
+
+    The loop carries the Fourier coefficients of the free field u_lin (the
+    exact free flow of data; absent when data is None) and of w = u - u_lin
+    (zero throughout, and not carried, when source is None and response is
+    not set).  source(t, uh) returns the source term and its max modulus,
+    and may overwrite uh.  Step i kicks w by dt * source(t_mid, u_lin + w)
+    at its midpoint t_mid when support holds t_mid; elsewhere the source
+    vanishes and the step is free flow.  Free flow is exact for any length,
+    so the loop propagates once per gap between events (kicks and record
+    times): one full step between consecutive kicks, one jump across each
+    closed stretch.  Records hold w when response is set, u_lin + w
+    otherwise.
+    """
+    _check_grid(grid)
     h = min(g.spacing for g in grid.axes)
     n_steps = max(1, int(round((config.t1 - config.t0) / config.dt)))
     stride = min(int(config.record_stride), n_steps)
@@ -308,27 +444,58 @@ def _run(u0, ut0, grid, config, kick):
         raise ValueError(
             f"dt = {dt:.3e} exceeds the step bound {config.safety * h / np.pi:.3e}"
         )
-    uh, vh = sfft.rfft2(np.asarray(u0, dtype=float)), sfft.rfft2(np.asarray(ut0, dtype=float))
 
+    # Events on the half-step lattice: kick i at 2i + 1, record j at 2j.
+    lo, hi = support
+    kicks = [] if source is None else [
+        2 * i + 1 for i in range(n_steps) if lo < config.t0 + i * dt + 0.5 * dt < hi
+    ]
+    events = sorted(kicks + list(range(0, 2 * n_steps + 1, 2 * stride)))
+
+    n_fields = (data is not None) + (source is not None or response)
+    uh = np.zeros((n_fields, grid.shape[0], grid.shape[1] // 2 + 1), dtype=complex)
+    vh = np.zeros_like(uh)
+    if data is not None:
+        u0, ut0 = (np.asarray(f, dtype=float) for f in data)
+        _check_grid(grid, u0, ut0)
+        uh[0] = sfft.rfft2(u0)
+        vh[0] = sfft.rfft2(ut0)
+    recorded = slice(-1, None) if response else slice(None)
+
+    def spatial(spec):
+        return sfft.irfft2(spec[recorded].sum(axis=0), s=grid.shape, overwrite_x=True)
+
+    if kicks:
+        kick_mask = dt * _dealias_mask(grid, config.dealias)
     times, us, uts, ens = [], [], [], []
-
-    def record(t):
-        u = sfft.irfft2(uh, s=grid.shape)
-        ut = sfft.irfft2(vh, s=grid.shape)
-        times.append(t)
+    pos, jumps, p_max = 0, 0, 0.0
+    for event in events:
+        gap = event - pos
+        if gap > 0:
+            _propagate(uh, vh, grid, 0.5 * gap * dt, cached=gap <= 2)
+            jumps += gap > 2
+        pos = event
+        if event % 2:
+            t_mid = config.t0 + (event // 2) * dt + 0.5 * dt
+            p, peak = source(t_mid, uh.sum(axis=0))
+            p_max = max(p_max, peak)
+            kick = sfft.rfft2(p)
+            kick *= kick_mask
+            vh[-1] += kick
+            continue
+        u, ut = spatial(uh), spatial(vh)
+        times.append(config.t0 + (event // 2) * dt)
         us.append(u)
         uts.append(ut)
         ens.append(energy(u, ut, grid))
 
-    record(config.t0)
-    for i in range(n_steps):
-        t = config.t0 + i * dt
-        uh, vh = _linear_spec(uh, vh, grid, 0.5 * dt)
-        if kick is not None:
-            vh = kick(uh, vh, t + 0.5 * dt, dt)
-        uh, vh = _linear_spec(uh, vh, grid, 0.5 * dt)
-        if (i + 1) % stride == 0:
-            record(config.t0 + (i + 1) * dt)
+    stats = {
+        "steps": n_steps,
+        "kicks_applied": len(kicks),
+        "kicks_skipped": n_steps - len(kicks),
+        "exact_jumps": jumps,
+        "max_abs_p": p_max,
+    }
     return SpaceTimeField(
         grid=grid,
         times=np.asarray(times),
@@ -336,25 +503,44 @@ def _run(u0, ut0, grid, config, kick):
         ut=np.asarray(uts),
         energies=np.asarray(ens),
         metadata={"dt": dt, "t0": config.t0, "t1": config.t1,
-                  "dealias": config.dealias, "record_stride": stride},
+                  "dealias": config.dealias, "record_stride": stride, "stats": stats},
     )
+
+
+def _solve_gated(u0, ut0, grid, config, P, response):
+    if P is None:
+        return _run((u0, ut0), grid, config, None, response=response)
+    source = _nonlinear_source(P, grid, config.dealias)
+    out = _run((u0, ut0), grid, config, source, P.support, response)
+    out.metadata["degree"] = P.degree
+    out.metadata["coeffs"] = tuple(a if not callable(a) else "callable" for a in P.coeffs)
+    return out
 
 
 def solve(u0, ut0, grid: GridND, config: SolverConfig,
           P: NonlinearitySpec | None = None) -> SpaceTimeField:
-    """Integrate u_tt = Lap u + P(y, u) from (u0, ut0) at t0 up to t1."""
-    if P is None:
-        out = _run(u0, ut0, grid, config, None)
-    else:
-        def kick(uh, vh, t_mid, dt):
-            return _kick_spec(uh, vh, grid, t_mid, dt, P, config.dealias)
+    """Integrate u_tt = Lap u + P(y, u) from (u0, ut0) at t0 up to t1.
 
-        out = _run(u0, ut0, grid, config, kick)
-        out.metadata["degree"] = P.degree
-        out.metadata["coeffs"] = tuple(
-            a if not callable(a) else "callable" for a in P.coeffs
-        )
-    return out
+    Records u = u_lin + w, the free flow of the data plus the response
+    (see solve_response); with P None that is the exact free flow, reached
+    without time steps.
+    """
+    return _solve_gated(u0, ut0, grid, config, P, response=False)
+
+
+def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
+                   P: NonlinearitySpec | None = None) -> SpaceTimeField:
+    """The nonlinear response w = u - u_lin of the data (u0, ut0) at t0.
+
+    w solves w_tt = Lap w + P(y, u_lin + w) from zero data, with u_lin the
+    exact free flow of the data (integrating-factor, or Lawson, form of the
+    splitting in solve).  Only steps whose midpoint lies in P's gate support
+    are kicked, so a gated P costs a kick only while the gate is open; the
+    response is the same as solve(P) - solve(None) without the cancellation
+    of the O(eps) free waves.  metadata["stats"] records steps, kicks applied
+    and skipped, exact jumps and max |P|.
+    """
+    return _solve_gated(u0, ut0, grid, config, P, response=True)
 
 
 def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> SpaceTimeField:
@@ -365,13 +551,11 @@ def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> Spac
     discretization.
     """
     x1, x2 = _meshes(grid)
-    mask = _dealias_mask(grid, config.dealias)
 
-    def kick(uh, vh, t_mid, dt):
-        f = np.asarray(forcing(t_mid, x1, x2), dtype=float)
+    def source(t, uh):
+        f = np.asarray(forcing(t, x1, x2), dtype=float)
         if f.shape != grid.shape:
             raise ValueError("forcing shape does not match grid")
-        return vh + dt * (mask * sfft.rfft2(f))
+        return f, _abs_max(f)
 
-    zero = np.zeros(grid.shape)
-    return _run(zero, zero, grid, config, kick)
+    return _run(None, grid, config, source)

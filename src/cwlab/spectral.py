@@ -185,6 +185,22 @@ class DecayFit:
         return "superpolynomial" in self.flags
 
 
+class TooFewBins(ValueError):
+    """A decay fit had fewer than min_bins bins to work with.
+
+    noise_floor tells the two causes apart.  It is True when the noise
+    floor took the bins: the band held min_bins or more, or every bin it
+    held sits at the floor, which is itself a measurement of fast decay.
+    It is False when the band is short: it holds fewer than min_bins bins
+    and some of them, or none at all, are above the floor.
+    """
+
+    def __init__(self, message: str, band: tuple[float, float], noise_floor: bool):
+        super().__init__(message)
+        self.band = band
+        self.noise_floor = noise_floor
+
+
 def decay_exponent(
     samples: np.ndarray,
     grid: Grid1D,
@@ -195,7 +211,8 @@ def decay_exponent(
 
     The default band is [8, nyquist/4].  Bins whose magnitude sits below
     1e3 * eps * max|spectrum| are treated as noise floor and excluded; if
-    fewer than ``min_bins`` usable bins remain the fit is rejected.
+    fewer than ``min_bins`` usable bins remain the fit is rejected with
+    TooFewBins, which says whether the band or the noise floor was short.
     """
     spec = dft_forward(np.asarray(samples, dtype=float), grid)
     eta = grid.freqs()
@@ -211,15 +228,17 @@ def decay_exponent(
     floor = _NOISE_FLOOR_FACTOR * amp.max()
     sel = (eta >= lo) & (eta <= hi)
     flags = set()
-    if not np.any(sel):
-        raise ValueError("no spectral bins inside band")
     usable = sel & (amp > floor)
-    if np.count_nonzero(usable) < np.count_nonzero(sel):
+    n_band, n_usable = int(np.count_nonzero(sel)), int(np.count_nonzero(usable))
+    if n_usable < n_band:
         flags.add("noise_floor")
-    if np.count_nonzero(usable) < min_bins:
-        raise ValueError(
-            f"only {np.count_nonzero(usable)} usable bins in band {band}, "
-            f"need at least {min_bins}"
+    if n_usable < min_bins:
+        short_band = n_band == 0 or (n_band < min_bins and n_usable > 0)
+        raise TooFewBins(
+            f"only {n_usable} usable of {n_band} bins in band {band}, "
+            f"need at least {min_bins}",
+            (float(lo), float(hi)),
+            noise_floor=not short_band,
         )
 
     x = np.log(eta[usable])
@@ -235,7 +254,7 @@ def decay_exponent(
         slope=slope,
         intercept=intercept,
         rms_residual=rms,
-        n_bins=int(np.count_nonzero(usable)),
+        n_bins=n_usable,
         band=(float(lo), float(hi)),
         flags=frozenset(flags),
         eta=eta[usable].copy(),

@@ -49,8 +49,3 @@ def data512(cfg512):
     )
     fld.metadata["frame"] = cfg512.frame
     return fld
-
-
-@pytest.fixture(scope="session")
-def resp1024():
-    return nonlinear_response(default_experiment(points=1024))

@@ -32,7 +32,9 @@ from cwlab.solver import (
     CharFrame,
     NonlinearitySpec,
     SolverConfig,
+    SpaceTimeField,
     grid2d,
+    solve,
     z_cutoff,
 )
 
@@ -94,6 +96,38 @@ def test_data_overlapping_source_gate_rejected(cfg256):
 def test_no_coupling_means_no_response(cfg256):
     null = nonlinear_response(replace(cfg256, P=None))
     assert np.max(np.abs(null.u)) < 1e-10
+    assert not null.u.any() and not null.ut.any()
+    assert null.metadata["stats"]["kicks_applied"] == 0
+
+
+@pytest.mark.parametrize("points", [128, 256])
+def test_response_matches_solver_differencing(points, cfg256, resp256):
+    cfg = cfg256 if points == 256 else default_experiment(points=points)
+    resp = resp256 if points == 256 else nonlinear_response(cfg)
+    u0, ut0 = make_three_wave_data(cfg.frame, cfg.m, (cfg.eps,) * 3, cfg.grid, cfg.solver.t0)
+    nl = solve(u0, ut0, cfg.grid, cfg.solver, P=cfg.P)
+    lin = solve(u0, ut0, cfg.grid, cfg.solver, P=None)
+    assert np.array_equal(resp.times, nl.times)
+    for got, a, b in ((resp.u, nl.u, lin.u), (resp.ut, nl.ut, lin.ut)):
+        assert np.max(np.abs(got - (a - b))) <= 1e-9 * np.max(np.abs(got))
+
+
+def test_default_response_kicks_only_while_gate_open(resp256):
+    # midpoints of the 326 steps from -1.125 to 3.8 inside |t| < 0.9
+    stats = resp256.metadata["stats"]
+    assert stats["steps"] == 326
+    assert stats["kicks_applied"] == 119
+    assert stats["kicks_skipped"] == 326 - 119
+    assert stats["exact_jumps"] == 2
+    assert 0.0 < stats["max_abs_p"] < np.inf
+
+
+def test_lookup_of_unrecorded_time_raises(resp256):
+    # slices sit at t0 = -1.125 and t1 = 3.8 only
+    with pytest.raises(ValueError, match="not recorded"):
+        ridge_radius(resp256, 2.0)
+    with pytest.raises(ValueError, match="not recorded"):
+        cone_amplitude(resp256, ConeProbe(t_probe=2.0, angle=np.deg2rad(157.5)))
 
 
 def test_two_wave_data_leave_the_cone_probe_silent(cfg256, resp256):
@@ -206,6 +240,18 @@ def test_smooth_region_reads_superpolynomial(resp256, cfg256):
     )
     assert fit.superpolynomial
     assert fit.slope == -np.inf
+    assert "noise_floor" in fit.flags and "insufficient_bins" not in fit.flags
+
+
+def test_front_fit_with_too_few_bins_is_no_measurement(cfg256):
+    # the 64-point slice of half-length 1.2 puts 5 bins in (16, 29.8)
+    t0 = cfg256.solver.t0
+    u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1))
+    fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0)
+    assert np.isnan(fit.slope)
+    assert "insufficient_bins" in fit.flags
+    assert not fit.superpolynomial
 
 
 def test_frame_rotation_leaves_slope_unchanged(cfg256, resp256):

@@ -6,6 +6,7 @@ from cwlab.solver import (
     CharFrame,
     NonlinearitySpec,
     SolverConfig,
+    SourceGate,
     WaveState,
     cubic_nonlinearity,
     duhamel_apply,
@@ -270,6 +271,39 @@ def test_cubic_response_scales_like_amplitude_cubed():
     r1, r2 = response(0.05), response(0.10)
     ratio = np.max(np.abs(r2)) / np.max(np.abs(r1))
     assert abs(ratio - 8.0) < 0.15 * 8.0
+
+
+def _pulse(grid):
+    x1, x2 = meshes(grid)
+    return 0.3 * np.exp(-(x1**2 + x2**2) / (2 * 0.3**2))
+
+
+def test_gate_that_never_opens_is_free_flow():
+    # no step midpoint (-1.185 + 0.03 i) falls inside |t| < 2e-4
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=10**6)
+    P = cubic_nonlinearity(a3=1e6, cutoff=SourceGate(flat=1e-4, edge=2e-4))
+    out = solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
+    stats = out.metadata["stats"]
+    assert stats["kicks_applied"] == 0 and stats["kicks_skipped"] == stats["steps"] == 60
+    u1, ut1 = linear_propagate(u0, np.zeros(grid.shape), grid, cfg.t1 - cfg.t0)
+    assert np.max(np.abs(out.u[-1] - u1)) < 1e-12 * np.max(np.abs(u0))
+    assert np.max(np.abs(out.ut[-1] - ut1)) < 1e-12 * np.max(np.abs(u0))
+
+
+def test_generic_cutoff_kicks_on_every_step():
+    # the same gate behind a plain callable: every step kicks, and the
+    # kicks outside the gate's support add exactly nothing
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=20)
+    gated = solve(u0, np.zeros(grid.shape), grid, cfg, P=cubic_nonlinearity(5.0))
+    opaque = cubic_nonlinearity(5.0, cutoff=lambda t, X1, X2: z_cutoff(t, X1, X2))
+    every = solve(u0, np.zeros(grid.shape), grid, cfg, P=opaque)
+    assert every.metadata["stats"]["kicks_applied"] == 60
+    assert gated.metadata["stats"]["kicks_applied"] == 50  # t_mid > -0.9 from i = 10
+    assert np.max(np.abs(every.u - gated.u)) < 1e-12 * np.max(np.abs(gated.u))
 
 
 # ------------------------------------------------------------------ duhamel
