@@ -13,24 +13,16 @@ The package provides
   exact linear propagator (:mod:`cwlab.solver`),
 * the three-wave interaction experiment: data builders, nonlinear response
   extraction, cone diagnostics, amplitude scaling and coefficient recovery
-  (:mod:`cwlab.interaction`),
-* products of conormal profiles, convolution asymptotics along rays, and
-  region-decomposed weighted integrals (:mod:`cwlab.products`),
-* characteristic strip integration and normal-form verification for
-  second-order principal symbols (:mod:`cwlab.normalform`),
-* a command line driver with a binary field format and INI configuration
-  (:mod:`cwlab.cli`).
+  (:mod:`cwlab.interaction`).
 """
 
 __version__ = "0.1.0"
 
-from . import beals, interaction, normalform, products, profiles, solver, spectral
+from . import beals, interaction, profiles, solver, spectral
 
 __all__ = [
     "beals",
     "interaction",
-    "normalform",
-    "products",
     "profiles",
     "solver",
     "spectral",

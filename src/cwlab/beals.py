@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import GridND, dft_forward_nd
+from .spectral import NOISE_FLOOR, GridND, dft_forward_nd
 
 __all__ = [
     "BealsWeight",
@@ -80,7 +80,7 @@ def _weighted_power(spec: np.ndarray, grid: GridND, weight: BealsWeight) -> np.n
     and would amplify FFT roundoff debris into fake divergence.
     """
     p = np.abs(spec) ** 2
-    floor = 1e3 * np.finfo(float).eps * np.sqrt(p.max())
+    floor = NOISE_FLOOR * np.sqrt(p.max())
     p[p < floor**2] = 0.0
     e1, e2, e3 = (g.freqs() for g in grid.axes)
     p *= (1.0 + e1**2)[:, None, None] ** weight.k1

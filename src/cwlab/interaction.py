@@ -33,8 +33,10 @@ from .solver import (
     solve,
     solve_response,
     z_cutoff,
+    _wavenumbers,
 )
 from .spectral import (
+    NOISE_FLOOR,
     DecayFit,
     Grid1D,
     GridND,
@@ -44,8 +46,6 @@ from .spectral import (
     plateau_window,
     windowed_slice,
 )
-
-_EPS = np.finfo(float).eps
 
 # Directions must lie on rational lattice lines so that plane translates
 # stay exact on the periodic box; 90/225/315 degrees is the symmetric
@@ -98,10 +98,6 @@ class ConeProbe:
     def direction(self) -> np.ndarray:
         """Radial unit vector of the probe point."""
         return np.array([np.cos(self.angle), np.sin(self.angle)])
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.t_probe * self.direction
 
     def trace_distance(self, frame: CharFrame) -> float:
         """Angular distance to the nearest plane tangency on the circle."""
@@ -288,11 +284,11 @@ def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
 def polarization_isolate(config: ExperimentConfig) -> SpaceTimeField:
     """Inclusion-exclusion over data subsets, keeping only triple products.
 
-    sum over nonempty S of (-1)^(3-|S|) u_S: every contribution built from
-    one or two of the waves enters through subsets whose signs sum to zero
-    (1 - 2 + 1), so single- and pairwise-interaction terms cancel at
-    leading order and the genuinely three-wave part stands out.  Linear
-    parts cancel exactly, so no separate linear subtraction is needed.
+    sum over nonempty S of (-1)^(3-|S|) w_S over the nonlinear responses
+    w_S: every contribution built from one or two of the waves enters
+    through subsets whose signs sum to zero (1 - 2 + 1), so single- and
+    pairwise-interaction terms cancel at leading order and the genuinely
+    three-wave part stands out.  The free waves never enter the sum.
     """
     acc_u = None
     acc_ut = None
@@ -301,8 +297,7 @@ def polarization_isolate(config: ExperimentConfig) -> SpaceTimeField:
         sign = (-1) ** (3 - size)
         for subset in combinations(range(3), size):
             eps = tuple(config.eps if j in subset else 0.0 for j in range(3))
-            u0, ut0 = _data_for(config, eps)
-            sol = solve(u0, ut0, config.grid, config.solver, P=config.P)
+            sol = nonlinear_response(config, eps)
             if acc_u is None:
                 acc_u = sign * sol.u
                 acc_ut = sign * sol.ut
@@ -322,14 +317,9 @@ class ConeCircle:
     radius: float
     trace_angles: tuple
 
-    def parameterize(self, n: int = 360):
-        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        points = self.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        return angles, points
-
     def clear_angles(self, n: int, exclusion: float) -> np.ndarray:
         """Sample angles keeping the given distance from every tangency."""
-        angles, _ = self.parameterize(n)
+        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         keep = np.ones(n, dtype=bool)
         for a in self.trace_angles:
             keep &= _ang_dist(angles, a) >= exclusion
@@ -375,17 +365,22 @@ def amplitude_band(grid: GridND) -> tuple[float, float]:
     return lo, hi
 
 
+def _radial_filter(values, grid: GridND, gain) -> np.ndarray:
+    """A real 2D field with its spectrum multiplied by gain(|k|)."""
+    kx, ky = _wavenumbers(grid)
+    spec = np.fft.rfft2(np.asarray(values, dtype=float))
+    spec *= gain(np.hypot(kx, ky))
+    return np.fft.irfft2(spec, s=grid.shape)
+
+
 def band_pass(values, grid: GridND, band) -> np.ndarray:
     """Smooth radial frequency band-pass of a 2D field."""
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError(f"invalid band {band}")
-    k1, k2 = grid.freq_meshes()
-    rho = np.hypot(k1, k2)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    mask = plateau_window(rho - mid, 0.75 * half, half)
-    return np.real(np.fft.ifft2(np.fft.fft2(np.asarray(values, dtype=float)) * mask))
+    return _radial_filter(values, grid, lambda rho: plateau_window(rho - mid, 0.75 * half, half))
 
 
 def high_pass(values, grid: GridND, lo_in: float, lo_out: float) -> np.ndarray:
@@ -398,39 +393,14 @@ def high_pass(values, grid: GridND, lo_in: float, lo_out: float) -> np.ndarray:
     """
     if not 0 < lo_in < lo_out:
         raise ValueError("need 0 < lo_in < lo_out")
-    k1, k2 = grid.freq_meshes()
-    rho = np.hypot(k1, k2)
-    mask = 1.0 - plateau_window(rho, lo_in, lo_out)
-    return np.real(np.fft.ifft2(np.fft.fft2(np.asarray(values, dtype=float)) * mask))
+    return _radial_filter(values, grid, lambda rho: 1.0 - plateau_window(rho, lo_in, lo_out))
 
 
-def _tube_mask(grid: GridND, radius, width, exclusion, trace_angles, center_angle, arc):
-    x1, x2 = grid.meshes()
-    r = np.hypot(x1, x2)
-    theta = np.arctan2(x2, x1)
-    mask = np.abs(r - radius) <= 0.5 * width
-    mask &= _ang_dist(theta, center_angle) <= arc
-    for a in trace_angles:
-        mask &= _ang_dist(theta, a) >= exclusion
-    return mask
-
-
-def _tube_values(state: WaveState, probe: ConeProbe, frame: CharFrame, band):
-    grid = state.grid
-    h = _square_axis(grid).spacing
-    bp = band_pass(state.u, grid, band)
-    mask = _tube_mask(
-        grid,
-        state.t,
-        8.0 * h,
-        probe.exclusion,
-        [_omega_angle(w) for w in frame.omegas],
-        probe.angle,
-        probe.arc,
-    )
-    if not np.any(mask):
-        raise ValueError("probe tube contains no grid points")
-    return bp, mask
+def _without_bulk(state: WaveState, band) -> np.ndarray:
+    """state.u less its smooth bulk: zero below 0.375 * band[0], untouched
+    from 0.75 * band[0] up, so the fit band passes unchanged."""
+    lo = band[0]
+    return high_pass(state.u, state.grid, 0.375 * lo, 0.75 * lo)
 
 
 def _frame_of(fld: SpaceTimeField, frame):
@@ -438,6 +408,24 @@ def _frame_of(fld: SpaceTimeField, frame):
     if frame is None:
         raise ValueError("no frame given and none recorded with the field")
     return frame
+
+
+def _tube(fld: SpaceTimeField, probe: ConeProbe, frame, band):
+    """(band-passed field, tube mask) on the slice at the probe time; the
+    tube is the one cone_amplitude describes."""
+    frame = _frame_of(fld, frame)
+    state = fld.state_at(probe.t_probe)
+    grid = fld.grid
+    band = band if band is not None else amplitude_band(grid)
+    x1, x2 = grid.meshes()
+    theta = np.arctan2(x2, x1)
+    mask = np.abs(np.hypot(x1, x2) - state.t) <= 4.0 * _square_axis(grid).spacing
+    mask &= _ang_dist(theta, probe.angle) <= probe.arc
+    for w in frame.omegas:
+        mask &= _ang_dist(theta, _omega_angle(w)) >= probe.exclusion
+    if not np.any(mask):
+        raise ValueError("probe tube contains no grid points")
+    return band_pass(state.u, grid, band), mask
 
 
 def crossing_angle(frame: CharFrame, i: int, j: int) -> float:
@@ -476,19 +464,13 @@ def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None)
     each side of the probe angle, and drops angles within the probe's
     exclusion of a plane tangency.
     """
-    frame = _frame_of(fld, frame)
-    state = fld.state_at(probe.t_probe)
-    band = band if band is not None else amplitude_band(fld.grid)
-    bp, mask = _tube_values(state, probe, frame, band)
+    bp, mask = _tube(fld, probe, frame, band)
     return float(np.max(np.abs(bp[mask])))
 
 
 def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None) -> float:
     """Band-passed squared mass in the probe tube (the two-wave null metric)."""
-    frame = _frame_of(fld, frame)
-    state = fld.state_at(probe.t_probe)
-    band = band if band is not None else amplitude_band(fld.grid)
-    bp, mask = _tube_values(state, probe, frame, band)
+    bp, mask = _tube(fld, probe, frame, band)
     return float(np.sum(bp[mask] ** 2) * fld.grid.cell_volume)
 
 
@@ -598,10 +580,8 @@ def cone_order_estimate(
     if half_length is None:
         half_length = _clean_half_length(fld.grid, probe, frame, r0, state.t)
     band = band if band is not None else default_band(fld.grid)
-    lo = band[0]
-    hp = high_pass(state.u, fld.grid, 0.375 * lo, 0.75 * lo)
     sl = windowed_slice(
-        hp,
+        _without_bulk(state, band),
         fld.grid,
         center=r0 * probe.direction,
         direction=probe.direction,
@@ -631,9 +611,9 @@ def front_order_estimate(
     perp = np.array([-w[1], w[0]])
     center = state.t * w + offset * perp
     band = band if band is not None else default_band(fld.grid)
-    lo = band[0]
-    hp = high_pass(state.u, fld.grid, 0.375 * lo, 0.75 * lo)
-    sl = windowed_slice(hp, fld.grid, center=center, direction=w, half_length=half_length)
+    sl = windowed_slice(
+        _without_bulk(state, band), fld.grid, center=center, direction=w, half_length=half_length
+    )
     return _slice_fit(sl, band, min_bins)
 
 
@@ -660,8 +640,7 @@ def ridge_radius(
     grid = fld.grid
     g = _square_axis(grid)
     band = band if band is not None else default_band(grid)
-    lo = band[0]
-    bp = np.abs(high_pass(state.u, grid, 0.375 * lo, 0.75 * lo))
+    bp = np.abs(_without_bulk(state, band))
     circle = locate_cone(frame, state.t)
     angles = circle.clear_angles(n_angles, exclusion)
     if angles.size == 0:
@@ -686,9 +665,6 @@ class EpsScaling:
     amplitudes: tuple
     dropped: tuple
     band: tuple
-
-    def __float__(self):
-        return self.exponent
 
 
 def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None) -> EpsScaling:
@@ -722,7 +698,7 @@ def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None)
     amps = np.asarray(amps)
     if amps.size == 0 or np.max(amps) <= 0.0:
         raise ValueError("cone amplitudes sit at the noise floor; nothing to fit")
-    alive = amps > 1e3 * _EPS * np.max(amps)
+    alive = amps > NOISE_FLOOR * np.max(amps)
     dropped.extend(e for e, ok in zip(used, alive) if not ok)
     if np.count_nonzero(alive) < 3:
         raise ValueError("fewer than three amplitudes above the noise floor")
@@ -736,17 +712,6 @@ def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None)
         dropped=tuple(dropped),
         band=tuple(band),
     )
-
-
-def _tube_correlation(state_a, state_b, probe, frame, band) -> float:
-    bp_a, mask = _tube_values(state_a, probe, frame, band)
-    bp_b, _ = _tube_values(state_b, probe, frame, band)
-    a = bp_a[mask]
-    b = bp_b[mask]
-    denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(a * b) / denom)
 
 
 @dataclass(frozen=True)
@@ -772,22 +737,21 @@ def coefficient_recovery(base: ExperimentConfig, trials, probe=None, band=None):
             raise ValueError("config carries no probe")
         probe = base.probes[0]
     band = band if band is not None else amplitude_band(base.grid)
-    resp0 = nonlinear_response(base)
-    state0 = resp0.state_at(probe.t_probe)
-    bp0, mask = _tube_values(state0, probe, base.frame, band)
-    amp0 = float(np.max(np.abs(bp0[mask])))
-    if amp0 <= 1e3 * _EPS * float(np.max(np.abs(bp0))):
+    bp0, mask = _tube(nonlinear_response(base), probe, base.frame, band)
+    a = bp0[mask]
+    amp0 = float(np.max(np.abs(a)))
+    if amp0 <= NOISE_FLOOR * float(np.max(np.abs(bp0))):
         raise ValueError("baseline cone amplitude is at the noise floor")
     out = []
     for trial in trials:
         cfg = trial if isinstance(trial, ExperimentConfig) else replace(base, P=trial)
         if replace(cfg, P=base.P) != base:
             raise ValueError("trial must differ from the baseline only in the coupling")
-        resp = nonlinear_response(cfg)
-        state = resp.state_at(probe.t_probe)
-        bp, _ = _tube_values(state, probe, cfg.frame, band)
-        amp = float(np.max(np.abs(bp[mask])))
-        corr = _tube_correlation(state0, state, probe, base.frame, band)
+        bp, _ = _tube(nonlinear_response(cfg), probe, cfg.frame, band)
+        b = bp[mask]
+        amp = float(np.max(np.abs(b)))
+        denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
+        corr = float(np.sum(a * b) / denom) if denom != 0.0 else 0.0
         out.append(CoeffEstimate(c_hat=amp / amp0, correlation=corr, band=tuple(band)))
     return out
 

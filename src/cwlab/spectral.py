@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_NOISE_FLOOR_FACTOR = 1e3 * np.finfo(float).eps
+# Relative amplitude below which a value counts as roundoff debris of the
+# largest one: the noise floor of every spectral and amplitude reading.
+NOISE_FLOOR = 1e3 * np.finfo(float).eps
 _SUPERPOLY_SLOPE = -10.0
 
 
@@ -210,7 +212,7 @@ def decay_exponent(
     """Fit log|spectrum| against log(eta) over a positive-frequency band.
 
     The default band is [8, nyquist/4].  Bins whose magnitude sits below
-    1e3 * eps * max|spectrum| are treated as noise floor and excluded; if
+    NOISE_FLOOR * max|spectrum| are treated as noise floor and excluded; if
     fewer than ``min_bins`` usable bins remain the fit is rejected with
     TooFewBins, which says whether the band or the noise floor was short.
     """
@@ -225,7 +227,7 @@ def decay_exponent(
         raise ValueError("band exceeds grid Nyquist frequency")
 
     amp = np.abs(spec)
-    floor = _NOISE_FLOOR_FACTOR * amp.max()
+    floor = NOISE_FLOOR * amp.max()
     sel = (eta >= lo) & (eta <= hi)
     flags = set()
     usable = sel & (amp > floor)

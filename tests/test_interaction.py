@@ -19,6 +19,7 @@ from cwlab.interaction import (
     default_band,
     default_experiment,
     front_order_estimate,
+    high_pass,
     linear_field,
     locate_cone,
     make_three_wave_data,
@@ -26,6 +27,7 @@ from cwlab.interaction import (
     polarization_isolate,
     probe_band_energy,
     ridge_radius,
+    run_experiment,
     two_wave_probe,
 )
 from cwlab.solver import (
@@ -33,10 +35,12 @@ from cwlab.solver import (
     NonlinearitySpec,
     SolverConfig,
     SpaceTimeField,
+    cubic_nonlinearity,
     grid2d,
     solve,
     z_cutoff,
 )
+from cwlab.spectral import plateau_window
 
 M = -2.6
 EPS = 0.05
@@ -170,6 +174,25 @@ def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
         return float(np.sum(bp[mask] ** 2))
 
     assert trace_energy(resp256) > 10.0 * trace_energy(iso256)
+
+
+# -------------------------------------------------------------- filters
+
+
+def test_radial_filters_match_complex_fft_reference():
+    grid = grid2d(128, 13.5)
+    u = np.random.default_rng(7).normal(size=grid.shape)
+    rho = np.hypot(*grid.freq_meshes())
+
+    def reference(mask):
+        return np.real(np.fft.ifft2(np.fft.fft2(u) * mask))
+
+    lo, hi = 8.0, 20.0
+    band = plateau_window(rho - 0.5 * (lo + hi), 0.75 * 0.5 * (hi - lo), 0.5 * (hi - lo))
+    bulk = 1.0 - plateau_window(rho, 3.0, 6.0)
+    tol = 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(band_pass(u, grid, (lo, hi)) - reference(band))) <= tol
+    assert np.max(np.abs(high_pass(u, grid, 3.0, 6.0) - reference(bulk))) <= tol
 
 
 # ------------------------------------------------------------- geometry
@@ -318,6 +341,24 @@ def test_recovery_rejects_trials_changing_anything_but_coupling(cfg256):
     other = replace(cfg256, eps=2 * EPS)
     with pytest.raises(ValueError, match="coupling"):
         coefficient_recovery(cfg256, [other])
+
+
+# ------------------------------------------------------------- end to end
+
+
+def test_run_experiment_reproduces_the_claim(cfg256):
+    rep = run_experiment(cfg256, trials=(cubic_nonlinearity(2.0),))
+    assert abs(rep.eps_exponent - 3.0) < 0.1
+    (est,) = rep.coeff_estimates
+    assert abs(est.c_hat - 2.0) < 0.05 * 2.0
+    assert est.correlation >= 0.95
+    assert rep.null_energies["two_wave_ratio"] < 1e-3
+    assert rep.null_energies["p_zero_peak"] == 0.0
+    assert abs(rep.cone_fit.slope - (3 * M - 0.5)) < 0.5
+    incoming = rep.incoming_fit.slope
+    assert np.isfinite(incoming) or (
+        np.isnan(incoming) and "insufficient_bins" in rep.incoming_fit.flags
+    )
 
 
 # ------------------------------------------------------------- validation

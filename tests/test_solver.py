@@ -384,13 +384,17 @@ def test_grid_refinement_is_cauchy():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t0=-0.5, t1=0.5)  # t0 must precede the gate
+    grid = grid2d(32, L)
+    late = SolverConfig(dt=0.05, t0=-0.5, t1=0.5)  # t0 must precede the gate
+    with pytest.raises(ValueError, match="gate"):
+        solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, late, P=cubic_nonlinearity())
+    for t0 in (0.5, 0.6):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            SolverConfig(dt=0.1, t0=t0, t1=0.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1, t0=-1.2, t1=0.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t0=-1.2, t1=0.5, record_stride=0)
-    grid = grid2d(32, L)
     cfg = SolverConfig(dt=0.2, t0=-1.2, t1=0.5)  # dt far above h/pi
     with pytest.raises(ValueError):
         solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg)
