@@ -410,22 +410,28 @@ def _frame_of(fld: SpaceTimeField, frame):
     return frame
 
 
-def _tube(fld: SpaceTimeField, probe: ConeProbe, frame, band):
-    """(band-passed field, tube mask) on the slice at the probe time; the
-    tube is the one cone_amplitude describes."""
-    frame = _frame_of(fld, frame)
-    state = fld.state_at(probe.t_probe)
-    grid = fld.grid
-    band = band if band is not None else amplitude_band(grid)
+@lru_cache(maxsize=8)
+def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np.ndarray:
+    """The tube cone_amplitude describes, on grid at time t (read-only)."""
     x1, x2 = grid.meshes()
     theta = np.arctan2(x2, x1)
-    mask = np.abs(np.hypot(x1, x2) - state.t) <= 4.0 * _square_axis(grid).spacing
+    mask = np.abs(np.hypot(x1, x2) - t) <= 4.0 * _square_axis(grid).spacing
     mask &= _ang_dist(theta, probe.angle) <= probe.arc
     for w in frame.omegas:
         mask &= _ang_dist(theta, _omega_angle(w)) >= probe.exclusion
     if not np.any(mask):
         raise ValueError("probe tube contains no grid points")
-    return band_pass(state.u, grid, band), mask
+    mask.flags.writeable = False
+    return mask
+
+
+def _tube(fld: SpaceTimeField, probe: ConeProbe, frame, band):
+    """(band-passed field, tube mask) on the slice at the probe time."""
+    frame = _frame_of(fld, frame)
+    state = fld.state_at(probe.t_probe)
+    band = band if band is not None else amplitude_band(fld.grid)
+    mask = _tube_mask(fld.grid, float(state.t), probe, frame)
+    return band_pass(state.u, fld.grid, band), mask
 
 
 def crossing_angle(frame: CharFrame, i: int, j: int) -> float:
@@ -595,14 +601,18 @@ def front_order_estimate(
     omega,
     t=None,
     offset=0.0,
-    half_length=1.2,
+    half_length=None,
     band=None,
     min_bins=6,
 ) -> DecayFit:
     """Decay slope across one plane front (the incoming-wave control).
 
     Slices along omega through the front line {x . omega = t} at a lateral
-    offset; pick the offset so other fronts stay outside the window.
+    offset; pick the offset so other fronts stay outside the window.  The
+    slice's bins sit pi / half_length apart; the default half_length is the
+    shortest one of at least 1.2 whose spacing puts min_bins bins in the
+    band wherever the bins fall, so a bin never has to sit on the band's
+    edge to make up the count.
     """
     t = float(fld.times[-1]) if t is None else float(t)
     state = fld.state_at(t)
@@ -611,6 +621,8 @@ def front_order_estimate(
     perp = np.array([-w[1], w[0]])
     center = state.t * w + offset * perp
     band = band if band is not None else default_band(fld.grid)
+    if half_length is None:
+        half_length = max(1.2, min_bins * np.pi / (band[1] - band[0]))
     sl = windowed_slice(
         _without_bulk(state, band), fld.grid, center=center, direction=w, half_length=half_length
     )

@@ -6,11 +6,18 @@ by Strang splitting with 2/3-rule dealiasing of the powers.  The splitting
 runs in the interaction picture: the free flow u_lin of the data is carried
 exactly, and only w = u - u_lin is kicked, by P(u_lin + w).  P is gated by a
 SourceGate, a separable space-time bump whose space factor is cached per
-grid; P is evaluated only on the box holding the gate's spatial support,
-steps whose midpoint lies outside its time support are not kicked, and
-each closed stretch is crossed in one exact propagation.  solve_response
+grid; steps whose midpoint lies outside its time support are not kicked,
+and each closed stretch is crossed in one exact propagation.  solve_response
 returns w itself, solve returns u_lin + w, and the forced variant with zero
 data realizes the forward fundamental solution.
+
+The stepping loop touches only what a kick can read or write (FFT pruning).
+Between records it carries u_lin and w on the dealiased block of the
+spectrum alone: every kick is cut to the block, so nothing outside it is
+ever needed.  P is evaluated only on the box, the index box of the grid
+holding the gate's spatial support (the whole grid for any other coupling),
+so a kick transforms from the block onto the box and back, one axis at a
+time, and never over the whole grid.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -265,26 +272,66 @@ def _wavenumbers(grid: GridND):
     return kx[:, None], ky[None, :]
 
 
-def _free_propagator(grid: GridND, dt: float, rows=slice(None)):
-    """(cos, sinc, ksin) of |k| dt on the given rows of the spectrum."""
-    kx, ky = _wavenumbers(grid)
-    k = np.hypot(kx[rows], ky)
-    cos = np.cos(k * dt)
-    sinc = dt * np.sinc(k * dt / np.pi)  # sin(k dt)/k with the k=0 limit dt
-    ksin = k * np.sin(k * dt)
-    return cos, sinc, ksin
+class _Block(NamedTuple):
+    """The part of a grid's rfft2 spectrum the solver carries, in its layout.
 
+    A spectrum in block layout is the rfft2 spectrum transposed, indexed
+    [ky, kx], so transforms along x1 run on contiguous data.  The block keeps
+    ky columns 0..cols-1 and kx rows 0..nlo-1 (kx >= 0) and n-nhi..n-1
+    (kx < 0), stored side by side: shape (cols, nlo + nhi).  k is |k| there.
+    """
 
-# Step and half-step propagators are reused; a jump across a closed stretch
-# of the gate is computed block by block for that jump and never cached.
-_propagator = lru_cache(maxsize=64)(_free_propagator)
+    nlo: int
+    nhi: int
+    cols: int
+    k: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _dealias_mask(grid: GridND, fraction: float):
-    kx, ky = _wavenumbers(grid)
-    gx, gy = grid.axes
-    return (np.abs(kx) <= fraction * gx.nyquist) & (np.abs(ky) <= fraction * gy.nyquist)
+def _block(grid: GridND, fraction: float | None) -> _Block:
+    """The dealiased block of grid's spectrum, |kx|, |ky| <= fraction * nyquist;
+    the whole spectrum when fraction is None."""
+    kx, ky = (a.ravel() for a in _wavenumbers(grid))
+    n = kx.size
+    if fraction is None:
+        keep_x, keep_y = np.ones(n, bool), np.ones(ky.size, bool)
+    else:
+        gx, gy = grid.axes
+        keep_x = np.abs(kx) <= fraction * gx.nyquist
+        keep_y = np.abs(ky) <= fraction * gy.nyquist
+    # |kx| grows away from index 0 in both halves, so each kept part is a run.
+    nlo, nhi = int(keep_x[: n // 2].sum()), int(keep_x[n // 2 :].sum())
+    cols = int(keep_y.sum())
+    rows = np.r_[0:nlo, n - nhi : n]
+    return _Block(nlo, nhi, cols, np.hypot(ky[:cols, None], kx[None, rows]))
+
+
+def _spectrum(f):
+    """rfft2 of the real 2D field f, in block layout."""
+    return sfft.fft(sfft.rfft(f, axis=-1).T, axis=-1)
+
+
+def _field(spec, n2: int):
+    """The real field of n2 columns whose rfft2 is spec (block layout, with
+    any missing ky columns zero)."""
+    return sfft.irfft(sfft.ifft(spec, axis=-1).T, n=n2, axis=-1)
+
+
+def _free_propagator(k, dt: float):
+    """(cos, sinc, ksin) of |k| dt, each value twice in a row: they act on a
+    complex spectrum viewed as (real, imaginary) pairs of floats."""
+    cos = np.cos(k * dt)
+    sinc = dt * np.sinc(k * dt / np.pi)  # sin(k dt)/k with the k=0 limit dt
+    ksin = k * np.sin(k * dt)
+    return tuple(np.repeat(f, 2, axis=-1) for f in (cos, sinc, ksin))
+
+
+@lru_cache(maxsize=64)
+def _propagator(grid: GridND, fraction: float | None, dt: float):
+    """Step, half-step and record-spacing propagators on a block are reused;
+    a jump across a closed stretch of the gate is computed chunk by chunk
+    for that jump and never cached."""
+    return _free_propagator(_block(grid, fraction).k, dt)
 
 
 @lru_cache(maxsize=32)
@@ -299,7 +346,7 @@ def _gate_box(gate: SourceGate, grid: GridND):
     its meshes, and the space factor on it."""
     x1, x2 = _meshes(grid)
     box = tuple(
-        slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+        slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
         for idx in (np.flatnonzero(np.abs(x) < gate.edge) for x in (x1[:, 0], x2[0]))
     )
     bx1, bx2 = x1[box[0]], x2[:, box[1]]
@@ -314,24 +361,26 @@ def _check_grid(grid: GridND, *fields):
             raise ValueError("field shape does not match grid")
 
 
-# Rows of the spectrum propagated per block: the operands of a block of a
+# Rows of a spectrum propagated at a time: the operands of a chunk of a
 # 512-point grid stay in a core's L2 cache.
-_BLOCK_ROWS = 32
+_CHUNK_ROWS = 32
 
 
-def _propagate(uh, vh, grid: GridND, dt: float, cached=True):
-    """Advance spectra (uh, vh), shaped (..., n, m), in place by free flow
-    over dt.  Works a block of rows at a time, so the operands stay in cache
-    and the scratch stays small; an uncached propagator is only ever built
-    one block at a time."""
-    rows = _BLOCK_ROWS
-    full = _propagator(grid, float(dt)) if cached else None
-    a = np.empty(uh.shape[:-2] + (min(rows, uh.shape[-2]),) + uh.shape[-1:], dtype=uh.dtype)
+def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=True):
+    """Advance spectra (uh, vh) on the block of grid for fraction, shaped
+    (..., cols, nlo + nhi), in place by free flow over dt.  Works a chunk of
+    rows at a time, so the operands stay in cache and the scratch stays
+    small; an uncached propagator is only ever built one chunk at a time."""
+    rows = _CHUNK_ROWS
+    k = _block(grid, fraction).k
+    full = _propagator(grid, fraction, float(dt)) if cached else None
+    uf, vf = uh.view(uh.real.dtype), vh.view(vh.real.dtype)
+    a = np.empty(uf.shape[:-2] + (min(rows, uf.shape[-2]),) + uf.shape[-1:], dtype=uf.dtype)
     b = np.empty_like(a)
-    for r in range(0, uh.shape[-2], rows):
-        k = slice(r, r + rows)
-        cos, sinc, ksin = (f[k] for f in full) if cached else _free_propagator(grid, dt, k)
-        u, v = uh[..., k, :], vh[..., k, :]
+    for r in range(0, uf.shape[-2], rows):
+        c = slice(r, r + rows)
+        cos, sinc, ksin = (f[c] for f in full) if cached else _free_propagator(k[c], dt)
+        u, v = uf[..., c, :], vf[..., c, :]
         sa, sb = a[..., : u.shape[-2], :], b[..., : u.shape[-2], :]
         np.multiply(sinc, v, out=sa)
         np.multiply(ksin, u, out=sb)
@@ -344,45 +393,44 @@ def _propagate(uh, vh, grid: GridND, dt: float, cached=True):
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
     _check_grid(grid, u, ut)
-    uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
-    _propagate(uh, vh, grid, dt)
-    return sfft.irfft2(uh, s=grid.shape), sfft.irfft2(vh, s=grid.shape)
+    uh, vh = _spectrum(u), _spectrum(ut)
+    _propagate(uh, vh, grid, None, dt)
+    return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
 
 
 def _abs_max(a) -> float:
     """max |a|; not finite exactly when some entry of a is not."""
-    return max(float(a.max()), -float(a.min()))
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def _nonlinear_source(P: NonlinearitySpec, grid: GridND, fraction: float):
-    """(p, max |p|) at time t from uh: P on the dealiased field whose rfft2
-    is uh, raising BlowupError where P overflows.  uh is overwritten.
+def _whole(grid: GridND):
+    return tuple(slice(0, n) for n in grid.shape)
 
-    A SourceGate cutoff vanishes outside its spatial support, so P is
-    evaluated on the box holding that support only, with the gate's cached
-    space factor; p is zero elsewhere.
+
+def _nonlinear_source(P: NonlinearitySpec, grid: GridND):
+    """(source, box): source(t, u) returns (p, max |p|), P at time t for u
+    sampled on the index box of grid, raising BlowupError where P overflows.
+
+    A SourceGate cutoff vanishes outside its spatial support, so the box is
+    the one holding that support and P uses the gate's cached space factor;
+    p is zero off the box.  Any other coupling is evaluated on the whole grid.
     """
-    x1, x2 = _meshes(grid)
-    mask = _dealias_mask(grid, fraction)
     gate = P.cutoff if isinstance(P.cutoff, SourceGate) else None
-    if gate is not None:
-        box, bx1, bx2, space = _gate_box(gate, grid)
+    if gate is None:
+        box, (x1, x2) = _whole(grid), _meshes(grid)
+    else:
+        box, x1, x2, space = _gate_box(gate, grid)
 
-    def source(t, uh):
-        uh *= mask
-        ud = sfft.irfft2(uh, s=grid.shape, overwrite_x=True)
+    def source(t, u):
+        cut = None if gate is None else gate.time_factor(t) * space
         with np.errstate(over="ignore", invalid="ignore"):
-            if gate is None:
-                p = P(t, x1, x2, ud)
-            else:
-                p = np.zeros(grid.shape)
-                p[box] = P(t, bx1, bx2, ud[box], cutoff_value=gate.time_factor(t) * space)
+            p = P(t, x1, x2, u, cutoff_value=cut)
             peak = _abs_max(p)
         if not math.isfinite(peak):
             raise BlowupError(f"nonlinear term overflowed at t = {t:.6g}")
         return p, peak
 
-    return source
+    return source, box
 
 
 def step_semilinear(state: WaveState, dt: float, P: NonlinearitySpec | None,
@@ -390,8 +438,8 @@ def step_semilinear(state: WaveState, dt: float, P: NonlinearitySpec | None,
     """One Strang step: half linear, nonlinear kick at midpoint, half linear."""
     t1 = state.t + dt
     config = SolverConfig(dt=t1 - state.t, t0=state.t, t1=t1, dealias=dealias)
-    source = None if P is None else _nonlinear_source(P, state.grid, dealias)
-    out = _run((state.u, state.ut), state.grid, config, source)
+    source, box = (None, None) if P is None else _nonlinear_source(P, state.grid)
+    out = _run((state.u, state.ut), state.grid, config, source, box=box)
     return WaveState(state.grid, t1, out.u[-1], out.ut[-1])
 
 
@@ -410,20 +458,31 @@ def energy(u, ut, grid: GridND) -> float:
         return float(grid.cell_volume * np.sum(ut**2 + ux**2 + uy**2))
 
 
-def _run(data, grid, config, source, support=(-math.inf, math.inf), response=False):
+def _run(data, grid, config, source, support=(-math.inf, math.inf), response=False,
+         box=None):
     """Strang splitting in the interaction picture, kicking only where needed.
 
-    The loop carries the Fourier coefficients of the free field u_lin (the
-    exact free flow of data; absent when data is None) and of w = u - u_lin
-    (zero throughout, and not carried, when source is None and response is
-    not set).  source(t, uh) returns the source term and its max modulus,
-    and may overwrite uh.  Step i kicks w by dt * source(t_mid, u_lin + w)
-    at its midpoint t_mid when support holds t_mid; elsewhere the source
-    vanishes and the step is free flow.  Free flow is exact for any length,
-    so the loop propagates once per gap between events (kicks and record
-    times): one full step between consecutive kicks, one jump across each
-    closed stretch.  Records hold w when response is set, u_lin + w
-    otherwise.
+    The state is the free field u_lin (the exact free flow of data; absent
+    when data is None) and w = u - u_lin.  source(t, u) returns the source
+    term on the index box of grid (the whole grid when box is None) for u
+    sampled there, and its max modulus.  Step i kicks w by
+    dt * source(t_mid, u_lin + w) at its midpoint t_mid when support holds
+    t_mid; elsewhere the source vanishes and the step is free flow.  Free
+    flow is exact for any length, so the state is propagated once per gap
+    between events (kicks and record times): one full step between
+    consecutive kicks, one jump across each closed stretch.
+
+    Between records the loop carries u_lin and w only on the dealiased
+    block of the rfft2 spectrum (see _block): w starts at zero, every kick
+    is cut to the block, and a kick reads u_lin + w only through it, so
+    nothing outside the block is ever needed.  A kick scatters the block
+    onto x1 lines, transforms along x1, keeps the box's x1 rows and
+    transforms along x2 onto the box only; its source, nonzero on the box
+    alone, goes back by a real transform of the box rows along x2, cut to
+    the block's ky columns, and a transform along x1.  Records hold w when
+    response is set, u_lin + w otherwise; w is scattered from the block,
+    and u_lin comes from the whole data spectrum, advanced from record to
+    record.  The t0 record is the data itself (zero for w).
     """
     _check_grid(grid)
     h = min(g.spacing for g in grid.axes)
@@ -441,40 +500,76 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
     kicks = [] if source is None else [
         2 * i + 1 for i in range(n_steps) if lo < config.t0 + i * dt + 0.5 * dt < hi
     ]
-    events = sorted(kicks + list(range(0, 2 * n_steps + 1, 2 * stride)))
+    records = list(range(0, 2 * n_steps + 1, 2 * stride))
 
-    n_fields = (data is not None) + (source is not None or response)
-    uh = np.zeros((n_fields, grid.shape[0], grid.shape[1] // 2 + 1), dtype=complex)
-    vh = np.zeros_like(uh)
+    n1, n2 = grid.shape
     if data is not None:
         u0, ut0 = (np.asarray(f, dtype=float) for f in data)
         _check_grid(grid, u0, ut0)
-        uh[0] = sfft.rfft2(u0)
-        vh[0] = sfft.rfft2(ut0)
-    recorded = slice(-1, None) if response else slice(None)
-
-    def spatial(spec):
-        return sfft.irfft2(spec[recorded].sum(axis=0), s=grid.shape, overwrite_x=True)
+        data_spec = (_spectrum(u0), _spectrum(ut0))
+    # u_lin on the whole spectrum, for the records of u_lin + w.
+    lin = data_spec if data is not None and not response else None
 
     if kicks:
-        kick_mask = dt * _dealias_mask(grid, config.dealias)
+        blk = _block(grid, config.dealias)
+        nlo, nhi, cols = blk.nlo, blk.nhi, blk.cols
+        b1, b2 = box if box is not None else _whole(grid)
+        # uh[0], vh[0] hold u_lin (zero without data), uh[1], vh[1] hold w.
+        uh = np.zeros((2, cols, nlo + nhi), dtype=complex)
+        vh = np.zeros_like(uh)
+        if data is not None:
+            for dst, spec in zip((uh, vh), data_spec):
+                dst[0, :, :nlo] = spec[:cols, :nlo]
+                dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
+        lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
+        box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
+
+    def kick(t):
+        """Kick w_t by dt * source(t, u_lin + w); returns max |source|."""
+        np.add(uh[0, :, :nlo], uh[1, :, :nlo], out=lines[:, :nlo])
+        np.add(uh[0, :, nlo:], uh[1, :, nlo:], out=lines[:, n1 - nhi :])
+        lines[:, nlo : n1 - nhi] = 0.0
+        x = sfft.ifft(lines, axis=-1, overwrite_x=True)
+        p, peak = source(t, sfft.irfft(x[:, b1].T, n=n2, axis=-1)[:, b2])
+        np.multiply(p, dt, out=box_rows[:, b2])
+        lines[:, : b1.start] = 0.0
+        lines[:, b1.stop :] = 0.0
+        lines[:, b1] = sfft.rfft(box_rows, axis=-1)[:, :cols].T
+        x = sfft.fft(lines, axis=-1, overwrite_x=True)
+        vh[1, :, :nlo] += x[:, :nlo]
+        vh[1, :, nlo:] += x[:, n1 - nhi :]
+        return peak
+
+    def recorded(i):
+        """Field i (0: u, 1: u_t) at the current record."""
+        spec = lin[i].copy() if lin is not None else np.zeros((n2 // 2 + 1, n1), complex)
+        if kicks:
+            w = (uh, vh)[i][1]
+            spec[:cols, :nlo] += w[:, :nlo]
+            spec[:cols, n1 - nhi :] += w[:, nlo:]
+        return _field(spec, n2)
+
     times, us, uts, ens = [], [], [], []
-    pos, jumps, p_max = 0, 0, 0.0
-    for event in events:
-        gap = event - pos
-        if gap > 0:
-            _propagate(uh, vh, grid, 0.5 * gap * dt, cached=gap <= 2)
+    pos = lin_pos = 0
+    jumps, p_max = 0, 0.0
+    for event in sorted(kicks + records):
+        if kicks and event > pos:
+            gap = event - pos
+            _propagate(uh, vh, grid, config.dealias, 0.5 * gap * dt, cached=gap <= 2)
             jumps += gap > 2
-        pos = event
+            pos = event
         if event % 2:
-            t_mid = config.t0 + (event // 2) * dt + 0.5 * dt
-            p, peak = source(t_mid, uh.sum(axis=0))
-            p_max = max(p_max, peak)
-            kick = sfft.rfft2(p)
-            kick *= kick_mask
-            vh[-1] += kick
+            p_max = max(p_max, kick(config.t0 + (event // 2) * dt + 0.5 * dt))
             continue
-        u, ut = spatial(uh), spatial(vh)
+        if event == 0:
+            u, ut = (u0, ut0) if lin is not None else (np.zeros(grid.shape),) * 2
+        else:
+            if lin is not None:
+                gap = event - lin_pos
+                _propagate(*lin, grid, None, 0.5 * gap * dt, cached=gap <= 2 or len(records) > 2)
+                jumps += gap > 2
+                lin_pos = event
+            u, ut = recorded(0), recorded(1)
         times.append(config.t0 + (event // 2) * dt)
         us.append(u)
         uts.append(ut)
@@ -486,6 +581,9 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
         "kicks_skipped": n_steps - len(kicks),
         "exact_jumps": jumps,
         "max_abs_p": p_max,
+        "dt_margin": dt * np.pi / h,
+        "block": (nlo + nhi, cols) if kicks else (0, 0),
+        "box": (b1.stop - b1.start, b2.stop - b2.start) if kicks else (0, 0),
     }
     return SpaceTimeField(
         grid=grid,
@@ -505,8 +603,8 @@ def _solve_gated(u0, ut0, grid, config, P, response):
     if math.isfinite(opens) and config.t0 > opens:
         # The data must be a free wave: the gate may not have opened yet.
         raise ValueError(f"source gate is open at t0 = {config.t0}; start at or before {opens}")
-    source = _nonlinear_source(P, grid, config.dealias)
-    out = _run((u0, ut0), grid, config, source, P.support, response)
+    source, box = _nonlinear_source(P, grid)
+    out = _run((u0, ut0), grid, config, source, P.support, response, box)
     out.metadata["degree"] = P.degree
     out.metadata["coeffs"] = tuple(a if not callable(a) else "callable" for a in P.coeffs)
     return out
@@ -533,7 +631,10 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     are kicked, so a gated P costs a kick only while the gate is open; the
     response is the same as solve(P) - solve(None) without the cancellation
     of the O(eps) free waves.  metadata["stats"] records steps, kicks applied
-    and skipped, exact jumps and max |P|.
+    and skipped, exact jumps (free flows longer than one step), max |P|,
+    dt_margin (dt over the step bound h/pi), and the shapes of the spectral
+    block the loop carried and of the box P was evaluated on ((0, 0) each
+    when no step was kicked).
     """
     return _solve_gated(u0, ut0, grid, config, P, response=True)
 
@@ -547,7 +648,7 @@ def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> Spac
     """
     x1, x2 = _meshes(grid)
 
-    def source(t, uh):
+    def source(t, u):
         f = np.asarray(forcing(t, x1, x2), dtype=float)
         if f.shape != grid.shape:
             raise ValueError("forcing shape does not match grid")

@@ -271,10 +271,25 @@ def test_front_fit_with_too_few_bins_is_no_measurement(cfg256):
     t0 = cfg256.solver.t0
     u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
     data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1))
-    fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0)
+    fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0, half_length=1.2)
     assert np.isnan(fit.slope)
     assert "insufficient_bins" in fit.flags
     assert not fit.superpolynomial
+
+
+def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
+    # six bins 2.30 apart fill (16, 29.8) wherever they fall: half-length
+    # 6 pi / 13.8 = 1.37 at 256; at 512 the band (16, 36) needs only 0.94,
+    # so the 1.2 floor stands
+    t0 = cfg256.solver.t0
+    u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1))
+    fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0)
+    assert fit.n_bins >= 6 and not fit.flags
+    assert abs(fit.slope - M) < 0.15
+    omega, t = DEFAULT_FRAME.omegas[0], float(data512.times[0])
+    fit512 = front_order_estimate(data512, omega, t=t)
+    assert fit512.slope == front_order_estimate(data512, omega, t=t, half_length=1.2).slope
 
 
 def test_frame_rotation_leaves_slope_unchanged(cfg256, resp256):
@@ -356,9 +371,8 @@ def test_run_experiment_reproduces_the_claim(cfg256):
     assert rep.null_energies["p_zero_peak"] == 0.0
     assert abs(rep.cone_fit.slope - (3 * M - 0.5)) < 0.5
     incoming = rep.incoming_fit.slope
-    assert np.isfinite(incoming) or (
-        np.isnan(incoming) and "insufficient_bins" in rep.incoming_fit.flags
-    )
+    assert np.isfinite(incoming) and rep.incoming_fit.n_bins >= 6
+    assert abs((rep.cone_fit.slope - incoming) - (2 * M - 0.5)) < 0.6
 
 
 # ------------------------------------------------------------- validation

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cwlab.solver import (
     grid2d,
     linear_propagate,
     solve,
+    solve_response,
     step_semilinear,
     z_cutoff,
 )
@@ -304,6 +307,78 @@ def test_generic_cutoff_kicks_on_every_step():
     assert every.metadata["stats"]["kicks_applied"] == 60
     assert gated.metadata["stats"]["kicks_applied"] == 50  # t_mid > -0.9 from i = 10
     assert np.max(np.abs(every.u - gated.u)) < 1e-12 * np.max(np.abs(gated.u))
+
+
+def lawson_reference(u0, ut0, grid, cfg, P, response):
+    """Records of a plain full-grid Strang/Lawson stepper: u_lin and w on the
+    whole rfft2 spectrum, every step kicked (the gate's own zeros stand in
+    for skipped kicks), no box, no block, no jumps."""
+    n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
+    dt = (cfg.t1 - cfg.t0) / n
+    g = grid.axes[0]
+    kx, ky = g.freqs()[:, None], np.abs(g.freqs()[None, : g.points // 2 + 1])
+    k = np.hypot(kx, ky)
+    mask = (np.abs(kx) <= cfg.dealias * g.nyquist) & (ky <= cfg.dealias * g.nyquist)
+    c, s = np.cos(0.5 * k * dt), np.sin(0.5 * k * dt)
+    sinc = np.where(k > 0, s / np.where(k > 0, k, 1.0), 0.5 * dt)
+    x1, x2 = meshes(grid)
+    lin = [np.fft.rfft2(u0), np.fft.rfft2(ut0)]
+    w = [np.zeros_like(lin[0]), np.zeros_like(lin[0])]
+
+    def half(f):
+        return [c * f[0] + sinc * f[1], c * f[1] - k * s * f[0]]
+
+    def record(i):
+        return [np.fft.irfft2(w[i] if response else lin[i] + w[i], s=grid.shape)]
+
+    us, uts = record(0), record(1)
+    for i in range(n):
+        lin, w = half(lin), half(w)
+        u = np.fft.irfft2(mask * (lin[0] + w[0]), s=grid.shape)
+        w[1] = w[1] + dt * mask * np.fft.rfft2(P(cfg.t0 + (i + 0.5) * dt, x1, x2, u))
+        lin, w = half(lin), half(w)
+        if (i + 1) % cfg.record_stride == 0:
+            us, uts = us + record(0), uts + record(1)
+    return np.array(us), np.array(uts)
+
+
+_OPAQUE_GATE = cubic_nonlinearity(5.0, cutoff=lambda t, X1, X2: z_cutoff(t, X1, X2))
+
+
+@pytest.mark.parametrize("points", [64, 128])
+@pytest.mark.parametrize(
+    "case, P, dealias, stride, response",
+    [
+        ("gated response", cubic_nonlinearity(5.0), 2.0 / 3.0, 10**6, True),
+        ("plain-callable cutoff", _OPAQUE_GATE, 2.0 / 3.0, 10**6, True),
+        ("undealiased", cubic_nonlinearity(5.0), 1.0, 10**6, True),
+        ("solve, every step recorded", cubic_nonlinearity(5.0), 2.0 / 3.0, 1, False),
+    ],
+)
+def test_pruned_loop_matches_full_grid_stepper(points, case, P, dealias, stride, response):
+    grid = grid2d(points, L)
+    h = grid.axes[0].spacing
+    u0 = _pulse(grid)
+    ut0 = 0.5 * np.roll(u0, points // 16, axis=1)  # no mirror symmetry
+    cfg = SolverConfig(dt=0.9 * h / np.pi, t0=-1.2, t1=0.6, dealias=dealias,
+                       record_stride=stride)
+    n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
+    cfg = replace(cfg, dt=(cfg.t1 - cfg.t0) / n, record_stride=min(stride, n))
+    out = (solve_response if response else solve)(u0, ut0, grid, cfg, P=P)
+    ref_u, ref_ut = lawson_reference(u0, ut0, grid, cfg, P, response)
+    for got, ref in ((out.u, ref_u), (out.ut, ref_ut)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    stats = out.metadata["stats"]
+    kx, ky = grid.axes[0].freqs(), 2.0 * np.pi * np.fft.rfftfreq(points, d=h)
+    cut = dealias * grid.axes[0].nyquist
+    assert stats["block"] == (np.count_nonzero(np.abs(kx) <= cut), np.count_nonzero(ky <= cut))
+    inside = np.count_nonzero(np.abs(grid.axes[0].nodes()) < z_cutoff.edge)
+    assert stats["box"] == ((points, points) if P is _OPAQUE_GATE else (inside, inside))
+    assert stats["dt_margin"] == pytest.approx(cfg.dt * np.pi / h, rel=1e-12)
+    if not response:
+        assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
 
 
 # ------------------------------------------------------------------ duhamel
