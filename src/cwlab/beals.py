@@ -30,6 +30,12 @@ __all__ = [
 # fields the scans target, growth verdicts are insensitive to k beyond ~6.
 INF_EXPONENT_PROXY = 6.0
 
+# Growth exponent of the squared norm above which a scan says non-member.
+# The truncated tail of a borderline weight grows like Nyquist^(2(k+m)+1),
+# so at m = -2.6 the member/non-member pair k1 = 2.0 / 2.3 grows like 0
+# versus 0.4: the threshold sits between them.
+GROWTH_THRESHOLD = 0.25
+
 
 @dataclass(frozen=True)
 class BealsWeight:
@@ -141,17 +147,14 @@ def membership_scan(
     generator: Callable[[int], tuple],
     weight: BealsWeight,
     resolutions: Sequence[int],
-    threshold: float = 0.25,
     cutoff: Callable[[GridND], np.ndarray] | None = None,
 ) -> MembershipScan:
     """Decide membership from norm growth across consistent refinements.
 
     generator(n) must return (values, grid) for an n^3 sampling of one fixed
     continuum field.  The growth exponent is the log-log slope of the SQUARED
-    norm against resolution: the truncated tail of a borderline weight grows
-    like Nyquist^(2(k+m)+1), so on squared norms the member/non-member pair
-    k1 = 2.0 / 2.3 at m = -2.6 separates as 0 versus 0.4 around the 0.25
-    threshold; unsquared norms would put both sides below it.
+    norm against resolution, compared with GROWTH_THRESHOLD; unsquared norms
+    would put both sides of the borderline pair below it.
     """
     res = tuple(int(n) for n in resolutions)
     if len(res) < 2:
@@ -172,7 +175,7 @@ def membership_scan(
     inconclusive = bool(np.any(ratios < 0.5))
     if inconclusive:
         verdict = "inconclusive"
-    elif growth > threshold:
+    elif growth > GROWTH_THRESHOLD:
         verdict = "non-member"
     else:
         verdict = "member"

@@ -33,6 +33,7 @@ from .solver import (
     solve,
     solve_response,
     z_cutoff,
+    _time_index,
     _wavenumbers,
 )
 from .spectral import (
@@ -44,6 +45,8 @@ from .spectral import (
     decay_exponent,
     dft_forward,
     plateau_window,
+    trig_line,
+    trig_modes,
     windowed_slice,
 )
 
@@ -68,31 +71,32 @@ def _omega_angle(omega) -> float:
     return float(np.arctan2(omega[1], omega[0]))
 
 
+# Minimum angular distance a probe keeps from each plane tangency angle:
+# inside it the incoming fronts themselves touch the circle and contaminate
+# any cone measurement.
+PROBE_EXCLUSION = np.deg2rad(20.0)
+
+# Angular half-width of a probe's statistics window on the circle.
+# Amplitudes and band energies are local to the probe, not aggregated around
+# the whole circle, where the gate-sized response layers riding each front
+# would swamp them.
+PROBE_ARC = np.deg2rad(15.0)
+
+
 @dataclass(frozen=True)
 class ConeProbe:
     """Radial probe location on the light circle |x| = t_probe.
 
-    exclusion is the minimum angular distance the probe keeps from each
-    plane tangency angle; inside that distance the incoming fronts
-    themselves touch the circle and contaminate any cone measurement.
-    arc is the angular half-width of the probe's statistics window on the
-    circle: amplitudes and band energies are local to the probe, not
-    aggregated around the whole circle, where the gate-sized response
-    layers riding each front would swamp them.
+    The probe keeps PROBE_EXCLUSION from every plane tangency, and its
+    statistics window spans PROBE_ARC to each side of its angle.
     """
 
     t_probe: float
     angle: float
-    exclusion: float = np.deg2rad(20.0)
-    arc: float = np.deg2rad(15.0)
 
     def __post_init__(self):
         if not self.t_probe > 0:
             raise ValueError("t_probe must be positive")
-        if not 0.0 <= self.exclusion < np.pi:
-            raise ValueError("exclusion must be an angle in [0, pi)")
-        if not 0.0 < self.arc <= np.pi:
-            raise ValueError("arc must be an angle in (0, pi]")
 
     @property
     def direction(self) -> np.ndarray:
@@ -106,7 +110,11 @@ class ConeProbe:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one interaction run needs: data, coupling, integrator, probes."""
+    """Everything one interaction run needs: data, coupling, integrator, probes.
+
+    Every probe time must be one the run records, and every probe angle must
+    keep PROBE_EXCLUSION from each plane tangency.
+    """
 
     m: float
     eps: float
@@ -122,12 +130,14 @@ class ExperimentConfig:
         if not self.eps > 0:
             raise ValueError("data amplitude must be positive")
         object.__setattr__(self, "probes", tuple(self.probes))
+        n_steps, stride, dt = self.solver.lattice()
+        record_times = self.solver.t0 + np.arange(0, n_steps + 1, stride) * dt
         for probe in self.probes:
-            if probe.t_probe > self.solver.t1 + 1e-9:
-                raise ValueError("probe time lies beyond the integration window")
-            if probe.trace_distance(self.frame) < probe.exclusion - 1e-12:
+            if _time_index(record_times, probe.t_probe) is None:
+                raise ValueError(f"probe time {probe.t_probe} is not recorded in the run's window")
+            if probe.trace_distance(self.frame) < PROBE_EXCLUSION - 1e-12:
                 raise ValueError(
-                    "probe angle is closer than its exclusion to a plane tangency"
+                    "probe angle is closer than the exclusion angle to a plane tangency"
                 )
 
 
@@ -148,18 +158,6 @@ def _square_axis(grid: GridND) -> Grid1D:
     if grid.ndim != 2 or grid.axes[0] != grid.axes[1]:
         raise ValueError("interaction experiments run on square 2D grids")
     return grid.axes[0]
-
-
-def _profile_modes(profile):
-    n = profile.grid.points
-    coef = np.fft.fft(profile.values) / n
-    coef[n // 2] = 0.0
-    return coef, profile.grid.freqs()
-
-
-def _trig_line(coef, eta, start, s):
-    ph = np.exp(1j * np.outer(np.asarray(s, dtype=float) - start, eta))
-    return np.real(ph @ coef)
 
 
 # Data profiles keep their symbol-law tail but lose the modes below this
@@ -189,9 +187,14 @@ DATA_CUTOFF = 48.0
 # so the order gap subtracts any bias the band choice shares.
 CONE_BAND = (16.0, 36.0)
 
+# Fewest usable bins a slice decay fit accepts: a power law fitted to fewer
+# is no measurement (see _slice_fit), and front_order_estimate sizes its
+# default slice so this many fall in the band.
+MIN_BINS = 6
+
 
 @lru_cache(maxsize=16)
-def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float, trim, cutoff_cap):
+def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float):
     """Unit-amplitude translates (u, ut) of each plane wave at t0.
 
     Each profile lives on its own 1D grid whose extent is the period of
@@ -207,39 +210,37 @@ def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float, trim, cutof
         p, q = _integer_direction(omega)
         rnorm = float(np.hypot(p, q))
         gprof = Grid1D(g.points, g.extent / rnorm)
-        cut = gprof.nyquist / 2.0 if cutoff_cap is None else min(gprof.nyquist / 2.0, cutoff_cap)
+        cut = min(gprof.nyquist / 2.0, DATA_CUTOFF)
         prof = synthesize_profile(SymbolSpec(m), gprof, cutoff=cut)
-        coef, eta = _profile_modes(prof)
-        if trim is not None:
-            coef = coef * (1.0 - plateau_window(eta, trim[0], trim[1]))
+        eta = gprof.freqs()
+        coef = trig_modes(prof.values) * (1.0 - plateau_window(eta, *PROFILE_TRIM))
         kmesh = np.add.outer(p * np.arange(n1), q * np.arange(n2))
         base = g.start * (omega[0] + omega[1])
         kk = np.arange(kmesh.min(), kmesh.max() + 1)
         s_line = t0 - base - kk * (g.spacing / rnorm)
-        u_line = _trig_line(coef, eta, gprof.start, s_line)
-        ut_line = _trig_line(1j * eta * coef, eta, gprof.start, s_line)
+        u_line = trig_line(coef, gprof, s_line)
+        ut_line = trig_line(1j * eta * coef, gprof, s_line)
         idx = kmesh - kmesh.min()
         pieces.append((u_line[idx], ut_line[idx]))
     return tuple(pieces)
 
 
-def make_three_wave_data(
-    frame, m, eps, grid, t0, cutoff=z_cutoff, trim=PROFILE_TRIM, cutoff_cap=DATA_CUTOFF
-):
+def make_three_wave_data(frame, m, eps, grid, t0, cutoff=z_cutoff):
     """Superpose three plane-wave profiles with per-wave amplitudes at t0.
 
     Returns (u, ut) with u = sum_j eps_j f_j(t0 - x . omega_j): an exact
-    free-wave snapshot.  The source gate must be closed on the whole t0
-    slice; otherwise the data would already overlap the interaction region
-    and the run is rejected.  trim=None keeps the profiles' low modes,
-    cutoff_cap=None lets the bandwidth grow with the grid.
+    free-wave snapshot.  Each profile is cut off at DATA_CUTOFF (or half its
+    grid's Nyquist frequency, if lower) and loses its modes below
+    PROFILE_TRIM.  The source gate, cutoff (None skips the check), must be
+    closed on the whole t0 slice; otherwise the data would already overlap
+    the interaction region and the run is rejected.
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
     if cutoff is not None:
         x1, x2 = grid.meshes()
         if np.any(np.asarray(cutoff(t0, x1, x2)) > 0.0):
             raise ValueError("source gate is open at t0; move t0 earlier")
-    waves = _unit_waves(frame, float(m), grid, float(t0), trim, cutoff_cap)
+    waves = _unit_waves(frame, float(m), grid, float(t0))
     u = np.zeros(grid.shape)
     ut = np.zeros(grid.shape)
     for e, (uw, utw) in zip(eps, waves):
@@ -403,10 +404,10 @@ def _without_bulk(state: WaveState, band) -> np.ndarray:
     return high_pass(state.u, state.grid, 0.375 * lo, 0.75 * lo)
 
 
-def _frame_of(fld: SpaceTimeField, frame):
-    frame = frame if frame is not None else fld.metadata.get("frame")
+def _frame_of(fld: SpaceTimeField) -> CharFrame:
+    frame = fld.metadata.get("frame")
     if frame is None:
-        raise ValueError("no frame given and none recorded with the field")
+        raise ValueError("no frame recorded with the field")
     return frame
 
 
@@ -416,22 +417,21 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np
     x1, x2 = grid.meshes()
     theta = np.arctan2(x2, x1)
     mask = np.abs(np.hypot(x1, x2) - t) <= 4.0 * _square_axis(grid).spacing
-    mask &= _ang_dist(theta, probe.angle) <= probe.arc
+    mask &= _ang_dist(theta, probe.angle) <= PROBE_ARC
     for w in frame.omegas:
-        mask &= _ang_dist(theta, _omega_angle(w)) >= probe.exclusion
+        mask &= _ang_dist(theta, _omega_angle(w)) >= PROBE_EXCLUSION
     if not np.any(mask):
         raise ValueError("probe tube contains no grid points")
     mask.flags.writeable = False
     return mask
 
 
-def _tube(fld: SpaceTimeField, probe: ConeProbe, frame, band):
-    """(band-passed field, tube mask) on the slice at the probe time."""
-    frame = _frame_of(fld, frame)
+def _tube(fld: SpaceTimeField, probe: ConeProbe):
+    """(field band-passed to amplitude_band, tube mask) on the slice at the
+    probe time."""
     state = fld.state_at(probe.t_probe)
-    band = band if band is not None else amplitude_band(fld.grid)
-    mask = _tube_mask(fld.grid, float(state.t), probe, frame)
-    return band_pass(state.u, fld.grid, band), mask
+    mask = _tube_mask(fld.grid, float(state.t), probe, _frame_of(fld))
+    return band_pass(state.u, fld.grid, amplitude_band(fld.grid)), mask
 
 
 def crossing_angle(frame: CharFrame, i: int, j: int) -> float:
@@ -462,25 +462,25 @@ def two_wave_probe(frame: CharFrame, probe: ConeProbe):
     return best, replace(probe, angle=float(np.arctan2(np.sin(null_angle), np.cos(null_angle))))
 
 
-def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None) -> float:
+def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe) -> float:
     """Peak band-passed magnitude in the probe's arc tube around the circle.
 
     The raw response is dominated by its smooth low-frequency bulk; the
-    band keeps the singular part.  The tube is 8h wide, spans probe.arc to
-    each side of the probe angle, and drops angles within the probe's
-    exclusion of a plane tangency.
+    amplitude band keeps the singular part.  The tube is 8h wide, spans
+    PROBE_ARC to each side of the probe angle, and drops angles within
+    PROBE_EXCLUSION of a plane tangency of the field's frame.
     """
-    bp, mask = _tube(fld, probe, frame, band)
+    bp, mask = _tube(fld, probe)
     return float(np.max(np.abs(bp[mask])))
 
 
-def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe, frame=None, band=None) -> float:
+def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe) -> float:
     """Band-passed squared mass in the probe tube (the two-wave null metric)."""
-    bp, mask = _tube(fld, probe, frame, band)
+    bp, mask = _tube(fld, probe)
     return float(np.sum(bp[mask] ** 2) * fld.grid.cell_volume)
 
 
-def _clean_half_length(grid, probe, frame, r0, t_traces, cap=None):
+def _clean_half_length(grid, probe, frame, r0, t_traces):
     """Largest radial slice half-length clear of fronts and box edges.
 
     Fronts sit at x . omega = t_traces (mod the direction's box period);
@@ -495,19 +495,18 @@ def _clean_half_length(grid, probe, frame, r0, t_traces, cap=None):
         0.30 * g.extent,
     )
     clearances = [1.8 * r0]
-    if frame is not None:
-        for omega in frame.omegas:
-            p, q = _integer_direction(omega)
-            period = g.extent / float(np.hypot(p, q))
-            c = float(nu[0] * omega[0] + nu[1] * omega[1])
-            if abs(c) < 1e-12:
-                continue
-            span = abs(bound) + r0 + period
-            kmax = int(np.ceil(span / period)) + 1
-            for k in range(-kmax, kmax + 1):
-                s = (t_traces + k * period) / c - r0
-                if abs(s) > 1e-9:
-                    clearances.append(0.9 * abs(s))
+    for omega in frame.omegas:
+        p, q = _integer_direction(omega)
+        period = g.extent / float(np.hypot(p, q))
+        c = float(nu[0] * omega[0] + nu[1] * omega[1])
+        if abs(c) < 1e-12:
+            continue
+        span = abs(bound) + r0 + period
+        kmax = int(np.ceil(span / period)) + 1
+        for k in range(-kmax, kmax + 1):
+            s = (t_traces + k * period) / c - r0
+            if abs(s) > 1e-9:
+                clearances.append(0.9 * abs(s))
     ell = min(bound, min(clearances))
     if ell < 10.0 * g.spacing:
         raise ValueError("probe geometry leaves no room for a slice window")
@@ -532,7 +531,7 @@ def _under_window_leakage(profile, band) -> bool:
     return inside.size > 0 and bool(np.all(spec[inside] <= leak))
 
 
-def _slice_fit(profile, band, min_bins) -> DecayFit:
+def _slice_fit(profile, band) -> DecayFit:
     """Power-law fit of a windowed slice, flagging fits the data cannot support.
 
     A fit left with too few bins reads superpolynomial (slope -inf) only when
@@ -542,7 +541,7 @@ def _slice_fit(profile, band, min_bins) -> DecayFit:
     bins is no measurement (slope NaN, flagged insufficient_bins).
     """
     try:
-        return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=min_bins)
+        return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
     except TooFewBins as err:
         if err.noise_floor or _under_window_leakage(profile, err.band):
             # Decay beat the instrument, which is itself evidence that
@@ -561,31 +560,25 @@ def _slice_fit(profile, band, min_bins) -> DecayFit:
 
 
 def cone_order_estimate(
-    fld: SpaceTimeField,
-    probe: ConeProbe,
-    frame=None,
-    band=None,
-    half_length=None,
-    center_radius=None,
-    min_bins=6,
+    fld: SpaceTimeField, probe: ConeProbe, half_length=None, center_radius=None
 ) -> DecayFit:
     """Transversal decay slope across the cone at one probe angle.
 
     Takes a windowed radial slice through the probe point (the smooth bulk
-    below the fit band removed first) and fits the log-log decay of its
-    DFT.  Exactly one conormal crossing sits inside
-    the window (fronts and the antipodal crossing are kept out by the
-    half-length choice), so the fitted slope reads off the transversal
-    symbol order of the circle wave directly; no curvature correction is
-    needed in this representation.  center_radius moves the window off the
-    circle, e.g. onto a smooth region as a control.
+    below the fit band, default_band of the grid, removed first) and fits
+    the log-log decay of its DFT.  Exactly one conormal crossing sits
+    inside the window (fronts of the field's frame and the antipodal
+    crossing are kept out by the half-length choice), so the fitted slope
+    reads off the transversal symbol order of the circle wave directly; no
+    curvature correction is needed in this representation.  center_radius
+    moves the window off the circle, e.g. onto a smooth region as a
+    control.
     """
-    frame = _frame_of(fld, frame)
     state = fld.state_at(probe.t_probe)
     r0 = float(state.t) if center_radius is None else float(center_radius)
     if half_length is None:
-        half_length = _clean_half_length(fld.grid, probe, frame, r0, state.t)
-    band = band if band is not None else default_band(fld.grid)
+        half_length = _clean_half_length(fld.grid, probe, _frame_of(fld), r0, state.t)
+    band = default_band(fld.grid)
     sl = windowed_slice(
         _without_bulk(state, band),
         fld.grid,
@@ -593,24 +586,16 @@ def cone_order_estimate(
         direction=probe.direction,
         half_length=half_length,
     )
-    return _slice_fit(sl, band, min_bins)
+    return _slice_fit(sl, band)
 
 
-def front_order_estimate(
-    fld: SpaceTimeField,
-    omega,
-    t=None,
-    offset=0.0,
-    half_length=None,
-    band=None,
-    min_bins=6,
-) -> DecayFit:
+def front_order_estimate(fld: SpaceTimeField, omega, t=None, half_length=None) -> DecayFit:
     """Decay slope across one plane front (the incoming-wave control).
 
-    Slices along omega through the front line {x . omega = t} at a lateral
-    offset; pick the offset so other fronts stay outside the window.  The
-    slice's bins sit pi / half_length apart; the default half_length is the
-    shortest one of at least 1.2 whose spacing puts min_bins bins in the
+    Slices along omega through the front line {x . omega = t} at its point
+    t * omega and fits in the band default_band of the grid.  The slice's
+    bins sit pi / half_length apart; the default half_length is the
+    shortest one of at least 1.2 whose spacing puts MIN_BINS bins in the
     band wherever the bins fall, so a bin never has to sit on the band's
     edge to make up the count.
     """
@@ -618,47 +603,44 @@ def front_order_estimate(
     state = fld.state_at(t)
     w = np.asarray(omega, dtype=float)
     w = w / np.hypot(*w)
-    perp = np.array([-w[1], w[0]])
-    center = state.t * w + offset * perp
-    band = band if band is not None else default_band(fld.grid)
+    band = default_band(fld.grid)
     if half_length is None:
-        half_length = max(1.2, min_bins * np.pi / (band[1] - band[0]))
+        half_length = max(1.2, MIN_BINS * np.pi / (band[1] - band[0]))
     sl = windowed_slice(
-        _without_bulk(state, band), fld.grid, center=center, direction=w, half_length=half_length
+        _without_bulk(state, band), fld.grid, center=state.t * w, direction=w,
+        half_length=half_length,
     )
-    return _slice_fit(sl, band, min_bins)
+    return _slice_fit(sl, band)
 
 
-def ridge_radius(
-    fld: SpaceTimeField,
-    t: float,
-    frame=None,
-    band=None,
-    n_angles=64,
-    exclusion=np.deg2rad(25.0),
-    r_span=(0.4, 1.6),
-) -> float:
+# The ridge is sampled on RIDGE_ANGLES rays, and each ray's peak is sought
+# within RIDGE_SPAN times t.  Rays within RIDGE_EXCLUSION of a plane tangency
+# are skipped: a front crosses a ray at radius t / cos(angle to its tangency),
+# under 1.1 t there, so the front's response layer would compete with the
+# circle for the ray's peak.  The median over the other rays absorbs the rest.
+RIDGE_ANGLES = 64
+RIDGE_EXCLUSION = np.deg2rad(25.0)
+RIDGE_SPAN = (0.4, 1.6)
+
+
+def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     """Median radius of the high-passed intensity ridge on one time slice.
 
-    Radial rays (plane tangency angles excluded) sample |high-pass u| by
-    cubic interpolation; each ray reports the radius of its peak inside
-    r_span * t and the median over rays is returned.  High-passing keeps
-    all resolved frequencies above the bulk, so the peak tightens onto the
-    layer as the grid refines instead of sitting a fixed fraction of a
-    band wavelength off it.
+    RIDGE_ANGLES radial rays clear of the tangencies of the field's frame
+    sample |high-pass u| by cubic interpolation; each ray reports the radius
+    of its peak inside RIDGE_SPAN * t and the median over rays is returned.
+    High-passing keeps all resolved frequencies above the bulk, so the peak
+    tightens onto the layer as the grid refines instead of sitting a fixed
+    fraction of a band wavelength off it.
     """
-    frame = _frame_of(fld, frame)
     state = fld.state_at(t)
     grid = fld.grid
     g = _square_axis(grid)
-    band = band if band is not None else default_band(grid)
-    bp = np.abs(_without_bulk(state, band))
-    circle = locate_cone(frame, state.t)
-    angles = circle.clear_angles(n_angles, exclusion)
-    if angles.size == 0:
-        raise ValueError("exclusion removed every probe angle")
-    n_r = max(16, int(np.ceil((r_span[1] - r_span[0]) * state.t / (0.25 * g.spacing))))
-    radii = np.linspace(r_span[0] * state.t, r_span[1] * state.t, n_r)
+    bp = np.abs(_without_bulk(state, default_band(grid)))
+    angles = locate_cone(_frame_of(fld), state.t).clear_angles(RIDGE_ANGLES, RIDGE_EXCLUSION)
+    lo, hi = RIDGE_SPAN
+    n_r = max(16, int(np.ceil((hi - lo) * state.t / (0.25 * g.spacing))))
+    radii = np.linspace(lo * state.t, hi * state.t, n_r)
     x1 = np.outer(np.cos(angles), radii)
     x2 = np.outer(np.sin(angles), radii)
     i1 = (x1 - g.start) / g.spacing
@@ -679,24 +661,23 @@ class EpsScaling:
     band: tuple
 
 
-def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None) -> EpsScaling:
+def amplitude_scaling(config: ExperimentConfig, eps_list) -> EpsScaling:
     """Log-log regression of cone amplitude against data strength.
 
-    Needs at least three amplitudes spanning a factor of 4.  Runs that
-    blow up are dropped (recorded in ``dropped``); amplitudes at the noise
-    floor are dropped too, and the regression is refused outright if
-    nothing measurable is left.
+    Amplitudes are read at the config's first probe.  Needs at least three
+    amplitudes spanning a factor of 4.  Runs that blow up are dropped
+    (recorded in ``dropped``); amplitudes at the noise floor are dropped
+    too, and the regression is refused outright if nothing measurable is
+    left.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 3:
         raise ValueError("need at least three data strengths")
     if eps_list[-1] < 4.0 * eps_list[0]:
         raise ValueError("data strengths must span at least a factor of 4")
-    if probe is None:
-        if not config.probes:
-            raise ValueError("config carries no probe")
-        probe = config.probes[0]
-    band = band if band is not None else amplitude_band(config.grid)
+    if not config.probes:
+        raise ValueError("config carries no probe")
+    probe = config.probes[0]
     used, amps, dropped = [], [], []
     for e in eps_list:
         cfg = replace(config, eps=e)
@@ -705,7 +686,7 @@ def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None)
         except BlowupError:
             dropped.append(e)
             continue
-        amps.append(cone_amplitude(resp, probe, cfg.frame, band=band))
+        amps.append(cone_amplitude(resp, probe))
         used.append(e)
     amps = np.asarray(amps)
     if amps.size == 0 or np.max(amps) <= 0.0:
@@ -722,7 +703,7 @@ def amplitude_scaling(config: ExperimentConfig, eps_list, probe=None, band=None)
         eps=tuple(np.asarray(used)[alive]),
         amplitudes=tuple(amps[alive]),
         dropped=tuple(dropped),
-        band=tuple(band),
+        band=amplitude_band(config.grid),
     )
 
 
@@ -735,21 +716,21 @@ class CoeffEstimate:
     band: tuple
 
 
-def coefficient_recovery(base: ExperimentConfig, trials, probe=None, band=None):
+def coefficient_recovery(base: ExperimentConfig, trials):
     """Cone-amplitude ratios of trial couplings against a baseline.
 
-    The ratio estimates the trial's cubic coefficient relative to the
-    baseline's, the common propagation factor cancelling; the signed
-    correlation over the probe tube distinguishes a flipped coefficient
-    from a rescaled one.  Everything except the coupling must match the
-    baseline, and a baseline amplitude at the noise floor is rejected.
+    Amplitudes are read at the baseline's first probe.  The ratio estimates
+    the trial's cubic coefficient relative to the baseline's, the common
+    propagation factor cancelling; the signed correlation over the probe
+    tube distinguishes a flipped coefficient from a rescaled one.
+    Everything except the coupling must match the baseline, and a baseline
+    amplitude at the noise floor is rejected.
     """
-    if probe is None:
-        if not base.probes:
-            raise ValueError("config carries no probe")
-        probe = base.probes[0]
-    band = band if band is not None else amplitude_band(base.grid)
-    bp0, mask = _tube(nonlinear_response(base), probe, base.frame, band)
+    if not base.probes:
+        raise ValueError("config carries no probe")
+    probe = base.probes[0]
+    band = amplitude_band(base.grid)
+    bp0, mask = _tube(nonlinear_response(base), probe)
     a = bp0[mask]
     amp0 = float(np.max(np.abs(a)))
     if amp0 <= NOISE_FLOOR * float(np.max(np.abs(bp0))):
@@ -759,12 +740,12 @@ def coefficient_recovery(base: ExperimentConfig, trials, probe=None, band=None):
         cfg = trial if isinstance(trial, ExperimentConfig) else replace(base, P=trial)
         if replace(cfg, P=base.P) != base:
             raise ValueError("trial must differ from the baseline only in the coupling")
-        bp, _ = _tube(nonlinear_response(cfg), probe, cfg.frame, band)
+        bp, _ = _tube(nonlinear_response(cfg), probe)
         b = bp[mask]
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
         corr = float(np.sum(a * b) / denom) if denom != 0.0 else 0.0
-        out.append(CoeffEstimate(c_hat=amp / amp0, correlation=corr, band=tuple(band)))
+        out.append(CoeffEstimate(c_hat=amp / amp0, correlation=corr, band=band))
     return out
 
 
@@ -783,41 +764,34 @@ class ExperimentReport:
     notes: dict = field(default_factory=dict)
 
 
-def default_experiment(
-    points=512,
-    extent=13.5,
-    m=-2.6,
-    eps=0.05,
-    a3=1.0,
-    t0=-1.125,
-    t1=3.8,
-    record_stride=1_000_000_000,
-    probe_angle=np.deg2rad(157.5),
-    dt_factor=0.9,
-) -> ExperimentConfig:
-    """Standard configuration: symmetric frame, gated cubic coupling.
+def default_experiment(points=512) -> ExperimentConfig:
+    """Standard configuration on a points^2 grid: symmetric frame, gated
+    cubic coupling; change anything else with dataclasses.replace.
 
-    The probe angle sits 67.5 degrees from the nearest plane tangency, and
-    the late probe time matters: the circle wave accumulates through the
-    resonance while the smooth forced response does not, so the contrast
-    between them grows with propagation distance.  At t1 = 3.8 on this box
-    the fronts cross the probe ray far outside the slice window and wrap
-    around influence has not arrived.  eps = 0.05 keeps the run firmly in
-    the weak regime (the response stays far below the data).  The defaults
-    take about 650 steps; record_stride keeps only the final slice.
+    Profiles of order m = -2.6 on a box of extent 13.5, run from t0 = -1.125
+    (the gate is still closed) to t1 = 3.8 with dt = 0.9 h / pi, recording
+    only the two end slices.  The probe at t1 and 157.5 degrees sits 67.5
+    degrees from the nearest plane tangency, and the late probe time
+    matters: the circle wave accumulates through the resonance while the
+    smooth forced response does not, so the contrast between them grows with
+    propagation distance.  At t1 = 3.8 on this box the fronts cross the probe
+    ray far outside the slice window and wrap around influence has not
+    arrived.  eps = 0.05 keeps the run firmly in the weak regime (the
+    response stays far below the data).  At 512 points the run takes about
+    650 steps.
     """
-    grid = grid2d(points, extent)
+    grid = grid2d(points, 13.5)
     h = grid.axes[0].spacing
-    solver = SolverConfig(dt=dt_factor * h / np.pi, t0=t0, t1=t1, record_stride=record_stride)
-    probes = (ConeProbe(t_probe=t1, angle=probe_angle),)
+    t1 = 3.8
+    solver = SolverConfig(dt=0.9 * h / np.pi, t0=-1.125, t1=t1, record_stride=1_000_000_000)
     return ExperimentConfig(
-        m=m,
-        eps=eps,
+        m=-2.6,
+        eps=0.05,
         frame=DEFAULT_FRAME,
-        P=cubic_nonlinearity(a3),
+        P=cubic_nonlinearity(1.0),
         solver=solver,
         grid=grid,
-        probes=probes,
+        probes=(ConeProbe(t_probe=t1, angle=np.deg2rad(157.5)),),
     )
 
 
@@ -841,23 +815,16 @@ def run_experiment(
     if not config.probes:
         raise ValueError("config carries no probe")
     probe = config.probes[0]
-    fit_band = default_band(config.grid)
-    amp_band = amplitude_band(config.grid)
 
     resp = nonlinear_response(config)
-    cone_fit = cone_order_estimate(resp, probe, config.frame, band=fit_band)
+    cone_fit = cone_order_estimate(resp, probe)
     lin = linear_field(config)
-    incoming_fit = front_order_estimate(
-        lin, config.frame.omegas[0], t=config.solver.t0, band=fit_band
-    )
-    amp = cone_amplitude(resp, probe, config.frame, band=amp_band)
+    incoming_fit = front_order_estimate(lin, config.frame.omegas[0], t=config.solver.t0)
+    amp = cone_amplitude(resp, probe)
 
     notes = {}
     if polarization:
-        iso = polarization_isolate(config)
-        notes["polarization_slope"] = cone_order_estimate(
-            iso, probe, config.frame, band=fit_band
-        ).slope
+        notes["polarization_slope"] = cone_order_estimate(polarization_isolate(config), probe).slope
 
     nulls = {}
     null_resp = nonlinear_response(replace(config, P=None))
@@ -866,8 +833,8 @@ def run_experiment(
         pair, null_probe = two_wave_probe(config.frame, probe)
         eps_two = tuple(config.eps if k in pair else 0.0 for k in range(3))
         two = nonlinear_response(config, eps=eps_two)
-        e_two = probe_band_energy(two, null_probe, config.frame, band=amp_band)
-        e_three = probe_band_energy(resp, null_probe, config.frame, band=amp_band)
+        e_two = probe_band_energy(two, null_probe)
+        e_three = probe_band_energy(resp, null_probe)
         nulls["two_wave_pair"] = pair
         nulls["two_wave_angle"] = null_probe.angle
         nulls["two_wave_energy"] = e_two
@@ -876,14 +843,9 @@ def run_experiment(
 
     eps_exponent = None
     if eps_factors:
-        scaling = amplitude_scaling(
-            config, [f * config.eps for f in eps_factors], probe=probe, band=amp_band
-        )
-        eps_exponent = scaling.exponent
+        eps_exponent = amplitude_scaling(config, [f * config.eps for f in eps_factors]).exponent
 
-    estimates = (
-        coefficient_recovery(config, trials, probe=probe, band=amp_band) if trials else []
-    )
+    estimates = coefficient_recovery(config, trials) if trials else []
 
     return ExperimentReport(
         cone_fit=cone_fit,
@@ -892,7 +854,7 @@ def run_experiment(
         eps_exponent=eps_exponent,
         coeff_estimates=estimates,
         null_energies=nulls,
-        band=tuple(fit_band),
+        band=default_band(config.grid),
         probe=probe,
         notes=notes,
     )

@@ -22,17 +22,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .spectral import Grid1D, bump_window, dft_forward, dft_inverse
+from .spectral import Grid1D, _smooth_edge, bump_window, dft_forward, dft_inverse
 
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Canonical one-dimensional symbol (1+eta^2)^(order/2), scaled."""
+    """Canonical one-dimensional symbol (1+eta^2)^(order/2)."""
 
     order: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not self.order < -1:
@@ -40,7 +39,7 @@ class SymbolSpec:
 
     def __call__(self, eta) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
-        return self.scale * (1.0 + eta * eta) ** (0.5 * self.order)
+        return (1.0 + eta * eta) ** (0.5 * self.order)
 
 
 @dataclass
@@ -304,9 +303,7 @@ class MollifierFamily:
     ramp_poly: tuple[Fraction, ...]
 
     def ramp(self, s, n_cut: float) -> np.ndarray:
-        sigma = np.asarray(s, dtype=float) / float(n_cut)
-        coef = np.array([float(c) for c in self.ramp_poly])
-        return np.polyval(coef[::-1], sigma)
+        return self.ramp_derivative(0, s, n_cut)
 
     def ramp_derivative(self, q: int, s, n_cut: float) -> np.ndarray:
         p = list(self.ramp_poly)
@@ -413,8 +410,6 @@ def chi_window(s) -> np.ndarray:
 
 
 def _smooth_plateau(s):
-    from .spectral import _smooth_edge
-
     return _smooth_edge(2.0 - np.abs(np.asarray(s, dtype=float)))
 
 
@@ -459,10 +454,7 @@ class PsiMollifier:
             out[below] = 1.0
         mid = (~below) & (s <= 2.0 * self.n_cut)
         if np.any(mid):
-            if q == 0:
-                out[mid] = self.family.ramp(s[mid], self.n_cut)
-            else:
-                out[mid] = self.family.ramp_derivative(q, s[mid], self.n_cut)
+            out[mid] = self.family.ramp_derivative(q, s[mid], self.n_cut)
         return out
 
     def derivative(self, q: int, eta) -> np.ndarray:
@@ -486,7 +478,3 @@ class PsiMollifier:
 
     def __call__(self, eta) -> np.ndarray:
         return self.derivative(0, eta)
-
-
-def psi_mollifier(n_cut: float, r: int) -> PsiMollifier:
-    return PsiMollifier(n_cut, r)

@@ -47,7 +47,6 @@ __all__ = [
     "linear_propagate",
     "solve",
     "solve_response",
-    "step_semilinear",
     "z_cutoff",
 ]
 
@@ -202,9 +201,9 @@ def cubic_nonlinearity(a3=1.0, cutoff=z_cutoff) -> NonlinearitySpec:
 class SolverConfig:
     """Time-stepping window and discretization controls.
 
-    dt is nudged so an integer number of steps lands exactly on t1; solve()
-    checks the step bound dt <= safety * h / pi, and that the source gate of
-    P is still closed at t0.
+    dt is nudged so an integer number of steps lands exactly on t1 (see
+    lattice); solve() checks the step bound dt <= h / pi of the splitting,
+    and that the source gate of P is still closed at t0.
     """
 
     dt: float
@@ -212,7 +211,6 @@ class SolverConfig:
     t1: float
     dealias: float = 2.0 / 3.0
     record_stride: int = 1
-    safety: float = 1.0
 
     def __post_init__(self):
         if not self.t0 < self.t1:
@@ -223,8 +221,14 @@ class SolverConfig:
             raise ValueError("dealias fraction must be in (0, 1]")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must be in (0, 1]")
+
+    def lattice(self) -> tuple[int, int, float]:
+        """(steps, record stride, dt) of a run: a whole number of strides of
+        the nudged dt spans t0 to t1, so the last record lands on t1."""
+        n_steps = max(1, int(round((self.t1 - self.t0) / self.dt)))
+        stride = min(int(self.record_stride), n_steps)
+        n_steps = stride * max(1, round(n_steps / stride))
+        return n_steps, stride, (self.t1 - self.t0) / n_steps
 
 
 @dataclass(frozen=True)
@@ -235,6 +239,12 @@ class WaveState:
     t: float
     u: np.ndarray
     ut: np.ndarray
+
+
+def _time_index(times, t: float) -> int | None:
+    """Index of the time in times equal to t up to roundoff; None if none is."""
+    i = int(np.argmin(np.abs(times - t)))
+    return i if abs(times[i] - t) <= 1e-9 + 1e-9 * abs(t) else None
 
 
 @dataclass
@@ -254,8 +264,8 @@ class SpaceTimeField:
             raise ValueError("recorded slices must be equally spaced")
 
     def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 + 1e-9 * abs(t):
+        i = _time_index(self.times, t)
+        if i is None:
             raise ValueError(f"time {t} was not recorded")
         return i
 
@@ -433,16 +443,6 @@ def _nonlinear_source(P: NonlinearitySpec, grid: GridND):
     return source, box
 
 
-def step_semilinear(state: WaveState, dt: float, P: NonlinearitySpec | None,
-                    dealias: float = 2.0 / 3.0) -> WaveState:
-    """One Strang step: half linear, nonlinear kick at midpoint, half linear."""
-    t1 = state.t + dt
-    config = SolverConfig(dt=t1 - state.t, t0=state.t, t1=t1, dealias=dealias)
-    source, box = (None, None) if P is None else _nonlinear_source(P, state.grid)
-    out = _run((state.u, state.ut), state.grid, config, source, box=box)
-    return WaveState(state.grid, t1, out.u[-1], out.ut[-1])
-
-
 def energy(u, ut, grid: GridND) -> float:
     """Wave energy integral of (u_t^2 + |grad u|^2), spectral gradient.
 
@@ -486,14 +486,11 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
     """
     _check_grid(grid)
     h = min(g.spacing for g in grid.axes)
-    n_steps = max(1, int(round((config.t1 - config.t0) / config.dt)))
-    stride = min(int(config.record_stride), n_steps)
-    n_steps = stride * max(1, round(n_steps / stride))  # records land on t1
-    dt = (config.t1 - config.t0) / n_steps
-    if dt > config.safety * h / np.pi + 1e-12:
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds the step bound {config.safety * h / np.pi:.3e}"
-        )
+    n_steps, stride, dt = config.lattice()
+    # The method's step bound: at most one radian per step of the fastest axis
+    # mode, |k| = pi/h.
+    if dt > h / np.pi + 1e-12:
+        raise ValueError(f"dt = {dt:.3e} exceeds the step bound {h / np.pi:.3e}")
 
     # Events on the half-step lattice: kick i at 2i + 1, record j at 2j.
     lo, hi = support

@@ -264,24 +264,44 @@ def decay_exponent(
     )
 
 
+def trig_modes(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the trigonometric interpolant of real periodic samples.
+
+    The FFT over every axis divided by the sample count, with the Nyquist
+    entries zeroed: fields resolved on the grid lose nothing, and the
+    interpolant stays real.
+    """
+    coef = np.fft.fftn(np.asarray(values, dtype=float)) / np.size(values)
+    for axis, n in enumerate(coef.shape):
+        nyquist = [slice(None)] * coef.ndim
+        nyquist[axis] = n // 2
+        coef[tuple(nyquist)] = 0.0
+    return coef
+
+
+def _trig_phases(s, grid: Grid1D) -> np.ndarray:
+    """exp(i (s - start) eta): one row per point s, one column per frequency."""
+    return np.exp(1j * np.outer(np.asarray(s, dtype=float) - grid.start, grid.freqs()))
+
+
+def trig_line(coef: np.ndarray, grid: Grid1D, s) -> np.ndarray:
+    """The real 1D trigonometric polynomial with trig_modes coefficients
+    coef on grid, evaluated at the points s (anywhere on the line)."""
+    return np.real(_trig_phases(s, grid) @ coef)
+
+
 def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a real 2D field at points.
 
-    ``points`` has shape (m, 2).  Nyquist rows are zeroed first; fields
-    resolved on the grid lose nothing, and the interpolant stays real.
+    ``points`` has shape (m, 2); the coefficients are trig_modes(values).
     """
     if grid.ndim != 2:
         raise ValueError("trig evaluation implemented for 2D grids")
-    n1, n2 = grid.shape
-    coef = np.fft.fft2(np.asarray(values, dtype=float)) / (n1 * n2)
-    coef[n1 // 2, :] = 0.0
-    coef[:, n2 // 2] = 0.0
+    coef = trig_modes(values)
     g1, g2 = grid.axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ph1 = np.exp(1j * np.outer(pts[:, 0] - g1.start, g1.freqs()))
-    ph2 = np.exp(1j * np.outer(pts[:, 1] - g2.start, g2.freqs()))
-    tmp = ph1 @ coef
-    return np.real(np.einsum("mk,mk->m", tmp, ph2))
+    tmp = _trig_phases(pts[:, 0], g1) @ coef
+    return np.real(np.einsum("mk,mk->m", tmp, _trig_phases(pts[:, 1], g2)))
 
 
 @dataclass
@@ -306,14 +326,15 @@ def windowed_slice(
     direction,
     half_length: float,
     window_width: float | None = None,
-    points: int | None = None,
 ) -> SliceProfile:
     """Sample a field along ``center + s*direction`` and apply a bump window.
 
-    The slice lives on its own periodic grid of extent 2*half_length; the
-    window vanishes for |s| >= window_width (default: the full half_length,
-    the widest smooth window the segment supports; window tails this slow to
-    open cost decades of usable dynamic range in the slope fit).
+    The slice lives on its own periodic grid of extent 2*half_length, with
+    the power of two of points (at least 16) that samples it at least as
+    finely as the field's grid; the window vanishes for |s| >= window_width
+    (default: the full half_length, the widest smooth window the segment
+    supports; window tails this slow to open cost decades of usable dynamic
+    range in the slope fit).
     """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
@@ -328,9 +349,8 @@ def windowed_slice(
         hi = 2.0 * center[axis] - lo
         if lo < g.start - 1e-12 or hi > g.start + g.extent + 1e-12:
             raise ValueError("slice segment exits the sampled domain")
-    if points is None:
-        h_min = min(g.spacing for g in grid.axes)
-        points = 1 << max(4, int(np.ceil(np.log2(2.0 * half_length / h_min))))
+    h_min = min(g.spacing for g in grid.axes)
+    points = 1 << max(4, int(np.ceil(np.log2(2.0 * half_length / h_min))))
     sgrid = Grid1D(points, 2.0 * half_length)
     s = sgrid.nodes()
     pts = center[None, :] + s[:, None] * direction[None, :]

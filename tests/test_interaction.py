@@ -395,6 +395,21 @@ def test_probe_beyond_run_window_rejected(cfg256):
         replace(cfg256, probes=(late,))
 
 
+def test_probe_time_the_run_never_records_rejected(cfg256, resp256):
+    # the default run records t0 = -1.125 and t1 = 3.8 only
+    n_steps, stride, dt = cfg256.solver.lattice()
+    assert n_steps == stride == resp256.metadata["stats"]["steps"]
+    assert dt == resp256.metadata["dt"]
+    with pytest.raises(ValueError, match="window"):
+        replace(cfg256, probes=(ConeProbe(t_probe=2.0, angle=np.deg2rad(157.5)),))
+    # recording every step, a step time is accepted and a half step is not
+    every = replace(cfg256.solver, record_stride=1)
+    t_step = every.t0 + 200 * dt
+    replace(cfg256, solver=every, probes=(ConeProbe(t_step, np.deg2rad(157.5)),))
+    with pytest.raises(ValueError, match="window"):
+        replace(cfg256, solver=every, probes=(ConeProbe(t_step + 0.5 * dt, np.deg2rad(157.5)),))
+
+
 def test_bands_reject_grids_too_coarse_to_hold_them():
     g128 = grid2d(128, 13.5)
     with pytest.raises(ValueError, match="coarse"):

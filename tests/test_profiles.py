@@ -6,6 +6,7 @@ from scipy.special import gamma
 
 from cwlab.profiles import (
     ConormalProfile,
+    PsiMollifier,
     SymbolSpec,
     chi_window,
     extremal_profile,
@@ -14,7 +15,6 @@ from cwlab.profiles import (
     piriou_decompose,
     profile_jet,
     profile_power,
-    psi_mollifier,
     synthesize_profile,
 )
 from cwlab.spectral import Grid1D, decay_exponent
@@ -207,7 +207,7 @@ def test_chi_window_properties():
 
 
 def test_psi_plateau_and_support():
-    psi = psi_mollifier(64.0, 2)
+    psi = PsiMollifier(64.0, 2)
     assert abs(psi(60.0) - 1.0) < 1e-9  # below N-2
     assert abs(psi(62.0) - 1.0) < 1e-9
     assert abs(psi(131.0)) < 1e-9  # above 2N+2
@@ -219,7 +219,7 @@ def test_psi_scaled_derivative_uniformity():
     r = 2
     sup = {q: [] for q in range(1, r + 1)}
     for n in (16.0, 64.0, 256.0, 1024.0):
-        psi = psi_mollifier(n, r)
+        psi = PsiMollifier(n, r)
         eta = np.linspace(0.7 * n, 2.4 * n, 160)
         for q in range(1, r + 1):
             vals = np.abs(eta**q * psi.derivative(q, eta))

@@ -9,7 +9,6 @@ from cwlab.solver import (
     NonlinearitySpec,
     SolverConfig,
     SourceGate,
-    WaveState,
     cubic_nonlinearity,
     duhamel_apply,
     energy,
@@ -17,7 +16,6 @@ from cwlab.solver import (
     linear_propagate,
     solve,
     solve_response,
-    step_semilinear,
     z_cutoff,
 )
 from cwlab.spectral import bump_window
@@ -142,11 +140,13 @@ def test_zero_nonlinearity_matches_linear():
     grid = grid2d(64, L)
     u0 = band_limited_noise(grid, seed=5)
     ut0 = band_limited_noise(grid, seed=6)
-    P = NonlinearitySpec(degree=3, coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=z_cutoff)
-    s = step_semilinear(WaveState(grid, 0.0, u0, ut0), 0.02, P)
+    # ungated, so the zero source is evaluated and kicked in on the step
+    P = NonlinearitySpec(degree=3, coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=None)
+    out = solve(u0, ut0, grid, SolverConfig(dt=0.02, t0=0.0, t1=0.02), P=P)
+    assert out.metadata["stats"]["kicks_applied"] == 1
     ul, utl = linear_propagate(u0, ut0, grid, 0.02)
-    assert np.max(np.abs(s.u - ul)) < 1e-13
-    assert np.max(np.abs(s.ut - utl)) < 1e-13
+    assert np.max(np.abs(out.u[-1] - ul)) < 1e-13
+    assert np.max(np.abs(out.ut[-1] - utl)) < 1e-13
 
 
 def test_manufactured_solution_second_order_in_dt():
@@ -162,12 +162,10 @@ def test_manufactured_solution_second_order_in_dt():
     mode = np.cos(xi * x1) * np.ones(grid.shape)
 
     def error_at(dt, t_end=1.0):
-        state = WaveState(grid, 0.0, mode.copy(), np.zeros(grid.shape))
-        n = int(round(t_end / dt))
-        for _ in range(n):
-            state = step_semilinear(state, t_end / n, P)
+        cfg = SolverConfig(dt=dt, t0=0.0, t1=t_end, record_stride=10**6)
+        out = solve(mode, np.zeros(grid.shape), grid, cfg, P=P)
         exact = np.cos(w * t_end) * mode
-        return np.max(np.abs(state.u - exact))
+        return np.max(np.abs(out.u[-1] - exact))
 
     e1, e2 = error_at(0.02), error_at(0.01)
     order = np.log2(e1 / e2)
@@ -179,10 +177,9 @@ def test_blow_up_raises():
     x1, x2 = meshes(grid)
     u0 = 1e3 * np.exp(-(x1**2 + x2**2))
     P = cubic_nonlinearity(a3=50.0, cutoff=None)
-    state = WaveState(grid, 0.0, u0, np.zeros(grid.shape))
+    cfg = SolverConfig(dt=0.05, t0=0.0, t1=10.0, record_stride=10**6)
     with pytest.raises(BlowupError):
-        for _ in range(200):
-            state = step_semilinear(state, 0.05, P)
+        solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
 
 
 # -------------------------------------------------------------------- solve

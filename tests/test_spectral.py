@@ -13,6 +13,8 @@ from cwlab.spectral import (
     dft_inverse_nd,
     evaluate_trig,
     plateau_window,
+    trig_line,
+    trig_modes,
     windowed_slice,
 )
 from cwlab.profiles import SymbolSpec, synthesize_profile
@@ -151,6 +153,20 @@ def test_trig_evaluation_exact_on_nodes():
     pts = np.column_stack([x.ravel()[::13], y.ravel()[::13]])
     out = evaluate_trig(vals, grid, pts)
     assert np.max(np.abs(out - vals.ravel()[::13])) < 1e-9
+
+
+def test_trig_line_reproduces_nodes_and_band_limited_cosine():
+    g = Grid1D(64, 8.0, start=-3.0)  # off-center, so the phase rule counts
+    prof = synthesize_profile(SymbolSpec(-2.6), g, cutoff=g.nyquist / 2.0)
+    assert np.max(np.abs(trig_line(trig_modes(prof.values), g, g.nodes()) - prof.values)) < (
+        1e-12 * np.max(np.abs(prof.values))
+    )
+    k = 5 * g.freq_spacing()
+    coef = trig_modes(np.cos(k * g.nodes() + 0.4))
+    s = np.random.default_rng(3).uniform(-20.0, 20.0, 50)  # off the grid, off the period
+    assert np.max(np.abs(trig_line(coef, g, s) - np.cos(k * s + 0.4))) < 1e-12
+    du = trig_line(1j * g.freqs() * coef, g, s)
+    assert np.max(np.abs(du + k * np.sin(k * s + 0.4))) < 1e-12 * k
 
 
 def test_slice_across_front_recovers_profile_order():
