@@ -32,7 +32,6 @@ from .solver import (
     grid2d,
     solve,
     solve_response,
-    z_cutoff,
     _time_index,
     _wavenumbers,
 )
@@ -112,8 +111,9 @@ class ConeProbe:
 class ExperimentConfig:
     """Everything one interaction run needs: data, coupling, integrator, probes.
 
-    Every probe time must be one the run records, and every probe angle must
-    keep PROBE_EXCLUSION from each plane tangency.
+    There is at least one probe; the diagnostics read the first.  Every
+    probe time must be one the run records, and every probe angle must keep
+    PROBE_EXCLUSION from each plane tangency.
     """
 
     m: float
@@ -122,7 +122,7 @@ class ExperimentConfig:
     P: NonlinearitySpec | None
     solver: SolverConfig
     grid: GridND
-    probes: tuple = ()
+    probes: tuple
 
     def __post_init__(self):
         if not self.m < -2.5:
@@ -130,6 +130,8 @@ class ExperimentConfig:
         if not self.eps > 0:
             raise ValueError("data amplitude must be positive")
         object.__setattr__(self, "probes", tuple(self.probes))
+        if not self.probes:
+            raise ValueError("config carries no probe")
         n_steps, stride, dt = self.solver.lattice()
         record_times = self.solver.t0 + np.arange(0, n_steps + 1, stride) * dt
         for probe in self.probes:
@@ -225,21 +227,16 @@ def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float):
     return tuple(pieces)
 
 
-def make_three_wave_data(frame, m, eps, grid, t0, cutoff=z_cutoff):
+def make_three_wave_data(frame, m, eps, grid, t0):
     """Superpose three plane-wave profiles with per-wave amplitudes at t0.
 
     Returns (u, ut) with u = sum_j eps_j f_j(t0 - x . omega_j): an exact
-    free-wave snapshot.  Each profile is cut off at DATA_CUTOFF (or half its
-    grid's Nyquist frequency, if lower) and loses its modes below
-    PROFILE_TRIM.  The source gate, cutoff (None skips the check), must be
-    closed on the whole t0 slice; otherwise the data would already overlap
-    the interaction region and the run is rejected.
+    free-wave snapshot, at any t0.  Each profile is cut off at DATA_CUTOFF
+    (or half its grid's Nyquist frequency, if lower) and loses its modes
+    below PROFILE_TRIM.  Whether the source gate is still closed at t0 is
+    the solver's check (solve and solve_response reject a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
-    if cutoff is not None:
-        x1, x2 = grid.meshes()
-        if np.any(np.asarray(cutoff(t0, x1, x2)) > 0.0):
-            raise ValueError("source gate is open at t0; move t0 earlier")
     waves = _unit_waves(frame, float(m), grid, float(t0))
     u = np.zeros(grid.shape)
     ut = np.zeros(grid.shape)
@@ -251,10 +248,10 @@ def make_three_wave_data(frame, m, eps, grid, t0, cutoff=z_cutoff):
 
 
 def _data_for(config: ExperimentConfig, eps):
-    cutoff = config.P.cutoff if config.P is not None else z_cutoff
-    return make_three_wave_data(
-        config.frame, config.m, eps, config.grid, config.solver.t0, cutoff=cutoff
-    )
+    """(eps, (u0, ut0)): the per-wave amplitudes (config.eps for each wave
+    when eps is None) and the run's data at t0."""
+    eps = (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
+    return eps, make_three_wave_data(config.frame, config.m, eps, config.grid, config.solver.t0)
 
 
 def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
@@ -266,8 +263,7 @@ def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     are single exact propagations.  This is solve(P) - solve(P=None) up to
     roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
     """
-    eps = (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
-    u0, ut0 = _data_for(config, eps)
+    eps, (u0, ut0) = _data_for(config, eps)
     out = solve_response(u0, ut0, config.grid, config.solver, P=config.P)
     out.metadata.update({"frame": config.frame, "eps": eps, "kind": "nonlinear_response"})
     return out
@@ -275,8 +271,7 @@ def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
 
 def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     """Free evolution of the same data (the control field for front probes)."""
-    eps = (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
-    u0, ut0 = _data_for(config, eps)
+    eps, (u0, ut0) = _data_for(config, eps)
     out = solve(u0, ut0, config.grid, config.solver, P=None)
     out.metadata.update({"frame": config.frame, "eps": eps, "kind": "linear"})
     return out
@@ -675,8 +670,6 @@ def amplitude_scaling(config: ExperimentConfig, eps_list) -> EpsScaling:
         raise ValueError("need at least three data strengths")
     if eps_list[-1] < 4.0 * eps_list[0]:
         raise ValueError("data strengths must span at least a factor of 4")
-    if not config.probes:
-        raise ValueError("config carries no probe")
     probe = config.probes[0]
     used, amps, dropped = [], [], []
     for e in eps_list:
@@ -719,15 +712,13 @@ class CoeffEstimate:
 def coefficient_recovery(base: ExperimentConfig, trials):
     """Cone-amplitude ratios of trial couplings against a baseline.
 
-    Amplitudes are read at the baseline's first probe.  The ratio estimates
-    the trial's cubic coefficient relative to the baseline's, the common
-    propagation factor cancelling; the signed correlation over the probe
-    tube distinguishes a flipped coefficient from a rescaled one.
-    Everything except the coupling must match the baseline, and a baseline
-    amplitude at the noise floor is rejected.
+    Each trial is a coupling (a NonlinearitySpec) run on the baseline's
+    configuration.  Amplitudes are read at the baseline's first probe.  The
+    ratio estimates the trial's cubic coefficient relative to the
+    baseline's, the common propagation factor cancelling; the signed
+    correlation over the probe tube distinguishes a flipped coefficient from
+    a rescaled one.  A baseline amplitude at the noise floor is rejected.
     """
-    if not base.probes:
-        raise ValueError("config carries no probe")
     probe = base.probes[0]
     band = amplitude_band(base.grid)
     bp0, mask = _tube(nonlinear_response(base), probe)
@@ -737,10 +728,7 @@ def coefficient_recovery(base: ExperimentConfig, trials):
         raise ValueError("baseline cone amplitude is at the noise floor")
     out = []
     for trial in trials:
-        cfg = trial if isinstance(trial, ExperimentConfig) else replace(base, P=trial)
-        if replace(cfg, P=base.P) != base:
-            raise ValueError("trial must differ from the baseline only in the coupling")
-        bp, _ = _tube(nonlinear_response(cfg), probe)
+        bp, _ = _tube(nonlinear_response(replace(base, P=trial)), probe)
         b = bp[mask]
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
@@ -812,8 +800,6 @@ def run_experiment(
     slope is an independent reading with its own scatter, not the plain
     slope minus noise; expect it to sit shallower at a single probe angle.
     """
-    if not config.probes:
-        raise ValueError("config carries no probe")
     probe = config.probes[0]
 
     resp = nonlinear_response(config)

@@ -11,6 +11,13 @@ grid the integral is truncated at the grid Nyquist frequency and evaluated
 by the trapezoid rule at DFT bin spacing, which makes the synthesized
 samples an exact band-limited periodic field (sum of periodic images of
 the continuum profile).
+
+The mollifier family's ramp polynomial G is built from its definition: its
+derivative G'(sigma) = A sigma (sigma-1)^r (sigma-2)^r is formed and
+integrated from G(2) = 0 with numpy.polynomial on object arrays of
+Fractions, so every coefficient is exact.  The C_j/D_j closed form of G is
+not a construction path; MollifierFamily.verify checks the stored G against
+it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
 from .spectral import Grid1D, _smooth_edge, bump_window, dft_forward, dft_inverse
@@ -248,43 +256,11 @@ def extremal_profile(m: float, grid: Grid1D) -> ConormalProfile:
 # ---------------------------------------------------------------------------
 
 
-def _pmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _pscale(p, c):
-    return [c * a for a in p]
-
-
-def _ppow(p, n):
-    out = [Fraction(1)]
-    for _ in range(n):
-        out = _pmul(out, p)
-    return out
-
-
-def _pderiv(p):
-    return [Fraction(i) * p[i] for i in range(1, len(p))] or [Fraction(0)]
-
-
-def _peval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
+def _ramp_slope(r: int, amplitude: Fraction) -> np.ndarray:
+    """G'(sigma) = A * sigma * (sigma-1)^r * (sigma-2)^r, exact coefficients
+    (an object array of Fractions, lowest degree first)."""
+    sm1, sm2 = np.array([-1, 1], dtype=object), np.array([-2, 1], dtype=object)
+    return amplitude * P.polymulx(P.polymul(P.polypow(sm1, r, None), P.polypow(sm2, r, None)))
 
 
 @dataclass(frozen=True)
@@ -292,8 +268,10 @@ class MollifierFamily:
     """Exact polynomial data of the soft frequency-truncation ramp.
 
     The ramp g on (N, 2N] is g(s) = G(s/N) with the universal degree
-    2r+2 polynomial G; its derivative satisfies
-    G'(sigma) = A * sigma * (sigma-1)^r * (sigma-2)^r.
+    2r+2 polynomial G, defined by its derivative
+    G'(sigma) = A * sigma * (sigma-1)^r * (sigma-2)^r and G(2) = 0.
+    ramp_poly holds G's coefficients, lowest degree first; the C_j, D_j of
+    its closed form are kept so that verify can check G against it.
     """
 
     r: int
@@ -306,48 +284,52 @@ class MollifierFamily:
         return self.ramp_derivative(0, s, n_cut)
 
     def ramp_derivative(self, q: int, s, n_cut: float) -> np.ndarray:
-        p = list(self.ramp_poly)
-        for _ in range(q):
-            p = _pderiv(p)
-        coef = np.array([float(c) for c in p])
-        sigma = np.asarray(s, dtype=float) / float(n_cut)
-        return np.polyval(coef[::-1], sigma) / float(n_cut) ** q
+        coef = P.polyder(self.ramp_poly, q).astype(float)
+        return P.polyval(np.asarray(s, dtype=float) / n_cut, coef) / n_cut**q
 
     def verify(self) -> dict[str, bool]:
-        """Exact-arithmetic identities of the ramp polynomial."""
-        g = list(self.ramp_poly)
-        checks = {
-            "plateau_value_one": _peval(g, Fraction(1)) == 1,
-            "endpoint_value_zero": _peval(g, Fraction(2)) == 0,
-        }
-        p = g
-        flat = True
-        for _ in range(self.r):
-            p = _pderiv(p)
-            flat &= _peval(p, Fraction(1)) == 0 and _peval(p, Fraction(2)) == 0
-        checks["joint_derivatives_vanish"] = flat
-        target = _pscale(
-            _pmul(
-                [Fraction(0), Fraction(1)],
-                _pmul(
-                    _ppow([Fraction(-1), Fraction(1)], self.r),
-                    _ppow([Fraction(-2), Fraction(1)], self.r),
-                ),
+        """Exact-arithmetic identities of the stored ramp polynomial G."""
+        r = self.r
+        g = np.array(self.ramp_poly, dtype=object)
+        derivs = [g]
+        for _ in range(r):
+            derivs.append(P.polyder(derivs[-1]))
+        mismatch = P.polysub(derivs[1], _ramp_slope(r, self.amplitude))
+
+        def closed_form(s: int) -> Fraction:
+            a, b = s - 1, s - 2
+            return self.amplitude * (
+                sum(c * a ** (r + 1 - j) * b ** (r + j + 1) for j, c in enumerate(self.c_coeffs))
+                + sum(d * a ** (r - j) * b ** (r + j + 1) for j, d in enumerate(self.d_coeffs))
+            )
+
+        return {
+            "plateau_value_one": P.polyval(1, g) == 1,
+            "endpoint_value_zero": P.polyval(2, g) == 0,
+            "joint_derivatives_vanish": all(
+                P.polyval(1, p) == 0 and P.polyval(2, p) == 0 for p in derivs[1:]
             ),
-            self.amplitude,
-        )
-        deriv = _pderiv(g)
-        n = max(len(deriv), len(target))
-        deriv += [Fraction(0)] * (n - len(deriv))
-        target += [Fraction(0)] * (n - len(target))
-        checks["derivative_identity"] = deriv == target
-        return checks
+            "derivative_identity": all(c == 0 for c in mismatch),
+            # Both sides are polynomials of degree <= 2r+2, and two such
+            # polynomials that agree at 2r+3 points are equal.
+            "closed_form": all(
+                closed_form(s) == P.polyval(s, g) for s in range(2 * r + 3)
+            ),
+        }
 
 
 def mollifier_polynomial(r: int) -> MollifierFamily:
     """Exact coefficients of the degree-2r+2 truncation ramp.
 
-    A = (-1)^(r+1) (2r+2)! / (3 (r+1) (r!)^2),
+    G is the integral of G'(sigma) = A * sigma * (sigma-1)^r * (sigma-2)^r
+    from 2, with
+
+    A = (-1)^(r+1) (2r+2)! / (3 (r+1) (r!)^2).
+
+    Its closed form, checked by MollifierFamily.verify, is
+    G(sigma) = A * [ sum_j C_j (sigma-1)^(r+1-j) (sigma-2)^(r+j+1)
+                   + sum_j D_j (sigma-1)^(r-j)   (sigma-2)^(r+j+1) ],
+
     C_j = (-1)^j (r+1)!/(r+1-j)! * r!/(r+j+1)!   for j = 0..r+1,
     D_j = (-1)^j r!/(r-j)! * r!/(r+j+1)!          for j = 0..r.
     """
@@ -371,16 +353,7 @@ def mollifier_polynomial(r: int) -> MollifierFamily:
         )
         for j in range(r + 1)
     )
-    # G(sigma) = A * [ sum_j C_j (sigma-1)^(r+1-j) (sigma-2)^(r+j+1)
-    #               + sum_j D_j (sigma-1)^(r-j)   (sigma-2)^(r+j+1) ]
-    sm1 = [Fraction(-1), Fraction(1)]
-    sm2 = [Fraction(-2), Fraction(1)]
-    acc = [Fraction(0)]
-    for j in range(r + 2):
-        acc = _padd(acc, _pscale(_pmul(_ppow(sm1, r + 1 - j), _ppow(sm2, r + j + 1)), c[j]))
-    for j in range(r + 1):
-        acc = _padd(acc, _pscale(_pmul(_ppow(sm1, r - j), _ppow(sm2, r + j + 1)), d[j]))
-    g = tuple(a * amplitude for a in acc)
+    g = tuple(P.polyint(_ramp_slope(r, amplitude), lbnd=2))
     return MollifierFamily(r=r, amplitude=amplitude, c_coeffs=c, d_coeffs=d, ramp_poly=g)
 
 

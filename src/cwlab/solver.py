@@ -462,15 +462,15 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
          box=None):
     """Strang splitting in the interaction picture, kicking only where needed.
 
-    The state is the free field u_lin (the exact free flow of data; absent
-    when data is None) and w = u - u_lin.  source(t, u) returns the source
-    term on the index box of grid (the whole grid when box is None) for u
-    sampled there, and its max modulus.  Step i kicks w by
-    dt * source(t_mid, u_lin + w) at its midpoint t_mid when support holds
-    t_mid; elsewhere the source vanishes and the step is free flow.  Free
-    flow is exact for any length, so the state is propagated once per gap
-    between events (kicks and record times): one full step between
-    consecutive kicks, one jump across each closed stretch.
+    The state is the free field u_lin (the exact free flow of data) and
+    w = u - u_lin.  source(t, u) returns the source term on the index box of
+    grid for u sampled there, and its max modulus; source None never kicks.
+    Step i kicks w by dt * source(t_mid, u_lin + w) at its midpoint t_mid
+    when support holds t_mid; elsewhere the source vanishes and the step is
+    free flow.  Free flow is exact for any length, so the state is
+    propagated once per gap between events (kicks and record times): one
+    full step between consecutive kicks, one jump across each closed
+    stretch.
 
     Between records the loop carries u_lin and w only on the dealiased
     block of the rfft2 spectrum (see _block): w starts at zero, every kick
@@ -500,24 +500,22 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
     records = list(range(0, 2 * n_steps + 1, 2 * stride))
 
     n1, n2 = grid.shape
-    if data is not None:
-        u0, ut0 = (np.asarray(f, dtype=float) for f in data)
-        _check_grid(grid, u0, ut0)
-        data_spec = (_spectrum(u0), _spectrum(ut0))
+    u0, ut0 = (np.asarray(f, dtype=float) for f in data)
+    _check_grid(grid, u0, ut0)
+    data_spec = (_spectrum(u0), _spectrum(ut0))
     # u_lin on the whole spectrum, for the records of u_lin + w.
-    lin = data_spec if data is not None and not response else None
+    lin = None if response else data_spec
 
     if kicks:
         blk = _block(grid, config.dealias)
         nlo, nhi, cols = blk.nlo, blk.nhi, blk.cols
-        b1, b2 = box if box is not None else _whole(grid)
-        # uh[0], vh[0] hold u_lin (zero without data), uh[1], vh[1] hold w.
+        b1, b2 = box
+        # uh[0], vh[0] hold u_lin, uh[1], vh[1] hold w.
         uh = np.zeros((2, cols, nlo + nhi), dtype=complex)
         vh = np.zeros_like(uh)
-        if data is not None:
-            for dst, spec in zip((uh, vh), data_spec):
-                dst[0, :, :nlo] = spec[:cols, :nlo]
-                dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
+        for dst, spec in zip((uh, vh), data_spec):
+            dst[0, :, :nlo] = spec[:cols, :nlo]
+            dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
         lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
         box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
 
@@ -639,16 +637,12 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
 def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> SpaceTimeField:
     """Forward solution operator: zero data driven by forcing(t, X1, X2).
 
-    Realizes u(t) = int sin(|k|(t-s))/|k| F^(s) ds per mode through the same
-    splitting loop as solve, so both sides of a cross-check share one
-    discretization.
+    The response of zero data to the ungated coupling P = forcing, which does
+    not depend on u: solve_response realizes
+    u(t) = int sin(|k|(t-s))/|k| F^(s) ds per mode through the same splitting
+    loop as solve, so both sides of a cross-check share one discretization.
+    Every step is kicked, with forcing evaluated on the whole grid.
     """
-    x1, x2 = _meshes(grid)
-
-    def source(t, u):
-        f = np.asarray(forcing(t, x1, x2), dtype=float)
-        if f.shape != grid.shape:
-            raise ValueError("forcing shape does not match grid")
-        return f, _abs_max(f)
-
-    return _run(None, grid, config, source)
+    zero = np.zeros(grid.shape)
+    P = NonlinearitySpec(3, (forcing, 0.0, 0.0, 0.0))
+    return solve_response(zero, zero, grid, config, P=P)

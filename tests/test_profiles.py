@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -175,10 +176,30 @@ def test_mollifier_first_coefficients():
     assert fam.d_coeffs[0] == Fraction(1, 2)
 
 
+def test_mollifier_r1_ramp_is_sigma_squared_times_sigma_minus_two_squared():
+    # G' = 4 sigma (sigma-1)(sigma-2) integrated from 2: G = sigma^2 (sigma-2)^2
+    assert mollifier_polynomial(1).ramp_poly == (0, 0, 4, -4, 1)
+
+
 def test_mollifier_exact_identities():
-    for r in range(1, 6):
+    for r in range(1, 21):
         checks = mollifier_polynomial(r).verify()
+        assert set(checks) == {
+            "plateau_value_one",
+            "endpoint_value_zero",
+            "joint_derivatives_vanish",
+            "derivative_identity",
+            "closed_form",
+        }
         assert all(checks.values()), (r, checks)
+
+
+def test_closed_form_flag_catches_a_wrong_coefficient():
+    fam = mollifier_polynomial(3)
+    c0, *rest = fam.c_coeffs
+    checks = replace(fam, c_coeffs=(c0 + 1, *rest)).verify()
+    assert not checks.pop("closed_form")
+    assert all(checks.values()), checks
 
 
 def test_mollifier_validation():
