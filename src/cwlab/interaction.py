@@ -28,7 +28,7 @@ from .solver import (
     SpaceTimeField,
     WaveState,
     cubic_nonlinearity,
-    energy,
+    energy,  # unused here; bench/tracing.py wraps interaction.energy by name
     grid2d,
     solve,
     solve_response,
@@ -262,10 +262,14 @@ def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     source gate is open; the closed stretches before and after the crossing
     are single exact propagations.  This is solve(P) - solve(P=None) up to
     roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
+    The field records its config and per-wave eps, and its arrays are
+    read-only: the diagnostics extend a response they are handed instead of
+    solving it again, so one field may serve several of them.
     """
     eps, (u0, ut0) = _data_for(config, eps)
     out = solve_response(u0, ut0, config.grid, config.solver, P=config.P)
-    out.metadata.update({"frame": config.frame, "eps": eps, "kind": "nonlinear_response"})
+    out.u.flags.writeable = out.ut.flags.writeable = False
+    out.metadata.update(config=config, frame=config.frame, eps=eps, kind="nonlinear_response")
     return out
 
 
@@ -277,7 +281,7 @@ def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     return out
 
 
-def polarization_isolate(config: ExperimentConfig) -> SpaceTimeField:
+def polarization_isolate(resp: SpaceTimeField, *known: SpaceTimeField) -> SpaceTimeField:
     """Inclusion-exclusion over data subsets, keeping only triple products.
 
     sum over nonempty S of (-1)^(3-|S|) w_S over the nonlinear responses
@@ -285,25 +289,23 @@ def polarization_isolate(config: ExperimentConfig) -> SpaceTimeField:
     through subsets whose signs sum to zero (1 - 2 + 1), so single- and
     pairwise-interaction terms cancel at leading order and the genuinely
     three-wave part stands out.  The free waves never enter the sum.
+
+    resp, a nonlinear_response, is w for the full subset; each other w_S is
+    taken from known when one of them records resp's config and the subset's
+    per-wave eps, and solved on that config otherwise.
     """
-    acc_u = None
-    acc_ut = None
-    times = None
+    config, eps = _recorded(resp, "config"), resp.metadata["eps"]
+    held = {k.metadata.get("eps"): k for k in (resp, *known) if k.metadata.get("config") == config}
+    acc_u, acc_ut = np.zeros_like(resp.u), np.zeros_like(resp.ut)
     for size in (1, 2, 3):
         sign = (-1) ** (3 - size)
         for subset in combinations(range(3), size):
-            eps = tuple(config.eps if j in subset else 0.0 for j in range(3))
-            sol = nonlinear_response(config, eps)
-            if acc_u is None:
-                acc_u = sign * sol.u
-                acc_ut = sign * sol.ut
-                times = sol.times
-            else:
-                acc_u += sign * sol.u
-                acc_ut += sign * sol.ut
-    en = np.array([energy(acc_u[i], acc_ut[i], config.grid) for i in range(len(times))])
-    meta = {"frame": config.frame, "eps": (config.eps,) * 3, "kind": "polarization"}
-    return SpaceTimeField(config.grid, times.copy(), acc_u, acc_ut, en, metadata=meta)
+            sub = tuple(eps[j] if j in subset else 0.0 for j in range(3))
+            sol = held[sub] if sub in held else nonlinear_response(config, sub)
+            acc_u += sign * sol.u
+            acc_ut += sign * sol.ut
+    meta = {"frame": config.frame, "eps": eps, "kind": "polarization"}
+    return SpaceTimeField(resp.grid, resp.times.copy(), acc_u, acc_ut, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,8 @@ def default_band(grid: GridND) -> tuple[float, float]:
     the grid nyquist so refined grids fit over identical frequencies."""
     hi = min(CONE_BAND[1], _square_axis(grid).nyquist / 2.0)
     if hi <= CONE_BAND[0]:
-        raise ValueError("grid too coarse for the default fit band; pass one explicitly")
+        raise ValueError(f"grid too coarse for the fit band {CONE_BAND}: it needs a "
+                         f"spacing below pi/{2.0 * CONE_BAND[0]:g}")
     return CONE_BAND[0], hi
 
 
@@ -357,7 +360,8 @@ def amplitude_band(grid: GridND) -> tuple[float, float]:
     lo = 8.0
     hi = _square_axis(grid).nyquist / 4.0
     if hi <= lo:
-        raise ValueError("grid too coarse for the amplitude band; pass one explicitly")
+        raise ValueError(f"grid too coarse for the amplitude band ({lo:g}, nyquist/4): it "
+                         f"needs a spacing below pi/{4.0 * lo:g}")
     return lo, hi
 
 
@@ -399,11 +403,12 @@ def _without_bulk(state: WaveState, band) -> np.ndarray:
     return high_pass(state.u, state.grid, 0.375 * lo, 0.75 * lo)
 
 
-def _frame_of(fld: SpaceTimeField) -> CharFrame:
-    frame = fld.metadata.get("frame")
-    if frame is None:
-        raise ValueError("no frame recorded with the field")
-    return frame
+def _recorded(fld: SpaceTimeField, key: str):
+    """fld.metadata[key], which the diagnostics need the field to carry."""
+    value = fld.metadata.get(key)
+    if value is None:
+        raise ValueError(f"no {key} recorded with the field")
+    return value
 
 
 @lru_cache(maxsize=8)
@@ -425,7 +430,7 @@ def _tube(fld: SpaceTimeField, probe: ConeProbe):
     """(field band-passed to amplitude_band, tube mask) on the slice at the
     probe time."""
     state = fld.state_at(probe.t_probe)
-    mask = _tube_mask(fld.grid, float(state.t), probe, _frame_of(fld))
+    mask = _tube_mask(fld.grid, float(state.t), probe, _recorded(fld, "frame"))
     return band_pass(state.u, fld.grid, amplitude_band(fld.grid)), mask
 
 
@@ -572,7 +577,7 @@ def cone_order_estimate(
     state = fld.state_at(probe.t_probe)
     r0 = float(state.t) if center_radius is None else float(center_radius)
     if half_length is None:
-        half_length = _clean_half_length(fld.grid, probe, _frame_of(fld), r0, state.t)
+        half_length = _clean_half_length(fld.grid, probe, _recorded(fld, "frame"), r0, state.t)
     band = default_band(fld.grid)
     sl = windowed_slice(
         _without_bulk(state, band),
@@ -632,7 +637,8 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     grid = fld.grid
     g = _square_axis(grid)
     bp = np.abs(_without_bulk(state, default_band(grid)))
-    angles = locate_cone(_frame_of(fld), state.t).clear_angles(RIDGE_ANGLES, RIDGE_EXCLUSION)
+    cone = locate_cone(_recorded(fld, "frame"), state.t)
+    angles = cone.clear_angles(RIDGE_ANGLES, RIDGE_EXCLUSION)
     lo, hi = RIDGE_SPAN
     n_r = max(16, int(np.ceil((hi - lo) * state.t / (0.25 * g.spacing))))
     radii = np.linspace(lo * state.t, hi * state.t, n_r)
@@ -656,31 +662,34 @@ class EpsScaling:
     band: tuple
 
 
-def amplitude_scaling(config: ExperimentConfig, eps_list) -> EpsScaling:
+def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
     """Log-log regression of cone amplitude against data strength.
 
-    Amplitudes are read at the config's first probe.  Needs at least three
-    amplitudes spanning a factor of 4.  Runs that blow up are dropped
-    (recorded in ``dropped``); amplitudes at the noise floor are dropped
-    too, and the regression is refused outright if nothing measurable is
-    left.
+    Each rung scales the data of resp, a nonlinear_response, by one of
+    factors: factor 1 is resp itself, the others are solved on its config.
+    A rung's data strength is its largest per-wave eps.  Amplitudes are read
+    at the config's first probe.  Needs at least three factors spanning a
+    factor of 4.  Runs that blow up are dropped (recorded in ``dropped``);
+    amplitudes at the noise floor are dropped too, and the regression is
+    refused outright if nothing measurable is left.
     """
-    eps_list = sorted(float(e) for e in eps_list)
-    if len(eps_list) < 3:
+    factors = sorted(float(f) for f in factors)
+    if len(factors) < 3:
         raise ValueError("need at least three data strengths")
-    if eps_list[-1] < 4.0 * eps_list[0]:
+    if factors[-1] < 4.0 * factors[0]:
         raise ValueError("data strengths must span at least a factor of 4")
+    config, eps = _recorded(resp, "config"), resp.metadata["eps"]
     probe = config.probes[0]
     used, amps, dropped = [], [], []
-    for e in eps_list:
-        cfg = replace(config, eps=e)
+    for f in factors:
+        strength = f * max(eps)
         try:
-            resp = nonlinear_response(cfg)
+            rung = resp if f == 1.0 else nonlinear_response(config, tuple(f * e for e in eps))
         except BlowupError:
-            dropped.append(e)
+            dropped.append(strength)
             continue
-        amps.append(cone_amplitude(resp, probe))
-        used.append(e)
+        amps.append(cone_amplitude(rung, probe))
+        used.append(strength)
     amps = np.asarray(amps)
     if amps.size == 0 or np.max(amps) <= 0.0:
         raise ValueError("cone amplitudes sit at the noise floor; nothing to fit")
@@ -709,26 +718,28 @@ class CoeffEstimate:
     band: tuple
 
 
-def coefficient_recovery(base: ExperimentConfig, trials):
-    """Cone-amplitude ratios of trial couplings against a baseline.
+def coefficient_recovery(resp: SpaceTimeField, trials):
+    """Cone-amplitude ratios of trial couplings against a baseline response.
 
-    Each trial is a coupling (a NonlinearitySpec) run on the baseline's
-    configuration.  Amplitudes are read at the baseline's first probe.  The
-    ratio estimates the trial's cubic coefficient relative to the
-    baseline's, the common propagation factor cancelling; the signed
-    correlation over the probe tube distinguishes a flipped coefficient from
-    a rescaled one.  A baseline amplitude at the noise floor is rejected.
+    resp, a nonlinear_response, is the baseline.  Each trial is a coupling
+    (a NonlinearitySpec) run on the baseline's config and data.  Amplitudes
+    are read at the config's first probe.  The ratio estimates the trial's
+    cubic coefficient relative to the baseline's, the common propagation
+    factor cancelling; the signed correlation over the probe tube
+    distinguishes a flipped coefficient from a rescaled one.  A baseline
+    amplitude at the noise floor is rejected.
     """
-    probe = base.probes[0]
-    band = amplitude_band(base.grid)
-    bp0, mask = _tube(nonlinear_response(base), probe)
+    config, eps = _recorded(resp, "config"), resp.metadata["eps"]
+    probe = config.probes[0]
+    band = amplitude_band(config.grid)
+    bp0, mask = _tube(resp, probe)
     a = bp0[mask]
     amp0 = float(np.max(np.abs(a)))
     if amp0 <= NOISE_FLOOR * float(np.max(np.abs(bp0))):
         raise ValueError("baseline cone amplitude is at the noise floor")
     out = []
     for trial in trials:
-        bp, _ = _tube(nonlinear_response(replace(base, P=trial)), probe)
+        bp, _ = _tube(nonlinear_response(replace(config, P=trial), eps), probe)
         b = bp[mask]
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
@@ -793,28 +804,27 @@ def run_experiment(
     """Full pipeline: nulls, cone slope and amplitude, scaling, recovery.
 
     The cone slope is read from the plain nonlinear response, solved
-    directly in the interaction picture.  polarization=True adds the
-    seven-run isolated trilinear field's slope to the notes as a
-    cross-check.  Removing the pair and self content reshapes the slice
-    spectrum (the result is insensitive to the step size), so the polarized
-    slope is an independent reading with its own scatter, not the plain
-    slope minus noise; expect it to sit shallower at a single probe angle.
+    directly in the interaction picture once: the scaling, recovery and
+    polarization controls extend that response, and the polarization takes
+    the two-wave field from the null check, so no input is solved twice.
+    polarization=True adds the seven-subset isolated trilinear field's
+    slope to the notes as a cross-check.  Removing the pair and self
+    content reshapes the slice spectrum (the result is insensitive to the
+    step size), so the polarized slope is an independent reading with its
+    own scatter, not the plain slope minus noise; expect it to sit
+    shallower at a single probe angle.
     """
     probe = config.probes[0]
 
     resp = nonlinear_response(config)
     cone_fit = cone_order_estimate(resp, probe)
-    lin = linear_field(config)
-    incoming_fit = front_order_estimate(lin, config.frame.omegas[0], t=config.solver.t0)
+    incoming_fit = front_order_estimate(
+        linear_field(config), config.frame.omegas[0], t=config.solver.t0
+    )
     amp = cone_amplitude(resp, probe)
 
-    notes = {}
-    if polarization:
-        notes["polarization_slope"] = cone_order_estimate(polarization_isolate(config), probe).slope
-
-    nulls = {}
-    null_resp = nonlinear_response(replace(config, P=None))
-    nulls["p_zero_peak"] = float(np.max(np.abs(null_resp.u)))
+    nulls = {"p_zero_peak": float(np.max(np.abs(nonlinear_response(replace(config, P=None)).u)))}
+    known = ()
     if two_wave_check:
         pair, null_probe = two_wave_probe(config.frame, probe)
         eps_two = tuple(config.eps if k in pair else 0.0 for k in range(3))
@@ -826,12 +836,15 @@ def run_experiment(
         nulls["two_wave_energy"] = e_two
         nulls["three_wave_energy"] = e_three
         nulls["two_wave_ratio"] = e_two / e_three if e_three > 0 else np.inf
+        known = (two,)
 
-    eps_exponent = None
-    if eps_factors:
-        eps_exponent = amplitude_scaling(config, [f * config.eps for f in eps_factors]).exponent
+    notes = {}
+    if polarization:
+        iso = polarization_isolate(resp, *known)
+        notes["polarization_slope"] = cone_order_estimate(iso, probe).slope
 
-    estimates = coefficient_recovery(config, trials) if trials else []
+    eps_exponent = amplitude_scaling(resp, eps_factors).exponent if eps_factors else None
+    estimates = coefficient_recovery(resp, trials) if trials else []
 
     return ExperimentReport(
         cone_fit=cone_fit,

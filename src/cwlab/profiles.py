@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -263,6 +264,15 @@ def _ramp_slope(r: int, amplitude: Fraction) -> np.ndarray:
     return amplitude * P.polymulx(P.polymul(P.polypow(sm1, r, None), P.polypow(sm2, r, None)))
 
 
+@lru_cache(maxsize=64)
+def _float_derivative(poly: tuple[Fraction, ...], q: int) -> np.ndarray:
+    """Float coefficients of the q-th derivative of an exact polynomial,
+    differentiated exactly and rounded once (read-only)."""
+    coef = P.polyder(poly, q).astype(float)
+    coef.flags.writeable = False
+    return coef
+
+
 @dataclass(frozen=True)
 class MollifierFamily:
     """Exact polynomial data of the soft frequency-truncation ramp.
@@ -284,7 +294,7 @@ class MollifierFamily:
         return self.ramp_derivative(0, s, n_cut)
 
     def ramp_derivative(self, q: int, s, n_cut: float) -> np.ndarray:
-        coef = P.polyder(self.ramp_poly, q).astype(float)
+        coef = _float_derivative(self.ramp_poly, q)
         return P.polyval(np.asarray(s, dtype=float) / n_cut, coef) / n_cut**q
 
     def verify(self) -> dict[str, bool]:

@@ -249,13 +249,17 @@ def _time_index(times, t: float) -> int | None:
 
 @dataclass
 class SpaceTimeField:
-    """Equally spaced recorded slices of a run, with tracked energy."""
+    """Equally spaced recorded slices of a run.
+
+    energies, per slice, is optional: the solver does not compute it (call
+    energy on a slice for the wave energy).
+    """
 
     grid: GridND
     times: np.ndarray
     u: np.ndarray
     ut: np.ndarray
-    energies: np.ndarray
+    energies: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -544,7 +548,7 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
             spec[:cols, n1 - nhi :] += w[:, nlo:]
         return _field(spec, n2)
 
-    times, us, uts, ens = [], [], [], []
+    times, us, uts = [], [], []
     pos = lin_pos = 0
     jumps, p_max = 0, 0.0
     for event in sorted(kicks + records):
@@ -568,7 +572,6 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
         times.append(config.t0 + (event // 2) * dt)
         us.append(u)
         uts.append(ut)
-        ens.append(energy(u, ut, grid))
 
     stats = {
         "steps": n_steps,
@@ -585,7 +588,6 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
         times=np.asarray(times),
         u=np.asarray(us),
         ut=np.asarray(uts),
-        energies=np.asarray(ens),
         metadata={"dt": dt, "t0": config.t0, "t1": config.t1,
                   "dealias": config.dealias, "record_stride": stride, "stats": stats},
     )

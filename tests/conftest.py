@@ -23,8 +23,8 @@ def resp256(cfg256):
 
 
 @pytest.fixture(scope="session")
-def iso256(cfg256):
-    return polarization_isolate(cfg256)
+def iso256(resp256):
+    return polarization_isolate(resp256)
 
 
 @pytest.fixture(scope="session")

@@ -26,3 +26,12 @@ def test_traced_benchmark_patches_and_restores_every_name(monkeypatch):
 @pytest.mark.parametrize("module", [solver, beals])
 def test_every_exported_name_exists(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_bench_selftest_passes(monkeypatch):
+    # The benchmark's checkers and tracer run on cwlab's API; an API change
+    # that breaks them fails here rather than in a benchmark run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import selftest
+
+    assert selftest.main() == 0

@@ -1,10 +1,12 @@
 """Three-wave interaction experiments: data, response isolation, cone probes."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cwlab import interaction
 from cwlab.interaction import (
     DEFAULT_FRAME,
     ConeProbe,
@@ -140,6 +142,16 @@ def test_two_wave_data_leave_the_cone_probe_silent(cfg256, resp256):
     assert e_two < 1e-3 * e_three
 
 
+def test_response_is_read_only_and_records_its_input(cfg256, resp256):
+    # the diagnostics share one response and extend it from what it records
+    assert resp256.metadata["config"] == cfg256
+    assert resp256.metadata["eps"] == (cfg256.eps,) * 3
+    with pytest.raises(ValueError):
+        resp256.u[-1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        resp256.ut[-1] += 1.0
+
+
 def test_response_confined_to_causal_region_of_the_gate(resp256):
     state = resp256.u[-1]
     t = float(resp256.times[-1])
@@ -154,8 +166,19 @@ def test_response_confined_to_causal_region_of_the_gate(resp256):
 
 def test_polarization_of_linear_solve_vanishes(cfg256):
     cfg = replace(cfg256, P=NonlinearitySpec(3, (0.0, 1.0, 0.0, 0.0), z_cutoff))
-    iso = polarization_isolate(cfg)
+    iso = polarization_isolate(nonlinear_response(cfg))
     assert np.max(np.abs(iso.u)) < 1e-10
+
+
+def test_polarization_reuses_a_known_subset_response(monkeypatch, cfg256, resp256, iso256):
+    pair, _ = two_wave_probe(cfg256.frame, cfg256.probes[0])
+    two = nonlinear_response(cfg256, eps=tuple(cfg256.eps if k in pair else 0.0 for k in range(3)))
+    solves = _traced_solves(monkeypatch)
+    iso = polarization_isolate(resp256, two)
+    # seven subsets: the full one is resp256 and the pair is two
+    assert len(solves) == 5
+    assert np.array_equal(iso.times, iso256.times)
+    assert np.array_equal(iso.u, iso256.u) and np.array_equal(iso.ut, iso256.ut)
 
 
 def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
@@ -304,50 +327,84 @@ def test_frame_rotation_leaves_slope_unchanged(cfg256, resp256):
 # ------------------------------------------------------- amplitude scaling
 
 
-def test_cubic_coupling_scales_amplitude_cubically(cfg256):
-    scaling = amplitude_scaling(cfg256, [EPS / 4, EPS / 2, EPS])
+def test_cubic_coupling_scales_amplitude_cubically(resp256):
+    scaling = amplitude_scaling(resp256, [0.25, 0.5, 1.0])
     assert abs(scaling.exponent - 3.0) < 0.15
     assert not scaling.dropped
+    assert scaling.eps == (EPS / 4, EPS / 2, EPS)
 
 
 def test_quartic_coupling_scales_quartically(cfg256):
-    cfg = replace(cfg256, P=quartic_coupling())
-    scaling = amplitude_scaling(cfg, [EPS / 4, EPS / 2, EPS])
+    resp = nonlinear_response(replace(cfg256, P=quartic_coupling()))
+    scaling = amplitude_scaling(resp, [0.25, 0.5, 1.0])
     assert scaling.exponent >= 3.75
 
 
 def test_scaling_regression_refused_without_coupling(cfg256):
     with pytest.raises(ValueError, match="noise floor"):
-        amplitude_scaling(replace(cfg256, P=None), [EPS / 4, EPS / 2, EPS])
+        amplitude_scaling(nonlinear_response(replace(cfg256, P=None)), [0.25, 0.5, 1.0])
 
 
-def test_scaling_needs_three_strengths_spanning_four_fold(cfg256):
+def test_scaling_needs_three_strengths_spanning_four_fold(resp256):
     with pytest.raises(ValueError):
-        amplitude_scaling(cfg256, [EPS / 2, EPS])
+        amplitude_scaling(resp256, [0.5, 1.0])
     with pytest.raises(ValueError):
-        amplitude_scaling(cfg256, [EPS / 2, 0.7 * EPS, EPS])
+        amplitude_scaling(resp256, [0.5, 0.7, 1.0])
 
 
 # ---------------------------------------------------- coefficient recovery
 
 
-def test_doubled_coupling_doubles_recovered_coefficient(cfg256):
-    est = coefficient_recovery(cfg256, [NonlinearitySpec(3, (0, 0, 0, 2.0), z_cutoff)])[0]
+def test_doubled_coupling_doubles_recovered_coefficient(resp256):
+    est = coefficient_recovery(resp256, [NonlinearitySpec(3, (0, 0, 0, 2.0), z_cutoff)])[0]
     assert abs(est.c_hat - 2.0) < 0.10
 
 
-def test_flipped_coupling_flips_the_cone_wave(cfg256):
-    est = coefficient_recovery(cfg256, [NonlinearitySpec(3, (0, 0, 0, -1.0), z_cutoff)])[0]
+def test_flipped_coupling_flips_the_cone_wave(resp256):
+    est = coefficient_recovery(resp256, [NonlinearitySpec(3, (0, 0, 0, -1.0), z_cutoff)])[0]
     assert abs(est.correlation - (-1.0)) < 0.05
 
 
 def test_quartic_coupling_recovers_no_cubic_coefficient(cfg256):
-    cfg_small = replace(cfg256, eps=EPS / 4)
-    est = coefficient_recovery(cfg_small, [quartic_coupling()])[0]
+    resp_small = nonlinear_response(replace(cfg256, eps=EPS / 4))
+    est = coefficient_recovery(resp_small, [quartic_coupling()])[0]
     assert est.c_hat < 0.05
 
 
 # ------------------------------------------------------------- end to end
+
+
+def _traced_solves(monkeypatch):
+    """Digests of the inputs (kind, data, grid, config, P) of every solve
+    interaction makes from here on, in call order."""
+    digests = []
+
+    def traced(fn):
+        def wrapper(u0, ut0, grid, config, P=None):
+            h = hashlib.blake2b(digest_size=16)
+            for f in (u0, ut0):
+                h.update(f.tobytes())
+            h.update(repr((fn.__name__, grid, config, P)).encode())
+            digests.append(h.hexdigest())
+            return fn(u0, ut0, grid, config, P=P)
+
+        return wrapper
+
+    for name in ("solve", "solve_response"):
+        monkeypatch.setattr(interaction, name, traced(getattr(interaction, name)))
+    return digests
+
+
+def test_run_experiment_solves_each_input_once(monkeypatch, cfg256):
+    solves = _traced_solves(monkeypatch)
+    run_experiment(
+        cfg256, trials=(cubic_nonlinearity(2.0), cubic_nonlinearity(-1.0)), polarization=True
+    )
+    # 12 nonlinear responses (the base run, P = None, the two-wave pair, the
+    # five other polarization subsets, two scaling rungs, two trials) and
+    # the free field
+    assert len(solves) == 13
+    assert len(set(solves)) == len(solves)
 
 
 def test_run_experiment_reproduces_the_claim(cfg256):
@@ -406,11 +463,13 @@ def test_probe_time_the_run_never_records_rejected(cfg256, resp256):
 
 def test_bands_reject_grids_too_coarse_to_hold_them():
     g128 = grid2d(128, 13.5)
-    with pytest.raises(ValueError, match="coarse"):
+    with pytest.raises(ValueError, match="coarse") as err:
         default_band(g128)
+    assert "explicitly" not in str(err.value)
     g64 = grid2d(64, 13.5)
-    with pytest.raises(ValueError, match="coarse"):
+    with pytest.raises(ValueError, match="coarse") as err:
         amplitude_band(g64)
+    assert "explicitly" not in str(err.value)
 
 
 def test_amplitude_band_tracks_the_grid():
