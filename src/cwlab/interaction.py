@@ -70,6 +70,12 @@ def _omega_angle(omega) -> float:
     return float(np.arctan2(omega[1], omega[0]))
 
 
+def _tangency_distance(angles, frame: CharFrame) -> np.ndarray:
+    """Angular distance from each angle to the nearest plane tangency: each
+    incoming plane touches the light circle at the angle of its direction."""
+    return np.min([_ang_dist(angles, _omega_angle(w)) for w in frame.omegas], axis=0)
+
+
 # Minimum angular distance a probe keeps from each plane tangency angle:
 # inside it the incoming fronts themselves touch the circle and contaminate
 # any cone measurement.
@@ -102,10 +108,6 @@ class ConeProbe:
         """Radial unit vector of the probe point."""
         return np.array([np.cos(self.angle), np.sin(self.angle)])
 
-    def trace_distance(self, frame: CharFrame) -> float:
-        """Angular distance to the nearest plane tangency on the circle."""
-        return min(float(_ang_dist(self.angle, _omega_angle(w))) for w in frame.omegas)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -137,7 +139,7 @@ class ExperimentConfig:
         for probe in self.probes:
             if _time_index(record_times, probe.t_probe) is None:
                 raise ValueError(f"probe time {probe.t_probe} is not recorded in the run's window")
-            if probe.trace_distance(self.frame) < PROBE_EXCLUSION - 1e-12:
+            if _tangency_distance(probe.angle, self.frame) < PROBE_EXCLUSION - 1e-12:
                 raise ValueError(
                     "probe angle is closer than the exclusion angle to a plane tangency"
                 )
@@ -308,36 +310,6 @@ def polarization_isolate(resp: SpaceTimeField, *known: SpaceTimeField) -> SpaceT
     return SpaceTimeField(resp.grid, resp.times.copy(), acc_u, acc_ut, metadata=meta)
 
 
-@dataclass(frozen=True)
-class ConeCircle:
-    """Light circle at one probe time, with plane tangency angles marked."""
-
-    radius: float
-    trace_angles: tuple
-
-    def clear_angles(self, n: int, exclusion: float) -> np.ndarray:
-        """Sample angles keeping the given distance from every tangency."""
-        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        keep = np.ones(n, dtype=bool)
-        for a in self.trace_angles:
-            keep &= _ang_dist(angles, a) >= exclusion
-        return angles[keep]
-
-
-def locate_cone(frame: CharFrame, t_probe: float) -> ConeCircle:
-    """Unit-speed light circle emitted from the triple crossing at the origin.
-
-    Each incoming plane is tangent to the circle at the angle of its
-    direction vector; those arcs are where front and circle measurements
-    overlap and probes should stay away from.
-    """
-    if not t_probe > 0:
-        raise ValueError("t_probe must be positive")
-    return ConeCircle(
-        float(t_probe), tuple(_omega_angle(w) for w in frame.omegas)
-    )
-
-
 def default_band(grid: GridND) -> tuple[float, float]:
     """Fit band for decay-rate estimates: CONE_BAND, top clipped to half
     the grid nyquist so refined grids fit over identical frequencies."""
@@ -418,8 +390,7 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np
     theta = np.arctan2(x2, x1)
     mask = np.abs(np.hypot(x1, x2) - t) <= 4.0 * _square_axis(grid).spacing
     mask &= _ang_dist(theta, probe.angle) <= PROBE_ARC
-    for w in frame.omegas:
-        mask &= _ang_dist(theta, _omega_angle(w)) >= PROBE_EXCLUSION
+    mask &= _tangency_distance(theta, frame) >= PROBE_EXCLUSION
     if not np.any(mask):
         raise ValueError("probe tube contains no grid points")
     mask.flags.writeable = False
@@ -637,8 +608,10 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     grid = fld.grid
     g = _square_axis(grid)
     bp = np.abs(_without_bulk(state, default_band(grid)))
-    cone = locate_cone(_recorded(fld, "frame"), state.t)
-    angles = cone.clear_angles(RIDGE_ANGLES, RIDGE_EXCLUSION)
+    if not state.t > 0:
+        raise ValueError("the light circle has positive radius only for t > 0")
+    angles = np.linspace(0.0, 2.0 * np.pi, RIDGE_ANGLES, endpoint=False)
+    angles = angles[_tangency_distance(angles, _recorded(fld, "frame")) >= RIDGE_EXCLUSION]
     lo, hi = RIDGE_SPAN
     n_r = max(16, int(np.ceil((hi - lo) * state.t / (0.25 * g.spacing))))
     radii = np.linspace(lo * state.t, hi * state.t, n_r)

@@ -18,6 +18,13 @@ integrated from G(2) = 0 with numpy.polynomial on object arrays of
 Fractions, so every coefficient is exact.  The C_j/D_j closed form of G is
 not a construction path; MollifierFamily.verify checks the stored G against
 it.
+
+The soft cutoff psi = (chi * ramp) / mass(chi) has one panel rule,
+_chi_integral: the 24-point Gauss rule of chi(t) g(t) on each panel between
+chi's breaks, summed in panel order.  For psi^(q)(eta) the panels are also
+split at the ramp's kinks eta - N and eta - 2N, so every integrand is smooth
+on its panel, and all eta are integrated in one array quadrature.  chi's mass
+comes from the same rule, which makes the plateau value exactly 1.
 """
 
 from __future__ import annotations
@@ -104,21 +111,29 @@ def k_of_m(m: float) -> int:
     return k
 
 
-def profile_jet(profile: ConormalProfile, k: int) -> np.ndarray:
-    """Derivatives f^(j)(0), j = 0..k, from spectral moments of the profile.
+def _moments(profile: ConormalProfile, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jets f^(j)(0) and their scales, j = 0..k, from spectral moments.
 
-    Uses f^(j)(0) = (1/2pi) * integral (i eta)^j spectrum(eta) d eta on the
-    profile's own frequency lattice, avoiding finite differences of samples.
+    The jet is f^(j)(0) = (1/2pi) * integral (i eta)^j spectrum(eta) d eta on
+    the profile's own frequency lattice; its scale is the same integral of
+    |eta|^j |spectrum(eta)|, the size quadrature noise in the jet is judged
+    against.
     """
-    if k < 0:
-        raise ValueError("jet order must be >= 0")
     spec = profile.spectrum()
     eta = profile.grid.freqs()
     deta = profile.grid.freq_spacing()
-    jets = np.empty(k + 1)
-    for j in range(k + 1):
-        jets[j] = np.real(np.sum((1j * eta) ** j * spec)) * deta / (2.0 * np.pi)
-    return jets
+    j = np.arange(k + 1)[:, None]
+    jets = np.real(np.sum((1j * eta) ** j * spec, axis=1)) * deta / (2.0 * np.pi)
+    scales = np.sum(np.abs(eta) ** j * np.abs(spec), axis=1) * deta / (2.0 * np.pi)
+    return jets, scales
+
+
+def profile_jet(profile: ConormalProfile, k: int) -> np.ndarray:
+    """Derivatives f^(j)(0), j = 0..k, from spectral moments of the profile,
+    avoiding finite differences of samples."""
+    if k < 0:
+        raise ValueError("jet order must be >= 0")
+    return _moments(profile, k)[0]
 
 
 @dataclass
@@ -161,29 +176,20 @@ def piriou_decompose(
             "grid too coarse for the jet matcher: nyquist %.3g <= 2*band_limit"
             % profile.grid.nyquist
         )
-    jets = profile_jet(profile, k)
+    jets, scales = _moments(profile, k)
+    # noise gate: a jet within 64 eps of its moment scale is zero
+    gated = np.where(np.abs(jets) <= 64.0 * _EPS * scales, 0.0, jets)
 
-    # noise gate: compare each jet against the absolute spectral moment scale
-    spec_amp = np.abs(profile.spectrum())
     eta = profile.grid.freqs()
     deta = profile.grid.freq_spacing()
-    gated = jets.copy()
-    for j in range(k + 1):
-        scale = np.sum(np.abs(eta) ** j * spec_amp) * deta / (2.0 * np.pi)
-        if abs(gated[j]) <= 64.0 * _EPS * scale:
-            gated[j] = 0.0
-
-    s = profile.grid.nodes()
     if not np.any(gated):
-        taylor_vals = np.zeros_like(s)
+        taylor_vals = np.zeros_like(profile.values)
     else:
         env = bump_window(eta / band_limit)
-        moments = np.empty((k + 1, k + 1), dtype=complex)
-        for j in range(k + 1):
-            for n in range(k + 1):
-                moments[j, n] = (
-                    np.sum((1j * eta) ** j * eta**n * env) * deta / (2.0 * np.pi)
-                )
+        # moments[j, n] = (1/2pi) sum (i eta)^j eta^n env deta
+        j = np.arange(k + 1)
+        powers = (1j * eta) ** j[:, None, None] * eta ** j[None, :, None]
+        moments = np.sum(powers * env, axis=-1) * deta / (2.0 * np.pi)
         poly = np.linalg.solve(moments, gated.astype(complex))
         t_hat = env * np.polyval(poly[::-1], eta)
         # coefficients alternate real/imaginary, so t_hat is Hermitian
@@ -217,16 +223,9 @@ def profile_power(profile: ConormalProfile, j: int) -> ConormalProfile:
     if profile.order is not None:
         k = k_of_m(profile.order)
         if k > 0:
-            jets = profile_jet(profile, k - 1)
-            spec_amp = np.abs(profile.spectrum())
-            eta = profile.grid.freqs()
-            deta = profile.grid.freq_spacing()
-            for n in range(k):
-                scale = np.sum(np.abs(eta) ** n * spec_amp) * deta / (2.0 * np.pi)
-                if abs(jets[n]) > 1e-6 * scale:
-                    raise ValueError(
-                        "profile does not vanish to order k(m) at 0"
-                    )
+            jets, scales = _moments(profile, k - 1)
+            if np.any(np.abs(jets) > 1e-6 * scales):
+                raise ValueError("profile does not vanish to order k(m) at 0")
         predicted = profile.order - (j - 1) * k
     return ConormalProfile(
         grid=profile.grid, values=profile.values**j, order=predicted
@@ -264,15 +263,6 @@ def _ramp_slope(r: int, amplitude: Fraction) -> np.ndarray:
     return amplitude * P.polymulx(P.polymul(P.polypow(sm1, r, None), P.polypow(sm2, r, None)))
 
 
-@lru_cache(maxsize=64)
-def _float_derivative(poly: tuple[Fraction, ...], q: int) -> np.ndarray:
-    """Float coefficients of the q-th derivative of an exact polynomial,
-    differentiated exactly and rounded once (read-only)."""
-    coef = P.polyder(poly, q).astype(float)
-    coef.flags.writeable = False
-    return coef
-
-
 @dataclass(frozen=True)
 class MollifierFamily:
     """Exact polynomial data of the soft frequency-truncation ramp.
@@ -294,7 +284,7 @@ class MollifierFamily:
         return self.ramp_derivative(0, s, n_cut)
 
     def ramp_derivative(self, q: int, s, n_cut: float) -> np.ndarray:
-        coef = _float_derivative(self.ramp_poly, q)
+        coef = P.polyder(self.ramp_poly, q).astype(float)
         return P.polyval(np.asarray(s, dtype=float) / n_cut, coef) / n_cut**q
 
     def verify(self) -> dict[str, bool]:
@@ -367,14 +357,9 @@ def mollifier_polynomial(r: int) -> MollifierFamily:
     return MollifierFamily(r=r, amplitude=amplitude, c_coeffs=c, d_coeffs=d, ramp_poly=g)
 
 
-_BUMP_MASS = None
-
-
+@lru_cache(maxsize=1)
 def _bump_mass() -> float:
-    global _BUMP_MASS
-    if _BUMP_MASS is None:
-        _BUMP_MASS = quad(lambda u: bump_window(u).item(), -1.0, 1.0, epsabs=1e-14)[0]
-    return _BUMP_MASS
+    return quad(lambda u: bump_window(u).item(), -1.0, 1.0, epsabs=1e-14)[0]
 
 
 def chi_window(s) -> np.ndarray:
@@ -397,7 +382,25 @@ def _smooth_plateau(s):
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_CHI_BREAKS = (-2.0, -1.75, -1.25, -1.0, 1.0, 1.25, 1.75, 2.0)
+_CHI_BREAKS = np.array([-2.0, -1.75, -1.25, -1.0, 1.0, 1.25, 1.75, 2.0])
+
+
+def _chi_integral(g, breaks) -> np.ndarray:
+    """Integral of chi(t) g(t) by the 24-point Gauss rule on each panel
+    between consecutive breaks (last axis), the panels added in order.
+
+    g maps the quadrature nodes, shape breaks.shape[:-1] + (panels, 24), to
+    values of that shape.  An empty panel (a repeated break) adds exactly 0.
+    """
+    a, b = breaks[..., :-1, None], breaks[..., 1:, None]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    t = mid + half * _GAUSS_NODES
+    panels = half[..., 0] * np.sum(_GAUSS_WEIGHTS * chi_window(t) * g(t), axis=-1)
+    # a running sum from 0.0, not np.sum's pairwise order, fixes every bit
+    total = 0.0
+    for panel in np.moveaxis(panels, -1, 0):
+        total = total + panel
+    return total
 
 
 class PsiMollifier:
@@ -415,19 +418,7 @@ class PsiMollifier:
         self.family = mollifier_polynomial(r)
         # normalize by the chi mass under the same panel rule, so the
         # plateau value is exactly 1 (same nodes, same weights)
-        acc = 0.0
-        for a, b in zip(_CHI_BREAKS[:-1], _CHI_BREAKS[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            acc += half * np.sum(_GAUSS_WEIGHTS * chi_window(mid + half * _GAUSS_NODES))
-        self._chi_mass = acc
-
-    def _panels(self, eta: float):
-        pts = set(_CHI_BREAKS)
-        for edge in (eta - self.n_cut, eta - 2.0 * self.n_cut):
-            if -2.0 < edge < 2.0:
-                pts.add(edge)
-        return sorted(pts)
+        self._chi_mass = _chi_integral(lambda t: 1.0, _CHI_BREAKS)
 
     def _ramp_piece(self, s: np.ndarray, q: int) -> np.ndarray:
         """q-th derivative of the soft truncation profile at argument s."""
@@ -440,24 +431,23 @@ class PsiMollifier:
             out[mid] = self.family.ramp_derivative(q, s[mid], self.n_cut)
         return out
 
-    def derivative(self, q: int, eta) -> np.ndarray:
-        """psi^(q)(eta); valid for 0 <= q <= r."""
+    def derivative(self, q: int, eta):
+        """psi^(q)(eta), valid for 0 <= q <= r: an array of eta's shape, or a
+        float for a scalar eta.
+
+        Each eta integrates over chi's panels split at the ramp's kinks
+        eta - N and eta - 2N; a kink outside chi's support [-2, 2] is
+        clipped onto its end and leaves an empty panel.
+        """
         if not 0 <= q <= self.r:
             raise ValueError(f"derivative order must be in [0, {self.r}]")
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        out = np.empty_like(eta)
-        for idx, e in enumerate(eta):
-            acc = 0.0
-            panels = self._panels(e)
-            for a, b in zip(panels[:-1], panels[1:]):
-                half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                t = mid + half * _GAUSS_NODES
-                acc += half * np.sum(
-                    _GAUSS_WEIGHTS * chi_window(t) * self._ramp_piece(e - t, q)
-                )
-            out[idx] = acc / self._chi_mass
-        return out if out.size > 1 else out[0]
+        eta = np.asarray(eta, dtype=float)[..., None]
+        kinks = np.concatenate([eta - self.n_cut, eta - 2.0 * self.n_cut], axis=-1)
+        breaks = np.broadcast_to(_CHI_BREAKS, eta.shape[:-1] + _CHI_BREAKS.shape)
+        breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
+        integral = _chi_integral(lambda t: self._ramp_piece(eta[..., None] - t, q), breaks)
+        out = integral / self._chi_mass
+        return out if out.ndim else float(out)
 
     def __call__(self, eta) -> np.ndarray:
         return self.derivative(0, eta)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cwlab.interaction import (
     default_experiment,
@@ -10,6 +11,11 @@ from cwlab.interaction import (
     polarization_isolate,
 )
 from cwlab.solver import SpaceTimeField
+
+# Property tests draw the same examples on every run, write no example
+# database and have no per-example deadline (timings on a shared host vary).
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from cwlab.interaction import (
     front_order_estimate,
     high_pass,
     linear_field,
-    locate_cone,
     make_three_wave_data,
     nonlinear_response,
     polarization_isolate,
@@ -216,15 +215,10 @@ def test_radial_filters_match_complex_fft_reference():
 # ------------------------------------------------------------- geometry
 
 
-def test_cone_circle_radius_is_probe_time():
-    circle = locate_cone(DEFAULT_FRAME, 0.5)
-    assert circle.radius == 0.5
-
-
-def test_cone_circle_marks_three_tangencies():
-    circle = locate_cone(DEFAULT_FRAME, 1.0)
-    got = sorted(np.rad2deg(a) % 360 for a in circle.trace_angles)
-    assert np.allclose(got, [90.0, 225.0, 315.0], atol=1e-9)
+def test_tangency_distance_vanishes_at_the_three_tangencies():
+    angles = np.deg2rad([90.0, 225.0, 315.0, 157.5])
+    got = np.rad2deg(interaction._tangency_distance(angles, DEFAULT_FRAME))
+    assert np.allclose(got, [0.0, 0.0, 0.0, 67.5], atol=1e-9)
 
 
 def test_crossing_directions():

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma
 
 from cwlab.profiles import (
     ConormalProfile,
     PsiMollifier,
     SymbolSpec,
+    _moments,
     chi_window,
     extremal_profile,
     k_of_m,
@@ -83,6 +87,15 @@ def test_profile_jet_matches_closed_form():
     jets = profile_jet(prof, 1)
     assert abs(jets[0] - symbol_mass(-2.6)) < 1e-3
     assert abs(jets[1]) < 1e-8  # even profile
+
+
+def test_moments_equal_the_per_order_sums_bitwise():
+    prof = synthesize_profile(SymbolSpec(-4.7), GRID)
+    spec, eta, deta = prof.spectrum(), GRID.freqs(), GRID.freq_spacing()
+    jets, scales = _moments(prof, 3)
+    for j in range(4):
+        assert jets[j] == np.real(np.sum((1j * eta) ** j * spec)) * deta / (2.0 * np.pi)
+        assert scales[j] == np.sum(np.abs(eta) ** j * np.abs(spec)) * deta / (2.0 * np.pi)
 
 
 def test_piriou_reconstruction_and_vanishing():
@@ -248,3 +261,68 @@ def test_psi_scaled_derivative_uniformity():
     for q, sups in sup.items():
         ratio = max(sups) / min(sups)
         assert ratio < 1.25, (q, sups)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (0,), (2, 3)])
+def test_psi_keeps_the_shape_of_eta(shape):
+    psi = PsiMollifier(64.0, 2)
+    eta = np.full(shape, 96.0)
+    for q in range(3):
+        got = psi.derivative(q, eta)
+        if shape == ():
+            assert isinstance(got, float)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert np.all(got == psi.derivative(q, 96.0))
+
+
+@pytest.mark.parametrize("n_cut, r", [(64.0, 3), (1024.0, 2)])
+def test_psi_matches_adaptive_quadrature(n_cut, r):
+    # psi^(q)(eta) = integral chi(t) ramp^(q)(eta - t) dt, integrated by
+    # scipy's adaptive rule with chi's breaks and the ramp's kinks as points
+    psi = PsiMollifier(n_cut, r)
+    breaks = [-1.75, -1.25, -1.0, 1.0, 1.25, 1.75]
+    offsets = [-2.5, -1.75, -1.25, -1.0, 0.3, 1.0, 1.25, 1.75, 2.5]
+    eta = [c * n_cut + o for c in (1.0, 2.0) for o in offsets] + [1.5 * n_cut]
+
+    def ramp(q, s):
+        if s <= n_cut:
+            return float(q == 0)
+        if s <= 2.0 * n_cut:
+            return float(psi.family.ramp_derivative(q, s, n_cut))
+        return 0.0
+
+    for q in range(r + 1):
+        ref = []
+        for e in eta:
+            kinks = [k for k in (e - n_cut, e - 2.0 * n_cut) if -2.0 < k < 2.0]
+            ref.append(quad(
+                lambda t: float(chi_window(t)) * ramp(q, e - t), -2.0, 2.0,
+                points=sorted(set(breaks + kinks)), epsabs=1e-11, epsrel=1e-10,
+            )[0])
+        got = psi.derivative(q, np.array(eta))
+        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(got)), q
+
+
+@st.composite
+def psi_cases(draw):
+    n_cut = draw(st.floats(4.0, 1e4, exclude_min=True))
+    r = draw(st.integers(1, 5))
+    return PsiMollifier(n_cut, r), draw(st.integers(0, r))
+
+
+@given(psi_cases(), st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5))
+def test_psi_is_exactly_one_below_and_zero_beyond_its_ramp(case, depths):
+    psi, q = case
+    below = psi.n_cut - 2.0 - np.array(depths)
+    beyond = 2.0 * psi.n_cut + 2.0 + np.array(depths)
+    assert np.all(psi.derivative(q, below) == (1.0 if q == 0 else 0.0))
+    assert np.all(psi.derivative(q, beyond) == 0.0)
+
+
+@given(psi_cases(), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
+def test_psi_array_call_equals_scalar_calls_bitwise(case, sigma):
+    psi, q = case
+    eta = psi.n_cut * np.array(sigma)
+    scalars = np.array([psi.derivative(q, e) for e in eta])
+    assert psi.derivative(q, eta).tobytes() == scalars.tobytes()
