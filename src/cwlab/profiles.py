@@ -20,7 +20,7 @@ not a construction path; MollifierFamily.verify checks the stored G against
 it.
 
 The soft cutoff psi = (chi * ramp) / mass(chi) has one panel rule,
-_chi_integral: the 24-point Gauss rule of chi(t) g(t) on each panel between
+_chi_integral: the 64-point Gauss rule of chi(t) g(t) on each panel between
 chi's breaks, summed in panel order.  For psi^(q)(eta) the panels are also
 split at the ramp's kinks eta - N and eta - 2N, so every integrand is smooth
 on its panel, and all eta are integrated in one array quadrature.  chi's mass
@@ -381,15 +381,15 @@ def _smooth_plateau(s):
     return _smooth_edge(2.0 - np.abs(np.asarray(s, dtype=float)))
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _CHI_BREAKS = np.array([-2.0, -1.75, -1.25, -1.0, 1.0, 1.25, 1.75, 2.0])
 
 
 def _chi_integral(g, breaks) -> np.ndarray:
-    """Integral of chi(t) g(t) by the 24-point Gauss rule on each panel
+    """Integral of chi(t) g(t) by the 64-point Gauss rule on each panel
     between consecutive breaks (last axis), the panels added in order.
 
-    g maps the quadrature nodes, shape breaks.shape[:-1] + (panels, 24), to
+    g maps the quadrature nodes, shape breaks.shape[:-1] + (panels, 64), to
     values of that shape.  An empty panel (a repeated break) adds exactly 0.
     """
     a, b = breaks[..., :-1, None], breaks[..., 1:, None]

@@ -7,15 +7,16 @@ runs in the interaction picture: the free flow u_lin of the data is carried
 exactly, and only w = u - u_lin is kicked, by P(u_lin + w).  P is gated by a
 SourceGate, a separable space-time bump whose space factor is cached per
 grid; steps whose midpoint lies outside its time support are not kicked,
-and each closed stretch is crossed in one exact propagation.  solve_response
-returns w itself, solve returns u_lin + w, and the forced variant with zero
+and each closed stretch is crossed in one exact propagation.  The stepping
+loop computes w alone: solve_response returns it, solve adds the exact free
+flow of the data at the same record times, and the forced variant with zero
 data realizes the forward fundamental solution.
 
 The stepping loop touches only what a kick can read or write (FFT pruning).
 Between records it carries u_lin and w on the dealiased block of the
 spectrum alone: every kick is cut to the block, so nothing outside it is
 ever needed.  P is evaluated only on the box, the index box of the grid
-holding the gate's spatial support (the whole grid for any other coupling),
+holding the gate's spatial support (the whole grid for an ungated coupling),
 so a kick transforms from the block onto the box and back, one axis at a
 time, and never over the whole grid.
 """
@@ -143,16 +144,16 @@ z_cutoff = SourceGate(flat=0.4, edge=0.9)
 class NonlinearitySpec:
     """P(y, u) = cutoff(y) * sum_j coeffs[j] * u^j.
 
-    Coefficients are reals or callables of (t, X1, X2); cutoff is a smooth
-    compactly supported space-time bump (None disables the gate, which is
-    only appropriate for manufactured-solution checks).  A SourceGate cutoff
-    lets the solver skip the source outside its support; any other callable
-    is treated as open at all times.
+    Coefficients are reals or callables of (t, X1, X2); cutoff is a
+    SourceGate, which lets the solver skip the source outside its support,
+    or None, which disables the gate (only appropriate for manufactured
+    solutions and forcings).  Any other space-time factor belongs in a
+    callable coefficient.
     """
 
     degree: int
     coeffs: tuple
-    cutoff: Callable | None = None
+    cutoff: SourceGate | None = None
 
     def __post_init__(self):
         if int(self.degree) != self.degree or self.degree < 3:
@@ -162,14 +163,9 @@ class NonlinearitySpec:
         for a in self.coeffs:
             if not callable(a) and not np.isfinite(a):
                 raise ValueError("coefficients must be finite")
+        if self.cutoff is not None and not isinstance(self.cutoff, SourceGate):
+            raise TypeError("cutoff must be a SourceGate or None")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Open time interval outside which P vanishes identically."""
-        if isinstance(self.cutoff, SourceGate):
-            return self.cutoff.support
-        return -math.inf, math.inf
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         """P at time t for u sampled on the meshes (x1, x2); cutoff_value,
@@ -209,7 +205,6 @@ class SolverConfig:
     dt: float
     t0: float
     t1: float
-    dealias: float = 2.0 / 3.0
     record_stride: int = 1
 
     def __post_init__(self):
@@ -217,8 +212,6 @@ class SolverConfig:
             raise ValueError("need t0 < t1")
         if not 0.0 < self.dt <= (self.t1 - self.t0):
             raise ValueError("dt must be positive and at most the run length")
-        if not 0.0 < self.dealias <= 1.0:
-            raise ValueError("dealias fraction must be in (0, 1]")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
 
@@ -301,6 +294,14 @@ class _Block(NamedTuple):
     k: np.ndarray
 
 
+# Every kick is cut to |kx|, |ky| <= DEALIAS times the Nyquist frequency K
+# (the 2/3 rule of Orszag, J. Atmos. Sci. 28, 1971).  The square of a field
+# on that block then aliases onto no mode strictly inside the cut, its cube
+# only from its band above 4K/3 per axis, and the loop carries the block
+# alone, 4/9 of the spectrum.
+DEALIAS = 2.0 / 3.0
+
+
 @lru_cache(maxsize=32)
 def _block(grid: GridND, fraction: float | None) -> _Block:
     """The dealiased block of grid's spectrum, |kx|, |ky| <= fraction * nyquist;
@@ -342,9 +343,10 @@ def _free_propagator(k, dt: float):
 
 @lru_cache(maxsize=64)
 def _propagator(grid: GridND, fraction: float | None, dt: float):
-    """Step, half-step and record-spacing propagators on a block are reused;
-    a jump across a closed stretch of the gate is computed chunk by chunk
-    for that jump and never cached."""
+    """The loop's step and half-step propagators on the block, and the free
+    flow's record spacing on the whole spectrum, are reused; a jump across a
+    closed stretch of the gate is computed chunk by chunk for that jump and
+    never cached."""
     return _free_propagator(_block(grid, fraction).k, dt)
 
 
@@ -404,12 +406,24 @@ def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=T
         v -= sb
 
 
+def _free_flow(u0, ut0, grid: GridND, step: float, count: int, cached=True):
+    """The exact free flow of the data (u0, ut0) at count + 1 times step
+    apart, the data itself first: one propagation of the whole spectrum
+    per interval (see _propagate for cached)."""
+    _check_grid(grid, u0, ut0)
+    uh, vh = _spectrum(u0), _spectrum(ut0)
+    us, uts = [u0], [ut0]
+    for _ in range(count):
+        _propagate(uh, vh, grid, None, step, cached)
+        us.append(_field(uh, grid.shape[1]))
+        uts.append(_field(vh, grid.shape[1]))
+    return np.asarray(us, dtype=float), np.asarray(uts, dtype=float)
+
+
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
-    _check_grid(grid, u, ut)
-    uh, vh = _spectrum(u), _spectrum(ut)
-    _propagate(uh, vh, grid, None, dt)
-    return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
+    us, uts = _free_flow(u, ut, grid, dt, 1)
+    return us[1], uts[1]
 
 
 def _abs_max(a) -> float:
@@ -417,22 +431,22 @@ def _abs_max(a) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def _whole(grid: GridND):
-    return tuple(slice(0, n) for n in grid.shape)
-
-
 def _nonlinear_source(P: NonlinearitySpec, grid: GridND):
-    """(source, box): source(t, u) returns (p, max |p|), P at time t for u
-    sampled on the index box of grid, raising BlowupError where P overflows.
+    """(source, support, box): source(t, u) returns (p, max |p|), P at time t
+    for u sampled on the index box of grid, raising BlowupError where P
+    overflows; P vanishes identically outside the open time interval support.
 
-    A SourceGate cutoff vanishes outside its spatial support, so the box is
-    the one holding that support and P uses the gate's cached space factor;
-    p is zero off the box.  Any other coupling is evaluated on the whole grid.
+    support is a SourceGate cutoff's time support; the box is the one holding
+    its spatial support, and P uses the gate's cached space factor there, so
+    p is zero off the box.  An ungated coupling is evaluated on the whole grid
+    at all times.
     """
-    gate = P.cutoff if isinstance(P.cutoff, SourceGate) else None
+    gate = P.cutoff
     if gate is None:
-        box, (x1, x2) = _whole(grid), _meshes(grid)
+        support, box = (-math.inf, math.inf), tuple(slice(0, n) for n in grid.shape)
+        x1, x2 = _meshes(grid)
     else:
+        support = gate.support
         box, x1, x2, space = _gate_box(gate, grid)
 
     def source(t, u):
@@ -444,7 +458,7 @@ def _nonlinear_source(P: NonlinearitySpec, grid: GridND):
             raise BlowupError(f"nonlinear term overflowed at t = {t:.6g}")
         return p, peak
 
-    return source, box
+    return source, support, box
 
 
 def energy(u, ut, grid: GridND) -> float:
@@ -462,31 +476,28 @@ def energy(u, ut, grid: GridND) -> float:
         return float(grid.cell_volume * np.sum(ut**2 + ux**2 + uy**2))
 
 
-def _run(data, grid, config, source, support=(-math.inf, math.inf), response=False,
-         box=None):
+def _run(data, grid, config, source=None, support=(-math.inf, math.inf), box=None):
     """Strang splitting in the interaction picture, kicking only where needed.
 
-    The state is the free field u_lin (the exact free flow of data) and
-    w = u - u_lin.  source(t, u) returns the source term on the index box of
-    grid for u sampled there, and its max modulus; source None never kicks.
-    Step i kicks w by dt * source(t_mid, u_lin + w) at its midpoint t_mid
-    when support holds t_mid; elsewhere the source vanishes and the step is
-    free flow.  Free flow is exact for any length, so the state is
-    propagated once per gap between events (kicks and record times): one
-    full step between consecutive kicks, one jump across each closed
-    stretch.
+    Returns the response w = u - u_lin, where u_lin is the exact free flow
+    of data.  source(t, u) returns the source term on the index box of grid
+    for u sampled there, and its max modulus; source None never kicks.  Step
+    i kicks w by dt * source(t_mid, u_lin + w) at its midpoint t_mid when
+    support holds t_mid; elsewhere the source vanishes and the step is free
+    flow.  Free flow is exact for any length, so the state is propagated
+    once per gap between events (kicks and record times): one full step
+    between consecutive kicks, one jump across each closed stretch.
 
-    Between records the loop carries u_lin and w only on the dealiased
-    block of the rfft2 spectrum (see _block): w starts at zero, every kick
-    is cut to the block, and a kick reads u_lin + w only through it, so
-    nothing outside the block is ever needed.  A kick scatters the block
-    onto x1 lines, transforms along x1, keeps the box's x1 rows and
-    transforms along x2 onto the box only; its source, nonzero on the box
-    alone, goes back by a real transform of the box rows along x2, cut to
-    the block's ky columns, and a transform along x1.  Records hold w when
-    response is set, u_lin + w otherwise; w is scattered from the block,
-    and u_lin comes from the whole data spectrum, advanced from record to
-    record.  The t0 record is the data itself (zero for w).
+    The loop carries u_lin and w only on the dealiased block of the rfft2
+    spectrum (see _block): w starts at zero, every kick is cut to the block,
+    and a kick reads u_lin + w only through it, so nothing outside the block
+    is ever needed.  A kick scatters the block onto x1 lines, transforms
+    along x1, keeps the box's x1 rows and transforms along x2 onto the box
+    only; its source, nonzero on the box alone, goes back by a real
+    transform of the box rows along x2, cut to the block's ky columns, and a
+    transform along x1.  Each record after t0 scatters w from the block; the
+    t0 record is the zero response, and so is every record of a run that
+    never kicks.
     """
     _check_grid(grid)
     h = min(g.spacing for g in grid.axes)
@@ -506,18 +517,19 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
     n1, n2 = grid.shape
     u0, ut0 = (np.asarray(f, dtype=float) for f in data)
     _check_grid(grid, u0, ut0)
-    data_spec = (_spectrum(u0), _spectrum(ut0))
-    # u_lin on the whole spectrum, for the records of u_lin + w.
-    lin = None if response else data_spec
+    # Without a kick w stays zero: its records are then one read-only zero,
+    # which takes no memory.
+    shape = (len(records),) + grid.shape
+    us, uts = (np.zeros(shape), np.zeros(shape)) if kicks else (np.broadcast_to(0.0, shape),) * 2
 
     if kicks:
-        blk = _block(grid, config.dealias)
-        nlo, nhi, cols = blk.nlo, blk.nhi, blk.cols
+        nlo, nhi, cols, _ = _block(grid, DEALIAS)
         b1, b2 = box
         # uh[0], vh[0] hold u_lin, uh[1], vh[1] hold w.
         uh = np.zeros((2, cols, nlo + nhi), dtype=complex)
         vh = np.zeros_like(uh)
-        for dst, spec in zip((uh, vh), data_spec):
+        for dst, f in zip((uh, vh), (u0, ut0)):
+            spec = _spectrum(f)
             dst[0, :, :nlo] = spec[:cols, :nlo]
             dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
         lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
@@ -539,39 +551,24 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
         vh[1, :, nlo:] += x[:, n1 - nhi :]
         return peak
 
-    def recorded(i):
-        """Field i (0: u, 1: u_t) at the current record."""
-        spec = lin[i].copy() if lin is not None else np.zeros((n2 // 2 + 1, n1), complex)
-        if kicks:
-            w = (uh, vh)[i][1]
-            spec[:cols, :nlo] += w[:, :nlo]
-            spec[:cols, n1 - nhi :] += w[:, nlo:]
+    def recorded(w):
+        """The field whose spectrum is w, scattered from the block."""
+        spec = np.zeros((n2 // 2 + 1, n1), complex)
+        spec[:cols, :nlo] = w[:, :nlo]
+        spec[:cols, n1 - nhi :] = w[:, nlo:]
         return _field(spec, n2)
 
-    times, us, uts = [], [], []
-    pos = lin_pos = 0
-    jumps, p_max = 0, 0.0
-    for event in sorted(kicks + records):
-        if kicks and event > pos:
-            gap = event - pos
-            _propagate(uh, vh, grid, config.dealias, 0.5 * gap * dt, cached=gap <= 2)
-            jumps += gap > 2
-            pos = event
+    pos, jumps, p_max = 0, 0, 0.0
+    for event in sorted(kicks + records[1:]) if kicks else []:
+        gap = event - pos
+        _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, cached=gap <= 2)
+        jumps += gap > 2
+        pos = event
         if event % 2:
             p_max = max(p_max, kick(config.t0 + (event // 2) * dt + 0.5 * dt))
-            continue
-        if event == 0:
-            u, ut = (u0, ut0) if lin is not None else (np.zeros(grid.shape),) * 2
         else:
-            if lin is not None:
-                gap = event - lin_pos
-                _propagate(*lin, grid, None, 0.5 * gap * dt, cached=gap <= 2 or len(records) > 2)
-                jumps += gap > 2
-                lin_pos = event
-            u, ut = recorded(0), recorded(1)
-        times.append(config.t0 + (event // 2) * dt)
-        us.append(u)
-        uts.append(ut)
+            j = event // (2 * stride)
+            us[j], uts[j] = recorded(uh[1]), recorded(vh[1])
 
     stats = {
         "steps": n_steps,
@@ -585,37 +582,28 @@ def _run(data, grid, config, source, support=(-math.inf, math.inf), response=Fal
     }
     return SpaceTimeField(
         grid=grid,
-        times=np.asarray(times),
-        u=np.asarray(us),
-        ut=np.asarray(uts),
+        times=config.t0 + np.arange(0, n_steps + 1, stride) * dt,
+        u=us,
+        ut=uts,
         metadata={"dt": dt, "t0": config.t0, "t1": config.t1,
-                  "dealias": config.dealias, "record_stride": stride, "stats": stats},
+                  "record_stride": stride, "stats": stats},
     )
-
-
-def _solve_gated(u0, ut0, grid, config, P, response):
-    if P is None:
-        return _run((u0, ut0), grid, config, None, response=response)
-    opens = P.support[0]
-    if math.isfinite(opens) and config.t0 > opens:
-        # The data must be a free wave: the gate may not have opened yet.
-        raise ValueError(f"source gate is open at t0 = {config.t0}; start at or before {opens}")
-    source, box = _nonlinear_source(P, grid)
-    out = _run((u0, ut0), grid, config, source, P.support, response, box)
-    out.metadata["degree"] = P.degree
-    out.metadata["coeffs"] = tuple(a if not callable(a) else "callable" for a in P.coeffs)
-    return out
 
 
 def solve(u0, ut0, grid: GridND, config: SolverConfig,
           P: NonlinearitySpec | None = None) -> SpaceTimeField:
     """Integrate u_tt = Lap u + P(y, u) from (u0, ut0) at t0 up to t1.
 
-    Records u = u_lin + w, the free flow of the data plus the response
-    (see solve_response); with P None that is the exact free flow, reached
-    without time steps.
+    Records u = u_lin + w: the exact free flow u_lin of the data at the
+    record times of the response w (see solve_response), plus w.  With P
+    None, u is the free flow alone, reached without time steps.
     """
-    return _solve_gated(u0, ut0, grid, config, P, response=False)
+    out = solve_response(u0, ut0, grid, config, P)
+    step, count = out.metadata["record_stride"] * out.metadata["dt"], out.times.size - 1
+    # One record interval is a one-off jump: its propagator is not cached.
+    u, ut = _free_flow(u0, ut0, grid, step, count, cached=count > 1)
+    out.u, out.ut = (u, ut) if P is None else (u + out.u, ut + out.ut)
+    return out
 
 
 def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
@@ -624,16 +612,26 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
 
     w solves w_tt = Lap w + P(y, u_lin + w) from zero data, with u_lin the
     exact free flow of the data (integrating-factor, or Lawson, form of the
-    splitting in solve).  Only steps whose midpoint lies in P's gate support
-    are kicked, so a gated P costs a kick only while the gate is open; the
+    splitting).  Only steps whose midpoint lies in P's gate support are
+    kicked, so a gated P costs a kick only while the gate is open; the
     response is the same as solve(P) - solve(None) without the cancellation
-    of the O(eps) free waves.  metadata["stats"] records steps, kicks applied
-    and skipped, exact jumps (free flows longer than one step), max |P|,
-    dt_margin (dt over the step bound h/pi), and the shapes of the spectral
-    block the loop carried and of the box P was evaluated on ((0, 0) each
-    when no step was kicked).
+    of the O(eps) free waves.  A run that never kicks (P None, or a gate
+    that never opens) returns read-only zero records.  metadata["stats"]
+    records steps, kicks applied and skipped, exact jumps (free flows longer
+    than one step), max |P|, dt_margin (dt over the step bound h/pi), and
+    the shapes of the spectral block the loop carried and of the box P was
+    evaluated on ((0, 0) each when no step was kicked).
     """
-    return _solve_gated(u0, ut0, grid, config, P, response=True)
+    if P is None:
+        return _run((u0, ut0), grid, config)
+    source, support, box = _nonlinear_source(P, grid)
+    if -math.inf < support[0] < config.t0:
+        # The data must be a free wave: the gate may not have opened yet.
+        raise ValueError(f"source gate is open at t0 = {config.t0}; start at or before {support[0]}")
+    out = _run((u0, ut0), grid, config, source, support, box)
+    out.metadata["degree"] = P.degree
+    out.metadata["coeffs"] = tuple(a if not callable(a) else "callable" for a in P.coeffs)
+    return out
 
 
 def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> SpaceTimeField:

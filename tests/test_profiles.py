@@ -301,7 +301,7 @@ def test_psi_matches_adaptive_quadrature(n_cut, r):
                 points=sorted(set(breaks + kinks)), epsabs=1e-11, epsrel=1e-10,
             )[0])
         got = psi.derivative(q, np.array(eta))
-        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(got)), q
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(got)), q
 
 
 @st.composite

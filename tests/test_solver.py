@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cwlab import solver
 from cwlab.solver import (
     BlowupError,
     CharFrame,
@@ -292,18 +293,45 @@ def test_gate_that_never_opens_is_free_flow():
     assert np.max(np.abs(out.ut[-1] - ut1)) < 1e-12 * np.max(np.abs(u0))
 
 
+# The default gate of cubic_nonlinearity(5.0) as a factor of an ungated
+# coefficient, which the solver evaluates on the whole grid at every step.
+_OPAQUE_GATE = NonlinearitySpec(3, (0, 0, 0, lambda t, X1, X2: 5.0 * z_cutoff(t, X1, X2)))
+
+
 def test_generic_cutoff_kicks_on_every_step():
-    # the same gate behind a plain callable: every step kicks, and the
-    # kicks outside the gate's support add exactly nothing
+    # the same gate as a factor of an ungated coefficient: every step kicks,
+    # and the kicks outside the gate's support add exactly nothing
     grid = grid2d(64, L)
     u0 = _pulse(grid)
     cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=20)
     gated = solve(u0, np.zeros(grid.shape), grid, cfg, P=cubic_nonlinearity(5.0))
-    opaque = cubic_nonlinearity(5.0, cutoff=lambda t, X1, X2: z_cutoff(t, X1, X2))
-    every = solve(u0, np.zeros(grid.shape), grid, cfg, P=opaque)
+    every = solve(u0, np.zeros(grid.shape), grid, cfg, P=_OPAQUE_GATE)
     assert every.metadata["stats"]["kicks_applied"] == 60
     assert gated.metadata["stats"]["kicks_applied"] == 50  # t_mid > -0.9 from i = 10
     assert np.max(np.abs(every.u - gated.u)) < 1e-12 * np.max(np.abs(gated.u))
+
+
+def test_cutoff_is_a_source_gate_or_none():
+    with pytest.raises(TypeError, match="SourceGate"):
+        NonlinearitySpec(3, (0.0, 0.0, 0.0, 1.0), lambda t, X1, X2: z_cutoff(t, X1, X2))
+    assert NonlinearitySpec(3, (0.0, 0.0, 0.0, 1.0), z_cutoff).cutoff is z_cutoff
+
+
+@pytest.mark.parametrize("P, entries", [(None, 1), (cubic_nonlinearity(5.0), 3)])
+def test_free_flow_keeps_one_cached_propagator(P, entries):
+    # the free flow reuses one whole-spectrum propagator over every record
+    # interval; a gated solve adds only the loop's step and half step
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=1)
+    solver._propagator.cache_clear()
+    out = solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
+    assert out.times.size == 61
+    assert solver._propagator.cache_info().currsize <= entries
+
+
+# The fraction of each axis's Nyquist frequency a kick keeps (the 2/3 rule).
+CUT = 2.0 / 3.0
 
 
 def lawson_reference(u0, ut0, grid, cfg, P, response):
@@ -315,7 +343,7 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
     g = grid.axes[0]
     kx, ky = g.freqs()[:, None], np.abs(g.freqs()[None, : g.points // 2 + 1])
     k = np.hypot(kx, ky)
-    mask = (np.abs(kx) <= cfg.dealias * g.nyquist) & (ky <= cfg.dealias * g.nyquist)
+    mask = (np.abs(kx) <= CUT * g.nyquist) & (ky <= CUT * g.nyquist)
     c, s = np.cos(0.5 * k * dt), np.sin(0.5 * k * dt)
     sinc = np.where(k > 0, s / np.where(k > 0, k, 1.0), 0.5 * dt)
     x1, x2 = meshes(grid)
@@ -339,26 +367,21 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
     return np.array(us), np.array(uts)
 
 
-_OPAQUE_GATE = cubic_nonlinearity(5.0, cutoff=lambda t, X1, X2: z_cutoff(t, X1, X2))
-
-
 @pytest.mark.parametrize("points", [64, 128])
 @pytest.mark.parametrize(
-    "case, P, dealias, stride, response",
+    "case, P, stride, response",
     [
-        ("gated response", cubic_nonlinearity(5.0), 2.0 / 3.0, 10**6, True),
-        ("plain-callable cutoff", _OPAQUE_GATE, 2.0 / 3.0, 10**6, True),
-        ("undealiased", cubic_nonlinearity(5.0), 1.0, 10**6, True),
-        ("solve, every step recorded", cubic_nonlinearity(5.0), 2.0 / 3.0, 1, False),
+        ("gated response", cubic_nonlinearity(5.0), 10**6, True),
+        ("gate in the coefficient", _OPAQUE_GATE, 10**6, True),
+        ("solve, every step recorded", cubic_nonlinearity(5.0), 1, False),
     ],
 )
-def test_pruned_loop_matches_full_grid_stepper(points, case, P, dealias, stride, response):
+def test_pruned_loop_matches_full_grid_stepper(points, case, P, stride, response):
     grid = grid2d(points, L)
     h = grid.axes[0].spacing
     u0 = _pulse(grid)
     ut0 = 0.5 * np.roll(u0, points // 16, axis=1)  # no mirror symmetry
-    cfg = SolverConfig(dt=0.9 * h / np.pi, t0=-1.2, t1=0.6, dealias=dealias,
-                       record_stride=stride)
+    cfg = SolverConfig(dt=0.9 * h / np.pi, t0=-1.2, t1=0.6, record_stride=stride)
     n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     cfg = replace(cfg, dt=(cfg.t1 - cfg.t0) / n, record_stride=min(stride, n))
     out = (solve_response if response else solve)(u0, ut0, grid, cfg, P=P)
@@ -369,7 +392,7 @@ def test_pruned_loop_matches_full_grid_stepper(points, case, P, dealias, stride,
 
     stats = out.metadata["stats"]
     kx, ky = grid.axes[0].freqs(), 2.0 * np.pi * np.fft.rfftfreq(points, d=h)
-    cut = dealias * grid.axes[0].nyquist
+    cut = CUT * grid.axes[0].nyquist
     assert stats["block"] == (np.count_nonzero(np.abs(kx) <= cut), np.count_nonzero(ky <= cut))
     inside = np.count_nonzero(np.abs(grid.axes[0].nodes()) < z_cutoff.edge)
     assert stats["box"] == ((points, points) if P is _OPAQUE_GATE else (inside, inside))
