@@ -71,11 +71,6 @@ class BealsWeight:
         ]
         return BealsWeight(self.s, *ks)
 
-    def permuted(self, perm: Sequence[int]) -> "BealsWeight":
-        """Weight with the k-exponents permuted to follow permuted axes."""
-        ks = (self.k1, self.k2, self.k3)
-        return BealsWeight(self.s, ks[perm[0]], ks[perm[1]], ks[perm[2]])
-
 
 def _weighted_power(spec: np.ndarray, grid: GridND, weight: BealsWeight) -> np.ndarray:
     """|spec|^2 times the squared weight, built without 3D temporaries
@@ -140,7 +135,6 @@ class MembershipScan:
     norms: np.ndarray
     growth_exponent: float
     verdict: str
-    inconclusive: bool
 
 
 def membership_scan(
@@ -171,9 +165,7 @@ def membership_scan(
     if np.any(norms <= 0.0):
         raise ValueError("vanishing norm in scan; field is empty under the cutoff")
     growth = float(np.polyfit(np.log(res), 2.0 * np.log(norms), 1)[0])
-    ratios = norms[1:] / norms[:-1]
-    inconclusive = bool(np.any(ratios < 0.5))
-    if inconclusive:
+    if np.any(norms[1:] / norms[:-1] < 0.5):
         verdict = "inconclusive"
     elif growth > GROWTH_THRESHOLD:
         verdict = "non-member"
@@ -185,7 +177,6 @@ def membership_scan(
         norms=norms,
         growth_exponent=growth,
         verdict=verdict,
-        inconclusive=inconclusive,
     )
 
 

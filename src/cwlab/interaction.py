@@ -134,8 +134,7 @@ class ExperimentConfig:
         object.__setattr__(self, "probes", tuple(self.probes))
         if not self.probes:
             raise ValueError("config carries no probe")
-        n_steps, stride, dt = self.solver.lattice()
-        record_times = self.solver.t0 + np.arange(0, n_steps + 1, stride) * dt
+        record_times = self.solver.record_times()
         for probe in self.probes:
             if _time_index(record_times, probe.t_probe) is None:
                 raise ValueError(f"probe time {probe.t_probe} is not recorded in the run's window")
@@ -271,15 +270,15 @@ def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     eps, (u0, ut0) = _data_for(config, eps)
     out = solve_response(u0, ut0, config.grid, config.solver, P=config.P)
     out.u.flags.writeable = out.ut.flags.writeable = False
-    out.metadata.update(config=config, frame=config.frame, eps=eps, kind="nonlinear_response")
+    out.metadata.update(config=config, frame=config.frame, eps=eps)
     return out
 
 
 def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
-    """Free evolution of the same data (the control field for front probes)."""
+    """Free evolution of the same data, at the run's record times."""
     eps, (u0, ut0) = _data_for(config, eps)
     out = solve(u0, ut0, config.grid, config.solver, P=None)
-    out.metadata.update({"frame": config.frame, "eps": eps, "kind": "linear"})
+    out.metadata.update(frame=config.frame, eps=eps)
     return out
 
 
@@ -306,7 +305,7 @@ def polarization_isolate(resp: SpaceTimeField, *known: SpaceTimeField) -> SpaceT
             sol = held[sub] if sub in held else nonlinear_response(config, sub)
             acc_u += sign * sol.u
             acc_ut += sign * sol.ut
-    meta = {"frame": config.frame, "eps": eps, "kind": "polarization"}
+    meta = {"frame": config.frame, "eps": eps}
     return SpaceTimeField(resp.grid, resp.times.copy(), acc_u, acc_ut, metadata=meta)
 
 
@@ -520,14 +519,7 @@ def _slice_fit(profile, band) -> DecayFit:
             slope, flags = -np.inf, {"superpolynomial", "noise_floor", "inconclusive"}
         else:
             slope, flags = np.nan, {"insufficient_bins", "inconclusive"}
-        return DecayFit(
-            slope=slope,
-            intercept=np.nan,
-            rms_residual=np.nan,
-            n_bins=0,
-            band=err.band,
-            flags=frozenset(flags),
-        )
+        return DecayFit(slope=slope, n_bins=0, band=err.band, flags=frozenset(flags))
 
 
 def cone_order_estimate(
@@ -786,14 +778,22 @@ def run_experiment(
     step size), so the polarized slope is an independent reading with its
     own scatter, not the plain slope minus noise; expect it to sit
     shallower at a single probe angle.
+
+    The incoming-front control is read on the data itself, the free field
+    at t0, so it needs no solve.  null_energies["p_zero_peak"] is 0 by
+    construction, not a measurement: with P None the solver never kicks and
+    returns a zero response without stepping.  The linearity null proper,
+    a zero coupling that is kicked and still gives the free flow, is
+    test_zero_nonlinearity_matches_linear in tests/test_solver.py.
     """
     probe = config.probes[0]
+    t0 = config.solver.t0
 
     resp = nonlinear_response(config)
     cone_fit = cone_order_estimate(resp, probe)
-    incoming_fit = front_order_estimate(
-        linear_field(config), config.frame.omegas[0], t=config.solver.t0
-    )
+    _, (u0, ut0) = _data_for(config, None)
+    data = SpaceTimeField(config.grid, np.array([t0]), u0[None], ut0[None])
+    incoming_fit = front_order_estimate(data, config.frame.omegas[0], t=t0)
     amp = cone_amplitude(resp, probe)
 
     nulls = {"p_zero_peak": float(np.max(np.abs(nonlinear_response(replace(config, P=None)).u)))}

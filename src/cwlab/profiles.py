@@ -65,7 +65,6 @@ class ConormalProfile:
     grid: Grid1D
     values: np.ndarray
     order: float | None = None
-    truncation_tail: float | None = None
 
     def spectrum(self) -> np.ndarray:
         return dft_forward(self.values, self.grid)
@@ -80,8 +79,7 @@ def synthesize_profile(
 
     ``symbol`` is a :class:`SymbolSpec` or any vectorized callable of eta.
     Frequencies beyond ``cutoff`` (default: the grid Nyquist pi/h) are
-    dropped; for a SymbolSpec of order m the continuum truncation tail
-    2*cutoff^(m+1)/(-m-1) is recorded on the returned profile.
+    dropped.
     """
     if cutoff is None:
         cutoff = grid.nyquist
@@ -93,11 +91,7 @@ def synthesize_profile(
     # trapezoid on the DFT lattice: the single -Nyquist bin carries the same
     # weight as two half-weighted endpoints of a symmetric symbol
     vals = np.real(dft_inverse(2.0 * np.pi * a, grid))
-    order = getattr(symbol, "order", None)
-    tail = None
-    if order is not None:
-        tail = 2.0 * cutoff ** (order + 1.0) / (-order - 1.0)
-    return ConormalProfile(grid=grid, values=vals, order=order, truncation_tail=tail)
+    return ConormalProfile(grid=grid, values=vals, order=getattr(symbol, "order", None))
 
 
 def k_of_m(m: float) -> int:
@@ -142,10 +136,8 @@ class PiriouSplit:
 
     k: int
     coefficients: np.ndarray
-    band_limit: float
     taylor: ConormalProfile
     singular: ConormalProfile
-    jets: np.ndarray
 
 
 def piriou_decompose(
@@ -199,12 +191,10 @@ def piriou_decompose(
     return PiriouSplit(
         k=k,
         coefficients=q,
-        band_limit=band_limit,
         taylor=ConormalProfile(grid=profile.grid, values=taylor_vals, order=None),
         singular=ConormalProfile(
             grid=profile.grid, values=singular_vals, order=profile.order
         ),
-        jets=jets,
     )
 
 
@@ -279,9 +269,6 @@ class MollifierFamily:
     c_coeffs: tuple[Fraction, ...]
     d_coeffs: tuple[Fraction, ...]
     ramp_poly: tuple[Fraction, ...]
-
-    def ramp(self, s, n_cut: float) -> np.ndarray:
-        return self.ramp_derivative(0, s, n_cut)
 
     def ramp_derivative(self, q: int, s, n_cut: float) -> np.ndarray:
         coef = P.polyder(self.ramp_poly, q).astype(float)
@@ -448,6 +435,3 @@ class PsiMollifier:
         integral = _chi_integral(lambda t: self._ramp_piece(eta[..., None] - t, q), breaks)
         out = integral / self._chi_mass
         return out if out.ndim else float(out)
-
-    def __call__(self, eta) -> np.ndarray:
-        return self.derivative(0, eta)

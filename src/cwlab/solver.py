@@ -92,16 +92,6 @@ class CharFrame:
         om = np.asarray(self.omegas, dtype=float)
         return np.column_stack([np.ones(3), -om])
 
-    def char_coords(self, t, x1, x2) -> list[np.ndarray]:
-        """Evaluate y_j = t - x . omega_j with broadcasting."""
-        om = np.asarray(self.omegas, dtype=float)
-        return [np.asarray(t - x1 * om[j, 0] - x2 * om[j, 1]) for j in range(3)]
-
-    def spacetime_coords(self, y: np.ndarray) -> np.ndarray:
-        """Inverse chart: y (..., 3) back to (t, x1, x2)."""
-        inv = np.linalg.inv(self.map)
-        return np.asarray(y) @ inv.T
-
 
 @dataclass(frozen=True)
 class SourceGate:
@@ -222,6 +212,11 @@ class SolverConfig:
         stride = min(int(self.record_stride), n_steps)
         n_steps = stride * max(1, round(n_steps / stride))
         return n_steps, stride, (self.t1 - self.t0) / n_steps
+
+    def record_times(self) -> np.ndarray:
+        """The times a run records: every stride-th step of the lattice."""
+        n_steps, stride, dt = self.lattice()
+        return self.t0 + np.arange(0, n_steps + 1, stride) * dt
 
 
 @dataclass(frozen=True)
@@ -582,7 +577,7 @@ def _run(data, grid, config, source=None, support=(-math.inf, math.inf), box=Non
     }
     return SpaceTimeField(
         grid=grid,
-        times=config.t0 + np.arange(0, n_steps + 1, stride) * dt,
+        times=config.record_times(),
         u=us,
         ut=uts,
         metadata={"dt": dt, "t0": config.t0, "t1": config.t1,

@@ -92,9 +92,6 @@ class GridND:
     def meshes(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.nodes(), indexing="ij"))
 
-    def freq_meshes(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*[g.freqs() for g in self.axes], indexing="ij"))
-
 
 def grid3d(points: int, extent: float, start: float | None = None) -> GridND:
     g = Grid1D(points, extent, start)
@@ -124,15 +121,6 @@ def dft_forward_nd(samples: np.ndarray, grid: GridND) -> np.ndarray:
         shape[ax] = g.points
         out = out * np.exp(-1j * g.start * g.freqs()).reshape(shape)
     return out
-
-
-def dft_inverse_nd(spectrum: np.ndarray, grid: GridND) -> np.ndarray:
-    out = np.asarray(spectrum).copy()
-    for ax, g in enumerate(grid.axes):
-        shape = [1] * grid.ndim
-        shape[ax] = g.points
-        out = out * np.exp(1j * g.start * g.freqs()).reshape(shape)
-    return np.fft.ifftn(out) / grid.cell_volume
 
 
 def bump_window(s):
@@ -174,13 +162,9 @@ class DecayFit:
     """Least-squares power-law fit of a spectrum's high-frequency tail."""
 
     slope: float
-    intercept: float
-    rms_residual: float
     n_bins: int
     band: tuple[float, float]
     flags: frozenset[str] = field(default_factory=frozenset)
-    eta: np.ndarray | None = None
-    amplitude: np.ndarray | None = None
 
     @property
     def superpolynomial(self) -> bool:
@@ -246,22 +230,11 @@ def decay_exponent(
     x = np.log(eta[usable])
     y = np.log(amp[usable])
     design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
+    slope = float(np.linalg.lstsq(design, y, rcond=None)[0][0])
     if slope < _SUPERPOLY_SLOPE:
         flags.add("superpolynomial")
-    return DecayFit(
-        slope=slope,
-        intercept=intercept,
-        rms_residual=rms,
-        n_bins=n_usable,
-        band=(float(lo), float(hi)),
-        flags=frozenset(flags),
-        eta=eta[usable].copy(),
-        amplitude=amp[usable].copy(),
-    )
+    band = (float(lo), float(hi))
+    return DecayFit(slope=slope, n_bins=n_usable, band=band, flags=frozenset(flags))
 
 
 def trig_modes(values: np.ndarray) -> np.ndarray:
@@ -311,8 +284,6 @@ class SliceProfile:
     grid: Grid1D
     values: np.ndarray
     window: np.ndarray
-    center: tuple[float, ...]
-    direction: tuple[float, ...]
 
     @property
     def windowed(self) -> np.ndarray:
@@ -355,11 +326,4 @@ def windowed_slice(
     s = sgrid.nodes()
     pts = center[None, :] + s[:, None] * direction[None, :]
     vals = evaluate_trig(values, grid, pts)
-    win = bump_window(s / window_width)
-    return SliceProfile(
-        grid=sgrid,
-        values=vals,
-        window=win,
-        center=tuple(center),
-        direction=tuple(direction),
-    )
+    return SliceProfile(sgrid, vals, bump_window(s / window_width))

@@ -50,8 +50,6 @@ def data512(cfg512):
     u0, ut0 = make_three_wave_data(
         cfg512.frame, cfg512.m, (cfg512.eps,) * 3, cfg512.grid, t0
     )
-    fld = SpaceTimeField(
-        cfg512.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1)
-    )
+    fld = SpaceTimeField(cfg512.grid, np.array([t0]), u0[None], ut0[None])
     fld.metadata["frame"] = cfg512.frame
     return fld

@@ -107,10 +107,12 @@ def test_permutation_equivariance():
         * factors[2][None, None, :]
     )
     w = BealsWeight(0.7, 1.3, 0.4, 2.1)
+    ks = (w.k1, w.k2, w.k3)
     base = beals_norm(vals, grid, w)
     for perm in [(1, 2, 0), (2, 1, 0), (0, 2, 1)]:
         permuted_vals = np.transpose(vals, perm)
-        got = beals_norm(permuted_vals, grid, w.permuted(perm))
+        # the k exponents follow the permuted axes
+        got = beals_norm(permuted_vals, grid, BealsWeight(w.s, *(ks[i] for i in perm)))
         assert abs(got - base) <= 1e-12 * base
 
 
@@ -144,7 +146,6 @@ def test_membership_flip_across_borderline_weight():
     )
     assert non.verdict == "non-member"
     assert non.growth_exponent > 0.25
-    assert not member.inconclusive and not non.inconclusive
     assert member.resolutions == ladder
     assert len(member.norms) == len(ladder)
 
@@ -169,7 +170,6 @@ def test_scan_flags_wildly_oscillating_norms():
         broken, BealsWeight(0.0, 1.0, 0.0, 0.0), (32, 64, 128),
         cutoff=separable_cutoff,
     )
-    assert scan.inconclusive
     assert scan.verdict == "inconclusive"
 
 

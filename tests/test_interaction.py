@@ -199,7 +199,8 @@ def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
 def test_radial_filters_match_complex_fft_reference():
     grid = grid2d(128, 13.5)
     u = np.random.default_rng(7).normal(size=grid.shape)
-    rho = np.hypot(*grid.freq_meshes())
+    k = grid.axes[0].freqs()
+    rho = np.hypot(k[:, None], k[None, :])
 
     def reference(mask):
         return np.real(np.fft.ifft2(np.fft.fft2(u) * mask))
@@ -282,7 +283,7 @@ def test_front_fit_with_too_few_bins_is_no_measurement(cfg256):
     # the 64-point slice of half-length 1.2 puts 5 bins in (16, 29.8)
     t0 = cfg256.solver.t0
     u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
-    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1))
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
     fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0, half_length=1.2)
     assert np.isnan(fit.slope)
     assert "insufficient_bins" in fit.flags
@@ -295,7 +296,7 @@ def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
     # so the 1.2 floor stands
     t0 = cfg256.solver.t0
     u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
-    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None], np.zeros(1))
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
     fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0)
     assert fit.n_bins >= 6 and not fit.flags
     assert abs(fit.slope - M) < 0.15
@@ -369,8 +370,9 @@ def test_quartic_coupling_recovers_no_cubic_coefficient(cfg256):
 
 
 def _traced_solves(monkeypatch):
-    """Digests of the inputs (kind, data, grid, config, P) of every solve
-    interaction makes from here on, in call order."""
+    """(solve name, input digest) of every solve interaction makes from
+    here on, in call order; the digest covers the name, data, grid, config
+    and P."""
     digests = []
 
     def traced(fn):
@@ -379,7 +381,7 @@ def _traced_solves(monkeypatch):
             for f in (u0, ut0):
                 h.update(f.tobytes())
             h.update(repr((fn.__name__, grid, config, P)).encode())
-            digests.append(h.hexdigest())
+            digests.append((fn.__name__, h.hexdigest()))
             return fn(u0, ut0, grid, config, P=P)
 
         return wrapper
@@ -394,11 +396,12 @@ def test_run_experiment_solves_each_input_once(monkeypatch, cfg256):
     run_experiment(
         cfg256, trials=(cubic_nonlinearity(2.0), cubic_nonlinearity(-1.0)), polarization=True
     )
-    # 12 nonlinear responses (the base run, P = None, the two-wave pair, the
-    # five other polarization subsets, two scaling rungs, two trials) and
-    # the free field
-    assert len(solves) == 13
+    # 12 nonlinear responses: the base run, P = None, the two-wave pair, the
+    # five other polarization subsets, two scaling rungs and two trials; the
+    # incoming-front fit reads the data itself
+    assert len(solves) == 12
     assert len(set(solves)) == len(solves)
+    assert {name for name, _ in solves} == {"solve_response"}
 
 
 def test_run_experiment_reproduces_the_claim(cfg256):
@@ -445,6 +448,7 @@ def test_probe_time_the_run_never_records_rejected(cfg256, resp256):
     n_steps, stride, dt = cfg256.solver.lattice()
     assert n_steps == stride == resp256.metadata["stats"]["steps"]
     assert dt == resp256.metadata["dt"]
+    assert np.array_equal(resp256.times, cfg256.solver.record_times())
     with pytest.raises(ValueError, match="window"):
         replace(cfg256, probes=(ConeProbe(t_probe=2.0, angle=np.deg2rad(157.5)),))
     # recording every step, a step time is accepted and a half step is not

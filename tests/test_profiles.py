@@ -67,12 +67,6 @@ def test_profile_slope_stable_under_refinement():
     assert abs(fits[0] - fits[1]) < 0.05
 
 
-def test_truncation_tail_recorded():
-    prof = synthesize_profile(SymbolSpec(-3.0), GRID)
-    lam = GRID.nyquist
-    assert np.isclose(prof.truncation_tail, 2.0 * lam**-2.0 / 2.0)
-
-
 def test_k_of_m():
     assert k_of_m(-2.6) == 1
     assert k_of_m(-1.5) == 0
@@ -226,8 +220,8 @@ def test_mollifier_validation():
 def test_ramp_endpoint_values():
     fam = mollifier_polynomial(3)
     n = 40.0
-    assert abs(fam.ramp(n, n) - 1.0) < 1e-12
-    assert abs(fam.ramp(2 * n, n)) < 1e-12
+    assert abs(fam.ramp_derivative(0, n, n) - 1.0) < 1e-12
+    assert abs(fam.ramp_derivative(0, 2 * n, n)) < 1e-12
 
 
 def test_chi_window_properties():
@@ -242,10 +236,10 @@ def test_chi_window_properties():
 
 def test_psi_plateau_and_support():
     psi = PsiMollifier(64.0, 2)
-    assert abs(psi(60.0) - 1.0) < 1e-9  # below N-2
-    assert abs(psi(62.0) - 1.0) < 1e-9
-    assert abs(psi(131.0)) < 1e-9  # above 2N+2
-    mid = psi(96.0)
+    assert abs(psi.derivative(0, 60.0) - 1.0) < 1e-9  # below N-2
+    assert abs(psi.derivative(0, 62.0) - 1.0) < 1e-9
+    assert abs(psi.derivative(0, 131.0)) < 1e-9  # above 2N+2
+    mid = psi.derivative(0, 96.0)
     assert 0.0 < mid < 1.0
 
 

@@ -48,13 +48,6 @@ def test_char_frame_accepts_experiment_directions():
     s = 1.0 / np.sqrt(2.0)
     fr = CharFrame(((0.0, 1.0), (-s, -s), (s, -s)))
     assert abs(np.linalg.det(fr.map)) > 0.1
-    # map rows really compute t - x . omega
-    y = fr.char_coords(0.3, 0.2, -0.5)
-    assert np.isclose(y[0], 0.3 + 0.5)
-    # round trip through the inverse chart
-    pt = np.array([y[0], y[1], y[2]])
-    txx = fr.spacetime_coords(pt)
-    assert np.allclose(txx, [0.3, 0.2, -0.5], atol=1e-12)
 
 
 def test_char_frame_rejects_bad_directions():

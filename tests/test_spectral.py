@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cwlab.spectral import (
     Grid1D,
@@ -10,7 +12,6 @@ from cwlab.spectral import (
     dft_forward,
     dft_forward_nd,
     dft_inverse,
-    dft_inverse_nd,
     evaluate_trig,
     plateau_window,
     trig_line,
@@ -31,23 +32,40 @@ def test_grid_validation():
     assert np.isclose(g.nyquist, np.pi / g.spacing)
 
 
-def test_round_trip():
-    g = Grid1D(256, 5.0)
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(g.points)
+@st.composite
+def grids_and_samples(draw):
+    """A grid of 4..1024 points with any extent and start, and standard
+    normal samples on it."""
+    g = Grid1D(
+        2 ** draw(st.integers(2, 10)),
+        draw(st.floats(0.5, 20.0)),
+        draw(st.floats(-10.0, 10.0)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, rng.standard_normal(g.points)
+
+
+@given(grids_and_samples(), st.data())
+def test_round_trip(case, data):
+    g, f = case
     back = dft_inverse(dft_forward(f, g), g)
     assert np.max(np.abs(back - f)) < 1e-12
+    # the phase convention: a unit sample at node s_j has spectrum
+    # h * exp(-i s_j eta), whatever the grid's start
+    j = data.draw(st.integers(0, g.points - 1))
+    delta = np.zeros(g.points)
+    delta[j] = 1.0
+    expected = g.spacing * np.exp(-1j * g.nodes()[j] * g.freqs())
+    assert np.max(np.abs(dft_forward(delta, g) - expected)) < 1e-9 * g.spacing
 
 
-def test_parseval():
-    for n, ext in [(64, 2.0), (256, 7.5), (1024, 12.0)]:
-        g = Grid1D(n, ext)
-        rng = np.random.default_rng(n)
-        f = rng.standard_normal(n)
-        spec = dft_forward(f, g)
-        lhs = g.spacing * np.sum(f * f)
-        rhs = g.freq_spacing() / (2.0 * np.pi) * np.sum(np.abs(spec) ** 2)
-        assert abs(lhs - rhs) < 1e-10 * lhs
+@given(grids_and_samples())
+def test_parseval(case):
+    g, f = case
+    spec = dft_forward(f, g)
+    lhs = g.spacing * np.sum(f * f)
+    rhs = g.freq_spacing() / (2.0 * np.pi) * np.sum(np.abs(spec) ** 2)
+    assert abs(lhs - rhs) < 1e-10 * lhs
 
 
 def test_delta_has_flat_spectrum():
@@ -63,14 +81,6 @@ def test_constant_concentrates_at_zero_bin():
     spec = dft_forward(np.full(g.points, 3.0), g)
     assert np.isclose(spec[0].real, 3.0 * g.extent)
     assert np.max(np.abs(spec[1:])) < 1e-10
-
-
-def test_round_trip_nd():
-    g = GridND((Grid1D(16, 2.0), Grid1D(32, 3.0), Grid1D(8, 1.0)))
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(g.shape)
-    back = dft_inverse_nd(dft_forward_nd(f, g), g)
-    assert np.max(np.abs(back - f)) < 1e-12
 
 
 def test_parseval_nd():
