@@ -14,7 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import NOISE_FLOOR, GridND, dft_forward_nd
+from .spectral import (
+    NOISE_FLOOR,
+    GridND,
+    dft_forward_nd,  # unused here; bench/tracing.py wraps beals.dft_forward_nd by name
+)
 
 __all__ = [
     "BealsWeight",
@@ -72,21 +76,28 @@ class BealsWeight:
         return BealsWeight(self.s, *ks)
 
 
-def _weighted_power(spec: np.ndarray, grid: GridND, weight: BealsWeight) -> np.ndarray:
-    """|spec|^2 times the squared weight, built without 3D temporaries
-    except for the <eta>^s factor.
+def _weighted_power(f: np.ndarray, grid: GridND, weight: BealsWeight) -> np.ndarray:
+    """|transform of f|^2 times the squared weight on the half spectrum of
+    the last axis, each interior column counted twice; built without 3D
+    temporaries except for the <eta>^s factor.
 
     Bins below the double-precision noise floor are dropped first: a weight
     like <eta_j>^6 on every axis reaches 1e50 at the corner of a 128^3 grid
     and would amplify FFT roundoff debris into fake divergence.
     """
-    p = np.abs(spec) ** 2
+    p = np.abs(np.fft.rfftn(f)) ** 2 * grid.cell_volume**2
     floor = NOISE_FLOOR * np.sqrt(p.max())
     p[p < floor**2] = 0.0
-    e1, e2, e3 = (g.freqs() for g in grid.axes)
+    g1, g2, g3 = grid.axes
+    e1, e2 = g1.freqs(), g2.freqs()
+    e3 = 2.0 * np.pi * np.fft.rfftfreq(g3.points, d=g3.spacing)
+    # the zero and Nyquist columns stand for themselves, every other column
+    # also for its Hermitian mirror
+    count = np.full(e3.size, 2.0)
+    count[[0, -1]] = 1.0
     p *= (1.0 + e1**2)[:, None, None] ** weight.k1
     p *= (1.0 + e2**2)[None, :, None] ** weight.k2
-    p *= (1.0 + e3**2)[None, None, :] ** weight.k3
+    p *= (count * (1.0 + e3**2) ** weight.k3)[None, None, :]
     if weight.s != 0.0:
         full = (
             1.0
@@ -110,6 +121,14 @@ def beals_norm(
     L2(ds) norm of cutoff*values (Parseval).  The cutoff localizes the field
     strictly inside the periodic box; pass None if the field is already
     compactly supported.
+
+    Only |transform|^2 enters the norm, so the grid's start phase
+    exp(-i start*eta), of modulus one, is never applied.  The field is real,
+    so its transform is Hermitian and rfftn's half spectrum of the last axis
+    holds all of it: the interior columns are counted twice, the zero and
+    Nyquist columns once, and the weight, even in every eta_j, reads the
+    same on a bin and its mirror.  The half spectrum has the full one's
+    maximum, so the noise floor is unchanged.
     """
     if grid.ndim != 3:
         raise ValueError("beals_norm expects a 3D grid")
@@ -118,8 +137,7 @@ def beals_norm(
     if not weight.finite():
         raise ValueError("infinite exponents are only meaningful in a scan")
     f = values if cutoff is None else values * cutoff
-    spec = dft_forward_nd(f, grid)
-    p = _weighted_power(spec, grid, weight)
+    p = _weighted_power(f, grid, weight)
     deta = 1.0
     for g in grid.axes:
         deta *= g.freq_spacing()
@@ -187,9 +205,12 @@ def algebra_check(
     weight: BealsWeight,
     cutoff: np.ndarray | None = None,
 ) -> float:
-    """Ratio ||uv|| / (||u|| ||v||) in the weighted norm (0 for zero input)."""
+    """Ratio ||uv|| / (||u|| ||v||) in the weighted norm (0 for zero input).
+
+    For v is u (the square) the one norm serves both factors.
+    """
     nu = beals_norm(u, grid, weight, cutoff)
-    nv = beals_norm(v, grid, weight, cutoff)
+    nv = nu if v is u else beals_norm(v, grid, weight, cutoff)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     nuv = beals_norm(u * v, grid, weight, cutoff)

@@ -246,11 +246,18 @@ def extremal_profile(m: float, grid: Grid1D) -> ConormalProfile:
 # ---------------------------------------------------------------------------
 
 
-def _ramp_slope(r: int, amplitude: Fraction) -> np.ndarray:
+def _ramp_slope(r: int, amplitude: Fraction | int) -> np.ndarray:
     """G'(sigma) = A * sigma * (sigma-1)^r * (sigma-2)^r, exact coefficients
-    (an object array of Fractions, lowest degree first)."""
+    (an object array of A's type, lowest degree first)."""
     sm1, sm2 = np.array([-1, 1], dtype=object), np.array([-2, 1], dtype=object)
     return amplitude * P.polymulx(P.polymul(P.polypow(sm1, r, None), P.polypow(sm2, r, None)))
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers n_i and the LCM L of the denominators, values_i = n_i / L."""
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @dataclass(frozen=True)
@@ -275,23 +282,35 @@ class MollifierFamily:
         return P.polyval(np.asarray(s, dtype=float) / n_cut, coef) / n_cut**q
 
     def verify(self) -> dict[str, bool]:
-        """Exact-arithmetic identities of the stored ramp polynomial G."""
+        """Exact-arithmetic identities of the stored ramp polynomial G.
+
+        G is scaled by the LCM L of its denominators to integer coefficients
+        (an object array of Python ints, on which numpy.polynomial stays
+        exact), and each identity is compared after cross-multiplying by the
+        denominators of A, C_j and D_j, so no Fraction is normalized.
+        """
         r = self.r
-        g = np.array(self.ramp_poly, dtype=object)
+        g_int, scale = _over_common_denominator(self.ramp_poly)
+        g = np.array(g_int, dtype=object)
         derivs = [g]
         for _ in range(r):
             derivs.append(P.polyder(derivs[-1]))
-        mismatch = P.polysub(derivs[1], _ramp_slope(r, self.amplitude))
+        # L G' = L A slope with A = a/b: b (L G') = L a slope
+        a, b = self.amplitude.numerator, self.amplitude.denominator
+        mismatch = P.polysub(b * derivs[1], scale * _ramp_slope(r, a))
+        cd_int, den = _over_common_denominator(self.c_coeffs + self.d_coeffs)
+        c_int, d_int = cd_int[: len(self.c_coeffs)], cd_int[len(self.c_coeffs) :]
 
-        def closed_form(s: int) -> Fraction:
-            a, b = s - 1, s - 2
-            return self.amplitude * (
-                sum(c * a ** (r + 1 - j) * b ** (r + j + 1) for j, c in enumerate(self.c_coeffs))
-                + sum(d * a ** (r - j) * b ** (r + j + 1) for j, d in enumerate(self.d_coeffs))
-            )
+        def closed_form_holds(s: int) -> bool:
+            # A (sum C_j ... + sum D_j ...) = G(s), times b den L on both sides
+            s1, s2 = s - 1, s - 2
+            bracket = sum(
+                c * s1 ** (r + 1 - j) * s2 ** (r + j + 1) for j, c in enumerate(c_int)
+            ) + sum(d * s1 ** (r - j) * s2 ** (r + j + 1) for j, d in enumerate(d_int))
+            return a * bracket * scale == b * den * P.polyval(s, g)
 
         return {
-            "plateau_value_one": P.polyval(1, g) == 1,
+            "plateau_value_one": P.polyval(1, g) == scale,
             "endpoint_value_zero": P.polyval(2, g) == 0,
             "joint_derivatives_vanish": all(
                 P.polyval(1, p) == 0 and P.polyval(2, p) == 0 for p in derivs[1:]
@@ -299,9 +318,7 @@ class MollifierFamily:
             "derivative_identity": all(c == 0 for c in mismatch),
             # Both sides are polynomials of degree <= 2r+2, and two such
             # polynomials that agree at 2r+3 points are equal.
-            "closed_form": all(
-                closed_form(s) == P.polyval(s, g) for s in range(2 * r + 3)
-            ),
+            "closed_form": all(closed_form_holds(s) for s in range(2 * r + 3)),
         }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cwlab.beals import (
     BealsWeight,
@@ -10,7 +12,14 @@ from cwlab.beals import (
     membership_scan,
 )
 from cwlab.profiles import SymbolSpec, synthesize_profile
-from cwlab.spectral import Grid1D, GridND, dft_forward, grid3d, plateau_window
+from cwlab.spectral import (
+    NOISE_FLOOR,
+    Grid1D,
+    GridND,
+    dft_forward,
+    grid3d,
+    plateau_window,
+)
 
 EXTENT = 12.0
 
@@ -76,6 +85,53 @@ def test_separable_field_factorizes_at_s_zero():
             deta / (2.0 * np.pi) * np.sum((1.0 + g1.freqs() ** 2) ** k * np.abs(spec) ** 2)
         )
     assert abs(got - oracle) <= 1e-8 * oracle
+
+
+def full_spectrum_norm(values, grid, weight):
+    """The norm from the full complex fftn with the start phase applied,
+    each bin once, under the same noise-floor rule."""
+    spec = np.fft.fftn(values) * grid.cell_volume
+    for ax, g in enumerate(grid.axes):
+        shape = [1, 1, 1]
+        shape[ax] = g.points
+        spec = spec * np.exp(-1j * g.start * g.freqs()).reshape(shape)
+    p = np.abs(spec) ** 2
+    p[p < (NOISE_FLOOR * np.sqrt(p.max())) ** 2] = 0.0
+    e1, e2, e3 = np.meshgrid(*(g.freqs() for g in grid.axes), indexing="ij")
+    w2 = (
+        (1.0 + e1**2) ** weight.k1
+        * (1.0 + e2**2) ** weight.k2
+        * (1.0 + e3**2) ** weight.k3
+        * (1.0 + e1**2 + e2**2 + e3**2) ** weight.s
+    )
+    deta = np.prod([g.freq_spacing() for g in grid.axes])
+    return np.sqrt(deta / (2.0 * np.pi) ** 3 * np.sum(w2 * p))
+
+
+@given(
+    n=st.sampled_from([4, 8, 16, 32]),
+    s=st.floats(-1.0, 2.0),
+    ks=st.tuples(*[st.floats(0.0, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    near_floor=st.booleans(),
+)
+# s != 0 on the largest grid, with a spectrum that reaches the noise floor:
+# a trigonometric polynomial plus white noise at 1e-11 of its maximum, whose
+# bins straddle the floor.  There the floor moves the norm by about 1e-8.
+@example(n=32, s=1.5, ks=(3.0, 2.5, 3.0), seed=7, near_floor=True)
+def test_half_spectrum_norm_matches_full_spectrum(n, s, ks, seed, near_floor):
+    rng = np.random.default_rng(seed)
+    grid = grid3d(n, EXTENT)
+    vals = rng.standard_normal(grid.shape)
+    if near_floor:
+        modes = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= 1
+        mask = modes[:, None, None] & modes[None, :, None] & modes[None, None, :]
+        vals = np.real(np.fft.ifftn(mask * np.fft.fftn(vals)))
+        vals += 1e-11 * np.abs(vals).max() * rng.standard_normal(grid.shape)
+    w = BealsWeight(s, *ks)
+    got = beals_norm(vals, grid, w)
+    expect = full_spectrum_norm(vals, grid, w)
+    assert abs(got - expect) <= 1e-12 * expect
 
 
 def test_norm_monotone_in_each_exponent():

@@ -209,6 +209,35 @@ def test_closed_form_flag_catches_a_wrong_coefficient():
     assert all(checks.values()), checks
 
 
+TINY = Fraction(1, 10**60)
+
+
+def _bump(values, i):
+    values = list(values)
+    values[i] += TINY
+    return tuple(values)
+
+
+@pytest.mark.parametrize(
+    "flag, corrupt",
+    [
+        ("plateau_value_one", lambda f: replace(f, ramp_poly=_bump(f.ramp_poly, 0))),
+        ("endpoint_value_zero", lambda f: replace(f, ramp_poly=_bump(f.ramp_poly, 0))),
+        ("joint_derivatives_vanish", lambda f: replace(f, ramp_poly=_bump(f.ramp_poly, 1))),
+        ("derivative_identity", lambda f: replace(f, amplitude=f.amplitude + TINY)),
+        ("closed_form", lambda f: replace(f, ramp_poly=_bump(f.ramp_poly, -1))),
+        ("closed_form", lambda f: replace(f, d_coeffs=_bump(f.d_coeffs, -1))),
+    ],
+    ids=["plateau-G_0", "endpoint-G_0", "joints-G_1", "slope-A", "closed-G_top", "closed-D_r"],
+)
+def test_each_flag_catches_a_tiny_rational_corruption(flag, corrupt):
+    # 1e-60 is far below the resolution of any float comparison of these
+    # coefficients, so only exact arithmetic flags it
+    fam = mollifier_polynomial(20)
+    assert fam.verify()[flag]
+    assert not corrupt(fam).verify()[flag]
+
+
 def test_mollifier_validation():
     for bad in (0, 21, -2):
         with pytest.raises(ValueError):
