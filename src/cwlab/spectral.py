@@ -252,29 +252,36 @@ def trig_modes(values: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _trig_phases(s, grid: Grid1D) -> np.ndarray:
+def _trig_phases(s, start: float, eta) -> np.ndarray:
     """exp(i (s - start) eta): one row per point s, one column per frequency."""
-    return np.exp(1j * np.outer(np.asarray(s, dtype=float) - grid.start, grid.freqs()))
+    return np.exp(1j * np.outer(np.asarray(s, dtype=float) - start, eta))
 
 
 def trig_line(coef: np.ndarray, grid: Grid1D, s) -> np.ndarray:
     """The real 1D trigonometric polynomial with trig_modes coefficients
     coef on grid, evaluated at the points s (anywhere on the line)."""
-    return np.real(_trig_phases(s, grid) @ coef)
+    return np.real(_trig_phases(s, grid.start, grid.freqs()) @ coef)
 
 
 def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a real 2D field at points.
 
-    ``points`` has shape (m, 2); the coefficients are trig_modes(values).
+    ``points`` has shape (m, 2).  The interpolant is the one of trig_modes,
+    summed over the half spectrum of rfft2: the interpolant is real, so each
+    interior x2 frequency stands for itself and its conjugate and is counted
+    twice, the zero column once (the Nyquist row and column are zero).
     """
     if grid.ndim != 2:
         raise ValueError("trig evaluation implemented for 2D grids")
-    coef = trig_modes(values)
     g1, g2 = grid.axes
+    coef = np.fft.rfft2(np.asarray(values, dtype=float)) / np.size(values)
+    coef[g1.points // 2] = 0.0
+    coef[:, -1] = 0.0
+    coef[:, 1:-1] *= 2.0
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tmp = _trig_phases(pts[:, 0], g1) @ coef
-    return np.real(np.einsum("mk,mk->m", tmp, _trig_phases(pts[:, 1], g2)))
+    tmp = _trig_phases(pts[:, 0], g1.start, g1.freqs()) @ coef
+    eta2 = 2.0 * np.pi * np.fft.rfftfreq(g2.points, d=g2.spacing)
+    return np.real(np.einsum("mk,mk->m", tmp, _trig_phases(pts[:, 1], g2.start, eta2)))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -169,15 +170,91 @@ def test_polarization_of_linear_solve_vanishes(cfg256):
     assert np.max(np.abs(iso.u)) < 1e-10
 
 
-def test_polarization_reuses_a_known_subset_response(monkeypatch, cfg256, resp256, iso256):
-    pair, _ = two_wave_probe(cfg256.frame, cfg256.probes[0])
-    two = nonlinear_response(cfg256, eps=tuple(cfg256.eps if k in pair else 0.0 for k in range(3)))
+def _seven_subset_sum(resp):
+    """The inclusion-exclusion oracle of the trilinear channel: the sum over
+    nonempty data subsets S of (-1)^(3-|S|) w_S, with w_S the nonlinear
+    response of the subset's data and resp the full subset's.  Single- and
+    pairwise-interaction terms enter with signs summing to zero."""
+    config, eps = resp.metadata["config"], resp.metadata["eps"]
+    acc_u, acc_ut = np.zeros_like(resp.u), np.zeros_like(resp.ut)
+    for size in (1, 2, 3):
+        for subset in combinations(range(3), size):
+            sub = tuple(eps[j] if j in subset else 0.0 for j in range(3))
+            w = resp if sub == eps else nonlinear_response(config, sub)
+            acc_u += (-1) ** (3 - size) * w.u
+            acc_ut += (-1) ** (3 - size) * w.ut
+    meta = {"frame": config.frame}
+    return SpaceTimeField(resp.grid, resp.times, acc_u, acc_ut, metadata=meta)
+
+
+def _t1_gap(iso, oracle):
+    """Largest t1 difference of channel and oracle, relative to the
+    oracle's maximum, in u and in u_t."""
+    return tuple(
+        float(np.max(np.abs(a[-1] - b[-1])) / np.max(np.abs(b[-1])))
+        for a, b in ((iso.u, oracle.u), (iso.ut, oracle.ut))
+    )
+
+
+def test_channel_matches_the_seven_subset_sum(cfg256, resp256, iso256):
+    # the sum adds the higher Picard iterates of the triple products,
+    # measured at 3.8e-5 of the maximum in u and 3.5e-5 in u_t; the cone
+    # slopes differ by 2.0e-4
+    oracle = _seven_subset_sum(resp256)
+    assert max(_t1_gap(iso256, oracle)) <= 1e-4
+    probe = cfg256.probes[0]
+    slope = cone_order_estimate(iso256, probe).slope
+    assert abs(slope - cone_order_estimate(oracle, probe).slope) <= 1e-3
+
+
+def test_channel_gap_to_the_sum_is_second_order_in_eps():
+    # the remainder is O(eps^2) relative to the channel: halving eps cuts
+    # the gap by 4 (measured 4.00 in u and in u_t, at 128 points as at 256)
+    cfg = default_experiment(points=128)
+    gaps = []
+    for eps in (EPS, EPS / 2):
+        resp = nonlinear_response(replace(cfg, eps=eps))
+        gaps.append(_t1_gap(polarization_isolate(resp), _seven_subset_sum(resp)))
+    for g, g_half in zip(*gaps):
+        assert 3.5 <= g / g_half <= 4.5
+
+
+def test_polarization_is_one_solve_response(monkeypatch, resp256, iso256):
     solves = _traced_solves(monkeypatch)
-    iso = polarization_isolate(resp256, two)
-    # seven subsets: the full one is resp256 and the pair is two
-    assert len(solves) == 5
-    assert np.array_equal(iso.times, iso256.times)
+    iso = polarization_isolate(resp256)
+    assert [name for name, _ in solves] == ["solve_response"]
     assert np.array_equal(iso.u, iso256.u) and np.array_equal(iso.ut, iso256.ut)
+
+
+def test_channel_records_its_input_and_the_solve(cfg256, resp256, iso256):
+    assert iso256.metadata["config"] == cfg256
+    assert iso256.metadata["frame"] == cfg256.frame
+    assert iso256.metadata["eps"] == resp256.metadata["eps"]
+    assert np.array_equal(iso256.times, resp256.times)
+    stats, base = iso256.metadata["stats"], resp256.metadata["stats"]
+    for key in ("steps", "kicks_applied", "kicks_skipped", "box"):
+        assert stats[key] == base[key]
+    assert 0.0 < stats["max_abs_p"] < np.inf
+    with pytest.raises(ValueError):
+        iso256.u[-1, 0, 0] = 1.0
+
+
+def test_channel_evaluates_a_callable_coupling(cfg256, resp256, iso256):
+    def a3(t, x1, x2):
+        return np.full(np.broadcast_shapes(np.shape(x1), np.shape(x2)), -2.0)
+
+    # the channel reads only the config and eps its response records
+    meta = dict(resp256.metadata, config=replace(cfg256, P=cubic_nonlinearity(a3)))
+    iso = polarization_isolate(replace(resp256, metadata=meta))
+    for got, ref in ((iso.u, iso256.u), (iso.ut, iso256.ut)):
+        assert np.max(np.abs(got + 2.0 * ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_channel_needs_a_cubic_coupling(resp256, cfg256):
+    for P in (None, quartic_coupling()):
+        meta = dict(resp256.metadata, config=replace(cfg256, P=P))
+        with pytest.raises(ValueError, match="cubic"):
+            polarization_isolate(replace(resp256, metadata=meta))
 
 
 def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
@@ -396,10 +473,10 @@ def test_run_experiment_solves_each_input_once(monkeypatch, cfg256):
     run_experiment(
         cfg256, trials=(cubic_nonlinearity(2.0), cubic_nonlinearity(-1.0)), polarization=True
     )
-    # 12 nonlinear responses: the base run, P = None, the two-wave pair, the
-    # five other polarization subsets, two scaling rungs and two trials; the
-    # incoming-front fit reads the data itself
-    assert len(solves) == 12
+    # 8 solves: 7 nonlinear responses (the base run, P = None, the two-wave
+    # pair, two scaling rungs and two trials) and the trilinear channel, one
+    # response of zero data; the incoming-front fit reads the data itself
+    assert len(solves) == 8
     assert len(set(solves)) == len(solves)
     assert {name for name, _ in solves} == {"solve_response"}
 

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwlab import solver
 from cwlab.solver import (
@@ -44,18 +46,46 @@ def band_limited_noise(grid, seed=0, modes=6):
 # ---------------------------------------------------------------- CharFrame
 
 
-def test_char_frame_accepts_experiment_directions():
-    s = 1.0 / np.sqrt(2.0)
-    fr = CharFrame(((0.0, 1.0), (-s, -s), (s, -s)))
-    assert abs(np.linalg.det(fr.map)) > 0.1
+def _directions(angles):
+    return tuple((float(np.cos(a)), float(np.sin(a))) for a in angles)
 
 
-def test_char_frame_rejects_bad_directions():
-    s = 1.0 / np.sqrt(2.0)
-    with pytest.raises(ValueError):
-        CharFrame(((0.0, 2.0), (-s, -s), (s, -s)))  # not unit
-    with pytest.raises(ValueError):
-        CharFrame(((0.0, 1.0), (0.0, 1.0), (s, -s)))  # repeated plane
+# three angles at least 0.1 apart on the circle: distinct unit directions,
+# never on one line
+_SPREAD_ANGLES = st.tuples(
+    st.floats(0.0, 2.0 * np.pi), st.floats(0.1, 2.0 * np.pi - 0.3), st.floats(0.1, 1.0)
+).filter(lambda a: a[1] + a[2] <= 2.0 * np.pi - 0.1).map(
+    lambda a: (a[0], a[0] + a[1], a[0] + a[1] + a[2])
+)
+
+
+@settings(max_examples=30)  # a cheap predicate; 30 examples keep the suite's time
+@given(_SPREAD_ANGLES)
+@example((np.pi / 2, 5 * np.pi / 4, 7 * np.pi / 4))  # the experiments' frame
+def test_char_frame_accepts_experiment_directions(angles):
+    fr = CharFrame(_directions(angles))
+    # |det| is twice the area of the inscribed triangle, 2.41 for the
+    # experiments' frame and at least 5e-4 for angles 0.1 apart
+    a1, a2, a3 = angles
+    area2 = 4.0 * abs(np.sin((a2 - a1) / 2) * np.sin((a3 - a2) / 2) * np.sin((a1 - a3) / 2))
+    assert abs(np.linalg.det(fr.map)) == pytest.approx(area2, rel=1e-9)
+
+
+@settings(max_examples=30)
+@given(_SPREAD_ANGLES, st.permutations(range(3)), st.floats(1e-9, 1.0), st.booleans())
+def test_char_frame_rejects_bad_directions(angles, order, dr, longer):
+    om = _directions(angles)
+    scaled = list(om)
+    scaled[order[0]] = tuple(c * (1.0 + dr if longer else 1.0 - dr) for c in om[order[0]])
+    with pytest.raises(ValueError, match="unit"):
+        CharFrame(tuple(scaled))
+    with pytest.raises(ValueError, match="distinct"):
+        CharFrame(tuple(om[i] for i in (order[0], order[0], order[1])))  # repeated plane
+    # unit and pairwise distinct, but within 2e-5 of one another: the three
+    # points lie on one line to roundoff and the coordinate map is singular
+    a = angles[0]
+    with pytest.raises(ValueError, match="singular"):
+        CharFrame(_directions((a, a + 1e-5, a + 2e-5)))
 
 
 # ------------------------------------------------------- linear propagation

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwlab.spectral import (
@@ -21,14 +21,24 @@ from cwlab.spectral import (
 from cwlab.profiles import SymbolSpec, synthesize_profile
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid1D(100, 1.0)
-    with pytest.raises(ValueError):
-        Grid1D(64, -1.0)
-    g = Grid1D(64, 4.0)
-    assert g.start == -2.0
-    assert np.isclose(g.spacing, 4.0 / 64)
+@settings(max_examples=30)  # a cheap predicate; the explicit examples add the old cases
+@given(
+    st.one_of(st.integers(-16, 2048), st.sampled_from([2**k for k in range(12)])),
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, np.nan])),
+)
+@example(100, 1.0)
+@example(64, -1.0)
+@example(64, 4.0)
+def test_grid_validation(points, extent):
+    # exactly the powers of two >= 4 with a positive extent are grids
+    valid = points >= 4 and points & (points - 1) == 0 and extent > 0
+    if not valid:
+        with pytest.raises(ValueError):
+            Grid1D(points, extent)
+        return
+    g = Grid1D(points, extent)
+    assert g.start == -0.5 * extent
+    assert np.isclose(g.spacing, extent / points)
     assert np.isclose(g.nyquist, np.pi / g.spacing)
 
 
@@ -163,6 +173,25 @@ def test_trig_evaluation_exact_on_nodes():
     pts = np.column_stack([x.ravel()[::13], y.ravel()[::13]])
     out = evaluate_trig(vals, grid, pts)
     assert np.max(np.abs(out - vals.ravel()[::13])) < 1e-9
+
+
+@given(
+    st.integers(2, 7), st.integers(2, 7), st.floats(0.5, 20.0), st.floats(0.5, 20.0),
+    st.floats(-10.0, 10.0), st.integers(0, 2**32 - 1),
+)
+def test_trig_evaluation_matches_complex_fft_reference(k1, k2, ext1, ext2, start, seed):
+    # the half-spectrum sum against the interpolant summed over the whole
+    # complex spectrum of trig_modes, at points anywhere in the plane
+    grid = GridND((Grid1D(2**k1, ext1, start), Grid1D(2**k2, ext2)))
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape)
+    pts = rng.uniform(-30.0, 30.0, size=(40, 2))
+    coef = trig_modes(vals)
+    phases = [np.exp(1j * np.outer(pts[:, a] - g.start, g.freqs()))
+              for a, g in enumerate(grid.axes)]
+    ref = np.real(np.einsum("mk,mk->m", phases[0] @ coef, phases[1]))
+    got = evaluate_trig(vals, grid, pts)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_trig_line_reproduces_nodes_and_band_limited_cosine():
