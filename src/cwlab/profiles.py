@@ -389,17 +389,23 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _CHI_BREAKS = np.array([-2.0, -1.75, -1.25, -1.0, 1.0, 1.25, 1.75, 2.0])
 
 
-def _chi_integral(g, breaks) -> np.ndarray:
-    """Integral of chi(t) g(t) by the 64-point Gauss rule on each panel
-    between consecutive breaks (last axis), the panels added in order.
+def _chi_integral(g, breaks, *params) -> np.ndarray:
+    """Integral of chi(t) g(t, *params) by the 64-point Gauss rule on each
+    panel between consecutive breaks (last axis), the panels added in order.
 
-    g maps the quadrature nodes, shape breaks.shape[:-1] + (panels, 64), to
-    values of that shape.  An empty panel (a repeated break) adds exactly 0.
+    Only nonempty panels are evaluated: g maps their quadrature nodes, shape
+    (panels, 64), and each param, broadcast to one value per panel and taken
+    at those panels, shape (panels, 1), to values of the nodes' shape.  An
+    empty panel (a repeated break) adds exactly 0 without being evaluated.
     """
-    a, b = breaks[..., :-1, None], breaks[..., 1:, None]
+    a, b = breaks[..., :-1], breaks[..., 1:]
+    live = b != a  # NaN breaks stay live and give NaN
+    a, b = a[live][:, None], b[live][:, None]
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     t = mid + half * _GAUSS_NODES
-    panels = half[..., 0] * np.sum(_GAUSS_WEIGHTS * chi_window(t) * g(t), axis=-1)
+    rows = (np.broadcast_to(p, live.shape)[live][:, None] for p in params)
+    panels = np.zeros(live.shape)
+    panels[live] = half[:, 0] * np.sum(_GAUSS_WEIGHTS * chi_window(t) * g(t, *rows), axis=-1)
     # a running sum from 0.0, not np.sum's pairwise order, fixes every bit
     total = 0.0
     for panel in np.moveaxis(panels, -1, 0):
@@ -449,6 +455,6 @@ class PsiMollifier:
         kinks = np.concatenate([eta - self.n_cut, eta - 2.0 * self.n_cut], axis=-1)
         breaks = np.broadcast_to(_CHI_BREAKS, eta.shape[:-1] + _CHI_BREAKS.shape)
         breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
-        integral = _chi_integral(lambda t: self._ramp_piece(eta[..., None] - t, q), breaks)
+        integral = _chi_integral(lambda t, e: self._ramp_piece(e - t, q), breaks, eta)
         out = integral / self._chi_mass
         return out if out.ndim else float(out)

@@ -114,13 +114,28 @@ def test_response_matches_solver_differencing(points, cfg256, resp256):
 
 
 def test_default_response_kicks_only_while_gate_open(resp256):
-    # midpoints of the 326 steps from -1.125 to 3.8 inside |t| < 0.9
+    # midpoints of the 217 steps from -1.125 to 3.8 inside |t| < 0.9
     stats = resp256.metadata["stats"]
-    assert stats["steps"] == 326
-    assert stats["kicks_applied"] == 119
-    assert stats["kicks_skipped"] == 326 - 119
+    assert stats["steps"] == 217
+    assert stats["kicks_applied"] == 79
+    assert stats["kicks_skipped"] == 217 - 79
     assert stats["exact_jumps"] == 2
     assert 0.0 < stats["max_abs_p"] < np.inf
+
+
+def test_default_step_is_converged_under_halving(cfg256, resp256, iso256):
+    # halving the default dt (1.35 h/pi) moves the t1 fields by 3.3e-8 of
+    # their maximum in u and 3.8e-8 in u_t (second order: 1.6e-8 and 1.9e-8
+    # at 0.9 h/pi), the cone slope by 1.4e-6 and the channel's by 5.4e-7
+    half = replace(cfg256, solver=replace(cfg256.solver, dt=0.5 * resp256.metadata["dt"]))
+    resp = nonlinear_response(half)
+    assert resp.metadata["stats"]["steps"] == 2 * resp256.metadata["stats"]["steps"]
+    for a, b in ((resp.u, resp256.u), (resp.ut, resp256.ut)):
+        assert np.max(np.abs(a[-1] - b[-1])) <= 2e-7 * np.max(np.abs(b[-1]))
+    probe = cfg256.probes[0]
+    for fine, coarse in ((resp, resp256), (polarization_isolate(resp), iso256)):
+        slope = cone_order_estimate(fine, probe).slope
+        assert abs(slope - cone_order_estimate(coarse, probe).slope) <= 1e-5
 
 
 def test_lookup_of_unrecorded_time_raises(resp256):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from cwlab import profiles
 from cwlab.profiles import (
     ConormalProfile,
     PsiMollifier,
@@ -325,6 +326,39 @@ def test_psi_matches_adaptive_quadrature(n_cut, r):
             )[0])
         got = psi.derivative(q, np.array(eta))
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(got)), q
+
+
+def _all_panel_psi(psi, q, eta):
+    """psi^(q)(eta) by the panel rule with every panel evaluated, the empty
+    ones (a kink clipped onto chi's end) included."""
+    eta = np.asarray(eta, dtype=float)[..., None]
+    kinks = np.concatenate([eta - psi.n_cut, eta - 2.0 * psi.n_cut], axis=-1)
+    breaks = np.broadcast_to(profiles._CHI_BREAKS, eta.shape[:-1] + profiles._CHI_BREAKS.shape)
+    breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
+    a, b = breaks[..., :-1, None], breaks[..., 1:, None]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    t = mid + half * profiles._GAUSS_NODES
+    g = profiles._GAUSS_WEIGHTS * chi_window(t) * psi._ramp_piece(eta[..., None] - t, q)
+    panels = half[..., 0] * np.sum(g, axis=-1)
+    total = 0.0
+    for panel in np.moveaxis(panels, -1, 0):
+        total = total + panel
+    return total / psi._chi_mass
+
+
+@pytest.mark.parametrize("n_cut", [64.0, 256.0, 1024.0, 4096.0])
+def test_psi_skips_empty_panels_bitwise(n_cut):
+    # the benchmark's kind of eta: seeded points on the plateau (-2, N-2),
+    # on the ramp (0.7 N, 2.4 N) and beyond the support (2N+2, 3N+2); most
+    # of them clip both kinks onto chi's ends, leaving two empty panels
+    rng = np.random.default_rng(1)
+    psi = PsiMollifier(n_cut, 3)
+    plateau = (n_cut - 2.0) - n_cut * rng.uniform(0.0, 1.0, 10)
+    ramp = n_cut * rng.uniform(0.7, 2.4, 100)
+    beyond = (2.0 * n_cut + 2.0) + n_cut * rng.uniform(0.0, 1.0, 10)
+    for q in range(4):
+        for eta in (plateau, ramp, beyond):
+            assert psi.derivative(q, eta).tobytes() == _all_panel_psi(psi, q, eta).tobytes()
 
 
 @st.composite

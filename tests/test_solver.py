@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cwlab import solver
 from cwlab.solver import (
+    DEALIAS,
     BlowupError,
     CharFrame,
     NonlinearitySpec,
@@ -390,7 +392,11 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
     return np.array(us), np.array(uts)
 
 
-@pytest.mark.parametrize("points", [64, 128])
+# dt in units of h/pi; 1.35 is the default, 0.9 of the step bound
+# h/(DEALIAS pi).  Pruning is exact at any dt.
+@pytest.mark.parametrize(
+    "points, margin", [(64, 0.9), (128, 0.9), (128, 1.35)], ids=["64", "128", "128-dt1.35"]
+)
 @pytest.mark.parametrize(
     "case, P, stride, response",
     [
@@ -399,12 +405,12 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
         ("solve, every step recorded", cubic_nonlinearity(5.0), 1, False),
     ],
 )
-def test_pruned_loop_matches_full_grid_stepper(points, case, P, stride, response):
+def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, response):
     grid = grid2d(points, L)
     h = grid.axes[0].spacing
     u0 = _pulse(grid)
     ut0 = 0.5 * np.roll(u0, points // 16, axis=1)  # no mirror symmetry
-    cfg = SolverConfig(dt=0.9 * h / np.pi, t0=-1.2, t1=0.6, record_stride=stride)
+    cfg = SolverConfig(dt=margin * h / np.pi, t0=-1.2, t1=0.6, record_stride=stride)
     n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     cfg = replace(cfg, dt=(cfg.t1 - cfg.t0) / n, record_stride=min(stride, n))
     out = (solve_response if response else solve)(u0, ut0, grid, cfg, P=P)
@@ -419,9 +425,25 @@ def test_pruned_loop_matches_full_grid_stepper(points, case, P, stride, response
     assert stats["block"] == (np.count_nonzero(np.abs(kx) <= cut), np.count_nonzero(ky <= cut))
     inside = np.count_nonzero(np.abs(grid.axes[0].nodes()) < z_cutoff.edge)
     assert stats["box"] == ((points, points) if P is _OPAQUE_GATE else (inside, inside))
-    assert stats["dt_margin"] == pytest.approx(cfg.dt * np.pi / h, rel=1e-12)
+    assert stats["dt_margin"] == pytest.approx(cfg.dt * DEALIAS * np.pi / h, rel=1e-12)
     if not response:
         assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
+
+
+@pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
+def test_stats_time_the_loop_phases(P):
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=8)
+    start = time.perf_counter()
+    out = solve_response(u0, np.zeros(grid.shape), grid, cfg, P=P)
+    elapsed = time.perf_counter() - start
+    wall = out.metadata["stats"]["wall_s"]
+    assert set(wall) == {"kicks", "propagate", "records"}
+    assert all(v >= 0.0 for v in wall.values())
+    assert sum(wall.values()) <= elapsed
+    if P is None:  # a run that never kicks runs no loop
+        assert all(v == 0.0 for v in wall.values())
 
 
 # ------------------------------------------------------------------ duhamel
@@ -516,3 +538,12 @@ def test_config_validation():
     cfg = SolverConfig(dt=0.2, t0=-1.2, t1=0.5)  # dt far above h/pi
     with pytest.raises(ValueError):
         solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg)
+    # the bound is one radian per step at the carried block's edge; 20 steps
+    # keep the lattice from nudging dt across it
+    bound = grid.axes[0].spacing / (DEALIAS * np.pi)
+    over, under = (SolverConfig(dt=f * bound, t0=-1.2, t1=-1.2 + 20 * f * bound)
+                   for f in (1.01, 0.9))
+    with pytest.raises(ValueError, match="exceeds the step bound"):
+        solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, over, P=cubic_nonlinearity())
+    out = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, under, P=cubic_nonlinearity())
+    assert out.metadata["stats"]["dt_margin"] == pytest.approx(0.9, rel=1e-12)
