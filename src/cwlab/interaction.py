@@ -32,7 +32,7 @@ from .solver import (
     grid2d,
     solve,
     solve_response,
-    _nonlinear_source,
+    _gate_box,
     _time_index,
     _wavenumbers,
 )
@@ -45,7 +45,6 @@ from .spectral import (
     decay_exponent,
     dft_forward,
     plateau_window,
-    trig_line,
     trig_modes,
     windowed_slice,
     _trig_phases,
@@ -220,28 +219,38 @@ def _wave_lines(frame: CharFrame, m: float, grid: GridND):
     return tuple(lines)
 
 
-def _line_points(omega, p: int, q: int, grid: GridND, t: float, rows, cols):
-    """The values of s = t - x . omega over the nodes rows x cols of grid:
-    the distinct ones, one per integer p i + q j in increasing order, which
-    keeps translates exact to roundoff, and the index of each node's."""
-    g = grid.axes[0]
-    kmesh = np.add.outer(p * rows, q * cols)
-    kk = np.arange(kmesh.min(), kmesh.max() + 1)
-    s = t - g.start * (omega[0] + omega[1]) - kk * (g.spacing / float(np.hypot(p, q)))
-    return s, kmesh - kmesh.min()
+def _wave_phases(frame: CharFrame, m: float, grid: GridND, box):
+    """Per plane wave, (phases, eta, coef, idx) on the index box of grid.
+
+    The wave's line (see _wave_lines) is sampled at the distinct values of
+    -x . omega over the box's nodes, one per integer p i + q j in increasing
+    order, which keeps translates exact to roundoff: phases holds the line's
+    mode phases there, one row per value, and idx each node's row.  The wave
+    at time t on the box is np.real(phases @ (coef * exp(i eta t)))[idx],
+    and its t-derivative the same with i eta coef.  Each wave's table is
+    built only when the generator reaches it.
+    """
+    g = _square_axis(grid)
+    rows, cols = (np.arange(b.start, b.stop) for b in box)
+    for omega, (p, q, gprof, coef) in zip(frame.omegas, _wave_lines(frame, m, grid)):
+        kmesh = np.add.outer(p * rows, q * cols)
+        kk = np.arange(kmesh.min(), kmesh.max() + 1)
+        s = -g.start * (omega[0] + omega[1]) - kk * (g.spacing / float(np.hypot(p, q)))
+        eta = gprof.freqs()
+        yield _trig_phases(s, gprof.start, eta), eta, coef, kmesh - kmesh.min()
 
 
 @lru_cache(maxsize=16)
 def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float):
-    """Unit-amplitude translates (u, ut) of each plane wave at t0: each
-    wave's line evaluated at the distinct values of t0 - x . omega."""
-    rows, cols = (np.arange(n) for n in grid.shape)
+    """Unit-amplitude translates (u, ut) of each plane wave at t0: its
+    phases over the whole grid (_wave_phases) times its coefficients
+    carried to t0 by exp(i eta t0), and times i eta for ut."""
     pieces = []
-    for omega, (p, q, gprof, coef) in zip(frame.omegas, _wave_lines(frame, m, grid)):
-        s, idx = _line_points(omega, p, q, grid, t0, rows, cols)
-        u_line = trig_line(coef, gprof, s)
-        ut_line = trig_line(1j * gprof.freqs() * coef, gprof, s)
-        pieces.append((u_line[idx], ut_line[idx]))
+    whole = tuple(slice(0, n) for n in grid.shape)
+    for phases, eta, coef, idx in _wave_phases(frame, m, grid, whole):
+        c = coef * np.exp(1j * eta * t0)
+        pieces.append((np.real(phases @ c)[idx], np.real(phases @ (1j * eta * c))[idx]))
+        del phases  # so the next wave's table is built with this one freed
     return tuple(pieces)
 
 
@@ -307,23 +316,16 @@ def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
 def _triple_forcing(config: ExperimentConfig, eps):
     """forcing(t, X1, X2) = 6 a3 eps1 eps2 eps3 v1 v2 v3, the trilinear
     part of a3 u^3 at u = sum_j eps_j v_j, with v_j the unit free waves, on
-    the nodes P is evaluated on (the gate's box; the whole grid without a
-    gate).
+    the box P is evaluated on, _gate_box(P.cutoff, grid) (the whole grid
+    without a gate).
 
-    Each v_j(t) is its line (see _wave_lines) at the distinct values of
-    t - x . omega_j over those nodes.  The phases of the line's modes at
-    t = 0 are computed once; at time t the coefficients carry exp(i eta t),
-    so a kick costs one small matrix-vector product per wave.
+    Each v_j is read from _wave_phases on that box, the rule the data
+    (_unit_waves) reads too; its phases are built once, and at time t the
+    coefficients carry exp(i eta t), so a kick costs one small
+    matrix-vector product per wave.
     """
     P, grid = config.P, config.grid
-    _, _, box = _nonlinear_source(P, grid)
-    rows, cols = (np.arange(b.start, b.stop) for b in box)
-    waves = []
-    for omega, (p, q, gprof, coef) in zip(config.frame.omegas,
-                                          _wave_lines(config.frame, config.m, grid)):
-        s, idx = _line_points(omega, p, q, grid, 0.0, rows, cols)
-        eta = gprof.freqs()
-        waves.append((_trig_phases(s, gprof.start, eta), eta, coef, idx))
+    waves = tuple(_wave_phases(config.frame, config.m, grid, _gate_box(P.cutoff, grid)[0]))
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
 
     def forcing(t, x1, x2):
@@ -341,7 +343,8 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     This is the first-Picard eps1 eps2 eps3 term of the response: the
     forward solution, from zero data, of the source
     6 a3 eps1 eps2 eps3 v1 v2 v3 under P's gate, with v_j the unit free
-    waves, which are exact translates.  It is one solve_response, whose
+    waves, exact translates read by the rule that builds the data
+    (_wave_phases, on P's box).  It is one solve_response, whose
     coupling is that source alone, so it has P's box and kick skipping; a
     callable a3 is evaluated in the source, and a3 = 0 gives exactly zero.
     It carries no single- or pairwise-interaction term, the part that rides
@@ -363,7 +366,7 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     P = config.P
     if P is None or P.degree != 3:
         raise ValueError("the trilinear channel needs a cubic coupling")
-    channel = NonlinearitySpec(3, (_triple_forcing(config, eps), 0.0, 0.0, 0.0), cutoff=P.cutoff)
+    channel = NonlinearitySpec((_triple_forcing(config, eps), 0.0, 0.0, 0.0), cutoff=P.cutoff)
     zero = np.zeros(config.grid.shape)
     return _as_response(solve_response(zero, zero, config.grid, config.solver, P=channel),
                         config, eps)

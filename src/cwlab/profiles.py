@@ -38,9 +38,13 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
-from .spectral import Grid1D, _smooth_edge, bump_window, dft_forward, dft_inverse
+from .spectral import Grid1D, bump_window, dft_forward, dft_inverse, plateau_window
 
 _EPS = np.finfo(float).eps
+
+# The jet matcher keeps the smooth part's spectrum inside |eta| < this limit
+# (see piriou_decompose); the grid must resolve twice it.
+JET_BAND_LIMIT = 4.0
 
 
 @dataclass(frozen=True)
@@ -143,29 +147,28 @@ class PiriouSplit:
 def piriou_decompose(
     profile: ConormalProfile,
     k: int | None = None,
-    band_limit: float = 4.0,
 ) -> PiriouSplit:
     """Split a profile into a smooth jet-matching part and a remainder
     vanishing to order k+1 at the origin.
 
-    The smooth part is built in frequency: T_hat = P(eta) * bump(eta/limit)
-    with P a degree-k polynomial solving the moment system
-    (1/2pi) sum (i eta)^j T_hat deta = f^(j)(0), j = 0..k, on the profile's
-    own frequency lattice.  A spatial polynomial-times-cutoff subtraction
-    would plant the cutoff's transform (decay ~exp(-c sqrt(eta)), slower than
-    any |eta|^m tail over the usable bands) on top of the remainder; keeping
-    the smooth part's spectrum inside |eta| < limit leaves the remainder
-    identical to the input on every fit band.  Jets below quadrature noise
-    are snapped to exact zero, so decomposing an already-vanishing profile
-    returns an identically zero smooth part.
+    The smooth part is built in frequency: T_hat = P(eta) * bump(eta/limit),
+    with limit = JET_BAND_LIMIT and P a degree-k polynomial solving the
+    moment system (1/2pi) sum (i eta)^j T_hat deta = f^(j)(0), j = 0..k, on
+    the profile's own frequency lattice.  A spatial polynomial-times-cutoff
+    subtraction would plant the cutoff's transform (decay ~exp(-c sqrt(eta)),
+    slower than any |eta|^m tail over the usable bands) on top of the
+    remainder; keeping the smooth part's spectrum inside |eta| < limit
+    leaves the remainder identical to the input on every fit band.  Jets
+    below quadrature noise are snapped to exact zero, so decomposing an
+    already-vanishing profile returns an identically zero smooth part.
     """
     if k is None:
         if profile.order is None:
             raise ValueError("profile has no order; pass k explicitly")
         k = k_of_m(profile.order)
-    if profile.grid.nyquist <= 2.0 * band_limit:
+    if profile.grid.nyquist <= 2.0 * JET_BAND_LIMIT:
         raise ValueError(
-            "grid too coarse for the jet matcher: nyquist %.3g <= 2*band_limit"
+            "grid too coarse for the jet matcher: nyquist %.3g <= 2*JET_BAND_LIMIT"
             % profile.grid.nyquist
         )
     jets, scales = _moments(profile, k)
@@ -177,7 +180,7 @@ def piriou_decompose(
     if not np.any(gated):
         taylor_vals = np.zeros_like(profile.values)
     else:
-        env = bump_window(eta / band_limit)
+        env = bump_window(eta / JET_BAND_LIMIT)
         # moments[j, n] = (1/2pi) sum (i eta)^j eta^n env deta
         j = np.arange(k + 1)
         powers = (1j * eta) ** j[:, None, None] * eta ** j[None, :, None]
@@ -374,15 +377,11 @@ def chi_window(s) -> np.ndarray:
     1 < |s| < 2 is subtracted from a plateau window.
     """
     s = np.asarray(s, dtype=float)
-    plateau = _smooth_plateau(s)
+    plateau = plateau_window(s, 1.0, 2.0)
     lobe = bump_window(4.0 * (np.abs(s) - 1.5))
     # integral of plateau is exactly 3; each side lobe integrates to bump_mass/4
     lobe_mass = 0.5 * _bump_mass()
     return plateau - (2.0 / lobe_mass) * lobe
-
-
-def _smooth_plateau(s):
-    return _smooth_edge(2.0 - np.abs(np.asarray(s, dtype=float)))
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)

@@ -57,8 +57,8 @@ class BlowupError(RuntimeError):
     """Nonlinear term overflowed; the local smallness assumption failed."""
 
 
-def grid2d(points: int, extent: float, start: float | None = None) -> GridND:
-    g = Grid1D(points, extent, start)
+def grid2d(points: int, extent: float) -> GridND:
+    g = Grid1D(points, extent)
     return GridND((g, g))
 
 
@@ -133,30 +133,31 @@ z_cutoff = SourceGate(flat=0.4, edge=0.9)
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """P(y, u) = cutoff(y) * sum_j coeffs[j] * u^j.
+    """P(y, u) = cutoff(y) * sum_j coeffs[j] * u^j, of degree len(coeffs) - 1.
 
-    Coefficients are reals or callables of (t, X1, X2); cutoff is a
-    SourceGate, which lets the solver skip the source outside its support,
-    or None, which disables the gate (only appropriate for manufactured
-    solutions and forcings).  Any other space-time factor belongs in a
-    callable coefficient.
+    Coefficients are reals or callables of (t, X1, X2), at least four of them
+    (degree >= 3); cutoff is a SourceGate, which lets the solver skip the
+    source outside its support, or None, which disables the gate (only
+    appropriate for manufactured solutions and forcings).  Any other
+    space-time factor belongs in a callable coefficient.
     """
 
-    degree: int
     coeffs: tuple
     cutoff: SourceGate | None = None
 
     def __post_init__(self):
-        if int(self.degree) != self.degree or self.degree < 3:
-            raise ValueError("degree must be an integer >= 3")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("need degree + 1 coefficients")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if len(self.coeffs) < 4:
+            raise ValueError("need at least four coefficients (degree >= 3)")
         for a in self.coeffs:
             if not callable(a) and not np.isfinite(a):
                 raise ValueError("coefficients must be finite")
         if self.cutoff is not None and not isinstance(self.cutoff, SourceGate):
             raise TypeError("cutoff must be a SourceGate or None")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         """P at time t for u sampled on the meshes (x1, x2); cutoff_value,
@@ -181,7 +182,7 @@ class NonlinearitySpec:
 
 
 def cubic_nonlinearity(a3=1.0, cutoff=z_cutoff) -> NonlinearitySpec:
-    return NonlinearitySpec(degree=3, coeffs=(0.0, 0.0, 0.0, a3), cutoff=cutoff)
+    return NonlinearitySpec(coeffs=(0.0, 0.0, 0.0, a3), cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -347,23 +348,21 @@ def _propagator(grid: GridND, fraction: float | None, dt: float):
     return _free_propagator(_block(grid, fraction).k, dt)
 
 
-@lru_cache(maxsize=32)
-def _meshes(grid: GridND):
-    x1, x2 = grid.nodes()
-    return x1[:, None], x2[None, :]
-
-
 @lru_cache(maxsize=8)
-def _gate_box(gate: SourceGate, grid: GridND):
-    """Index box of grid holding the gate's spatial support (|x| < edge),
-    its meshes, and the space factor on it."""
-    x1, x2 = _meshes(grid)
+def _gate_box(gate: SourceGate | None, grid: GridND):
+    """(box, x1, x2, space): the index box of grid holding the gate's spatial
+    support (|x| < edge), its meshes x1[:, None] and x2[None, :], and the
+    gate's space factor on it.  For gate None the box is the whole grid and
+    space is None."""
+    edge = math.inf if gate is None else gate.edge
+    nodes = grid.nodes()
     box = tuple(
         slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-        for idx in (np.flatnonzero(np.abs(x) < gate.edge) for x in (x1[:, 0], x2[0]))
+        for idx in (np.flatnonzero(np.abs(x) < edge) for x in nodes)
     )
-    bx1, bx2 = x1[box[0]], x2[:, box[1]]
-    return box, bx1, bx2, gate.space_factor(bx1, bx2)
+    x1, x2 = (x[b] for x, b in zip(nodes, box))
+    x1, x2 = x1[:, None], x2[None, :]
+    return box, x1, x2, None if gate is None else gate.space_factor(x1, x2)
 
 
 def _check_grid(grid: GridND, *fields):
@@ -433,18 +432,14 @@ def _nonlinear_source(P: NonlinearitySpec, grid: GridND):
     for u sampled on the index box of grid, raising BlowupError where P
     overflows; P vanishes identically outside the open time interval support.
 
-    support is a SourceGate cutoff's time support; the box is the one holding
-    its spatial support, and P uses the gate's cached space factor there, so
-    p is zero off the box.  An ungated coupling is evaluated on the whole grid
-    at all times.
+    The box and its meshes are _gate_box(P.cutoff, grid).  For a SourceGate
+    cutoff, support is its time support and P uses its cached space factor
+    on the box, so p is zero off the box; an ungated coupling has the whole
+    grid as its box and is evaluated at all times.
     """
     gate = P.cutoff
-    if gate is None:
-        support, box = (-math.inf, math.inf), tuple(slice(0, n) for n in grid.shape)
-        x1, x2 = _meshes(grid)
-    else:
-        support = gate.support
-        box, x1, x2, space = _gate_box(gate, grid)
+    box, x1, x2, space = _gate_box(gate, grid)
+    support = (-math.inf, math.inf) if gate is None else gate.support
 
     def source(t, u):
         cut = None if gate is None else gate.time_factor(t) * space
@@ -637,10 +632,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     if -math.inf < support[0] < config.t0:
         # The data must be a free wave: the gate may not have opened yet.
         raise ValueError(f"source gate is open at t0 = {config.t0}; start at or before {support[0]}")
-    out = _run((u0, ut0), grid, config, source, support, box)
-    out.metadata["degree"] = P.degree
-    out.metadata["coeffs"] = tuple(a if not callable(a) else "callable" for a in P.coeffs)
-    return out
+    return _run((u0, ut0), grid, config, source, support, box)
 
 
 def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> SpaceTimeField:
@@ -653,5 +645,5 @@ def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> Spac
     Every step is kicked, with forcing evaluated on the whole grid.
     """
     zero = np.zeros(grid.shape)
-    P = NonlinearitySpec(3, (forcing, 0.0, 0.0, 0.0))
+    P = NonlinearitySpec((forcing, 0.0, 0.0, 0.0))
     return solve_response(zero, zero, grid, config, P=P)

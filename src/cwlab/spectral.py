@@ -93,8 +93,8 @@ class GridND:
         return list(np.meshgrid(*self.nodes(), indexing="ij"))
 
 
-def grid3d(points: int, extent: float, start: float | None = None) -> GridND:
-    g = Grid1D(points, extent, start)
+def grid3d(points: int, extent: float) -> GridND:
+    g = Grid1D(points, extent)
     return GridND((g, g, g))
 
 
@@ -257,12 +257,6 @@ def _trig_phases(s, start: float, eta) -> np.ndarray:
     return np.exp(1j * np.outer(np.asarray(s, dtype=float) - start, eta))
 
 
-def trig_line(coef: np.ndarray, grid: Grid1D, s) -> np.ndarray:
-    """The real 1D trigonometric polynomial with trig_modes coefficients
-    coef on grid, evaluated at the points s (anywhere on the line)."""
-    return np.real(_trig_phases(s, grid.start, grid.freqs()) @ coef)
-
-
 def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a real 2D field at points.
 
@@ -303,24 +297,21 @@ def windowed_slice(
     center,
     direction,
     half_length: float,
-    window_width: float | None = None,
 ) -> SliceProfile:
     """Sample a field along ``center + s*direction`` and apply a bump window.
 
     The slice lives on its own periodic grid of extent 2*half_length, with
     the power of two of points (at least 16) that samples it at least as
-    finely as the field's grid; the window vanishes for |s| >= window_width
-    (default: the full half_length, the widest smooth window the segment
-    supports; window tails this slow to open cost decades of usable dynamic
-    range in the slope fit).
+    finely as the field's grid; the window vanishes for |s| >= half_length,
+    the widest smooth window the segment supports (a narrower window's
+    tails, slower to open, cost decades of usable dynamic range in the
+    slope fit).
     """
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     center = np.asarray(center, dtype=float)
-    if window_width is None:
-        window_width = half_length
-    if not 0 < window_width <= half_length:
-        raise ValueError("need 0 < window_width <= half_length")
+    if not half_length > 0:
+        raise ValueError("half_length must be positive")
     for axis, g in enumerate(grid.axes):
         lo = min(center[axis] - half_length * abs(direction[axis]),
                  center[axis] + half_length * abs(direction[axis]))
@@ -333,4 +324,4 @@ def windowed_slice(
     s = sgrid.nodes()
     pts = center[None, :] + s[:, None] * direction[None, :]
     vals = evaluate_trig(values, grid, pts)
-    return SliceProfile(sgrid, vals, bump_window(s / window_width))
+    return SliceProfile(sgrid, vals, bump_window(s / half_length))

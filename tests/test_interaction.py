@@ -40,6 +40,7 @@ from cwlab.solver import (
     grid2d,
     solve,
     z_cutoff,
+    _gate_box,
 )
 from cwlab.spectral import plateau_window
 
@@ -48,7 +49,7 @@ EPS = 0.05
 
 
 def quartic_coupling(a4=1.0):
-    return NonlinearitySpec(4, (0.0, 0.0, 0.0, 0.0, a4), z_cutoff)
+    return NonlinearitySpec((0.0, 0.0, 0.0, 0.0, a4), z_cutoff)
 
 
 # ---------------------------------------------------------------- data
@@ -180,7 +181,7 @@ def test_response_confined_to_causal_region_of_the_gate(resp256):
 
 
 def test_polarization_of_linear_solve_vanishes(cfg256):
-    cfg = replace(cfg256, P=NonlinearitySpec(3, (0.0, 1.0, 0.0, 0.0), z_cutoff))
+    cfg = replace(cfg256, P=NonlinearitySpec((0.0, 1.0, 0.0, 0.0), z_cutoff))
     iso = polarization_isolate(nonlinear_response(cfg))
     assert np.max(np.abs(iso.u)) < 1e-10
 
@@ -270,6 +271,19 @@ def test_channel_needs_a_cubic_coupling(resp256, cfg256):
         meta = dict(resp256.metadata, config=replace(cfg256, P=P))
         with pytest.raises(ValueError, match="cubic"):
             polarization_isolate(replace(resp256, metadata=meta))
+
+
+def test_channel_forcing_is_the_product_of_the_data_waves(cfg256):
+    # the data and the trilinear forcing evaluate the waves by one rule: at
+    # unit eps and a3 = 1 the forcing is 6 v1 v2 v3 on P's box, with v_j the
+    # unit-wave data restricted to that box
+    box, x1, x2, _ = _gate_box(cfg256.P.cutoff, cfg256.grid)
+    forcing = interaction._triple_forcing(cfg256, (1.0, 1.0, 1.0))
+    for t in (cfg256.solver.t0, cfg256.solver.t1):
+        waves = [make_three_wave_data(cfg256.frame, cfg256.m, e, cfg256.grid, t)[0][box]
+                 for e in np.eye(3)]
+        ref = 6.0 * waves[0] * waves[1] * waves[2]
+        assert np.max(np.abs(forcing(t, x1, x2) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
@@ -443,12 +457,12 @@ def test_scaling_needs_three_strengths_spanning_four_fold(resp256):
 
 
 def test_doubled_coupling_doubles_recovered_coefficient(resp256):
-    est = coefficient_recovery(resp256, [NonlinearitySpec(3, (0, 0, 0, 2.0), z_cutoff)])[0]
+    est = coefficient_recovery(resp256, [NonlinearitySpec((0, 0, 0, 2.0), z_cutoff)])[0]
     assert abs(est.c_hat - 2.0) < 0.10
 
 
 def test_flipped_coupling_flips_the_cone_wave(resp256):
-    est = coefficient_recovery(resp256, [NonlinearitySpec(3, (0, 0, 0, -1.0), z_cutoff)])[0]
+    est = coefficient_recovery(resp256, [NonlinearitySpec((0, 0, 0, -1.0), z_cutoff)])[0]
     assert abs(est.correlation - (-1.0)) < 0.05
 
 

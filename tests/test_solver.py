@@ -167,7 +167,7 @@ def test_zero_nonlinearity_matches_linear():
     u0 = band_limited_noise(grid, seed=5)
     ut0 = band_limited_noise(grid, seed=6)
     # ungated, so the zero source is evaluated and kicked in on the step
-    P = NonlinearitySpec(degree=3, coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=None)
+    P = NonlinearitySpec(coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=None)
     out = solve(u0, ut0, grid, SolverConfig(dt=0.02, t0=0.0, t1=0.02), P=P)
     assert out.metadata["stats"]["kicks_applied"] == 1
     ul, utl = linear_propagate(u0, ut0, grid, 0.02)
@@ -183,7 +183,7 @@ def test_manufactured_solution_second_order_in_dt():
     w = 2.3
 
     forcing = lambda t, X1, X2: (xi**2 - w**2) * np.cos(w * t) * np.cos(xi * X1)
-    P = NonlinearitySpec(degree=3, coeffs=(forcing, 0.0, 0.0, 0.0), cutoff=None)
+    P = NonlinearitySpec(coeffs=(forcing, 0.0, 0.0, 0.0), cutoff=None)
 
     mode = np.cos(xi * x1) * np.ones(grid.shape)
 
@@ -320,7 +320,7 @@ def test_gate_that_never_opens_is_free_flow():
 
 # The default gate of cubic_nonlinearity(5.0) as a factor of an ungated
 # coefficient, which the solver evaluates on the whole grid at every step.
-_OPAQUE_GATE = NonlinearitySpec(3, (0, 0, 0, lambda t, X1, X2: 5.0 * z_cutoff(t, X1, X2)))
+_OPAQUE_GATE = NonlinearitySpec((0, 0, 0, lambda t, X1, X2: 5.0 * z_cutoff(t, X1, X2)))
 
 
 def test_generic_cutoff_kicks_on_every_step():
@@ -338,8 +338,8 @@ def test_generic_cutoff_kicks_on_every_step():
 
 def test_cutoff_is_a_source_gate_or_none():
     with pytest.raises(TypeError, match="SourceGate"):
-        NonlinearitySpec(3, (0.0, 0.0, 0.0, 1.0), lambda t, X1, X2: z_cutoff(t, X1, X2))
-    assert NonlinearitySpec(3, (0.0, 0.0, 0.0, 1.0), z_cutoff).cutoff is z_cutoff
+        NonlinearitySpec((0.0, 0.0, 0.0, 1.0), lambda t, X1, X2: z_cutoff(t, X1, X2))
+    assert NonlinearitySpec((0.0, 0.0, 0.0, 1.0), z_cutoff).cutoff is z_cutoff
 
 
 @pytest.mark.parametrize("P, entries", [(None, 1), (cubic_nonlinearity(5.0), 3)])

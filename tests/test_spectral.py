@@ -14,9 +14,9 @@ from cwlab.spectral import (
     dft_inverse,
     evaluate_trig,
     plateau_window,
-    trig_line,
     trig_modes,
     windowed_slice,
+    _trig_phases,
 )
 from cwlab.profiles import SymbolSpec, synthesize_profile
 
@@ -194,17 +194,21 @@ def test_trig_evaluation_matches_complex_fft_reference(k1, k2, ext1, ext2, start
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_trig_line_reproduces_nodes_and_band_limited_cosine():
+def test_trig_phases_reproduce_nodes_and_band_limited_cosine():
     g = Grid1D(64, 8.0, start=-3.0)  # off-center, so the phase rule counts
+
+    def line(coef, s):
+        return np.real(_trig_phases(s, g.start, g.freqs()) @ coef)
+
     prof = synthesize_profile(SymbolSpec(-2.6), g, cutoff=g.nyquist / 2.0)
-    assert np.max(np.abs(trig_line(trig_modes(prof.values), g, g.nodes()) - prof.values)) < (
+    assert np.max(np.abs(line(trig_modes(prof.values), g.nodes()) - prof.values)) < (
         1e-12 * np.max(np.abs(prof.values))
     )
     k = 5 * g.freq_spacing()
     coef = trig_modes(np.cos(k * g.nodes() + 0.4))
     s = np.random.default_rng(3).uniform(-20.0, 20.0, 50)  # off the grid, off the period
-    assert np.max(np.abs(trig_line(coef, g, s) - np.cos(k * s + 0.4))) < 1e-12
-    du = trig_line(1j * g.freqs() * coef, g, s)
+    assert np.max(np.abs(line(coef, s) - np.cos(k * s + 0.4))) < 1e-12
+    du = line(1j * g.freqs() * coef, s)
     assert np.max(np.abs(du + k * np.sin(k * s + 0.4))) < 1e-12 * k
 
 
@@ -221,10 +225,8 @@ def test_slice_across_front_recovers_profile_order():
 def test_slice_window_halving_stability():
     grid, vals, _ = _plane_wave_field(n=1024, ext=24.0, m=-2.6)
     slopes = []
-    for w in (10.0, 5.0):
-        sl = windowed_slice(
-            vals, grid, (0.0, 0.0), (0.0, 1.0), half_length=10.0, window_width=w
-        )
+    for half in (10.0, 5.0):
+        sl = windowed_slice(vals, grid, (0.0, 0.0), (0.0, 1.0), half_length=half)
         fit = decay_exponent(sl.windowed, sl.grid, band=(8.0, 64.0))
         slopes.append(fit.slope)
     assert abs(slopes[0] - slopes[1]) < 0.1
