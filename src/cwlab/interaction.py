@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from scipy import ndimage
 
 from .profiles import SymbolSpec, synthesize_profile
 from .solver import (
@@ -47,6 +46,7 @@ from .spectral import (
     plateau_window,
     trig_modes,
     windowed_slice,
+    _periodic_cubic_spline,
     _trig_phases,
 )
 
@@ -653,8 +653,9 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     """Median radius of the high-passed intensity ridge on one time slice.
 
     RIDGE_ANGLES radial rays clear of the tangencies of the field's frame
-    sample |high-pass u| by cubic interpolation; each ray reports the radius
-    of its peak inside RIDGE_SPAN * t and the median over rays is returned.
+    sample |high-pass u| by its periodic cubic B-spline interpolant, knotted
+    at the grid's nodes; each ray reports the radius of its peak inside
+    RIDGE_SPAN * t and the median over rays is returned.
     High-passing keeps all resolved frequencies above the bulk, so the peak
     tightens onto the layer as the grid refines instead of sitting a fixed
     fraction of a band wavelength off it.
@@ -674,7 +675,7 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     x2 = np.outer(np.sin(angles), radii)
     i1 = (x1 - g.start) / g.spacing
     i2 = (x2 - g.start) / g.spacing
-    vals = ndimage.map_coordinates(bp, [i1, i2], order=3, mode="grid-wrap")
+    vals = _periodic_cubic_spline(bp, i1, i2)
     best = radii[np.argmax(vals, axis=1)]
     return float(np.median(best))
 

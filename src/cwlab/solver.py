@@ -19,6 +19,10 @@ ever needed.  P is evaluated only on the box, the index box of the grid
 holding the gate's spatial support (the whole grid for an ungated coupling),
 so a kick transforms from the block onto the box and back, one axis at a
 time, and never over the whole grid.
+
+Every transform is numpy.fft (pocketfft), the package's only FFT library.
+The module keeps it under the name sfft, which the benchmark's tracer
+replaces by name to count and time the solver's FFTs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as sfft
 
 from .spectral import Grid1D, GridND, plateau_window
 
@@ -320,8 +324,9 @@ def _block(grid: GridND, fraction: float | None) -> _Block:
 
 
 def _spectrum(f):
-    """rfft2 of the real 2D field f, in block layout."""
-    return sfft.fft(sfft.rfft(f, axis=-1).T, axis=-1)
+    """rfft2 of the real 2D field f, in block layout, C-contiguous (numpy.fft
+    lays its output out like its input, and _propagate views it as floats)."""
+    return sfft.fft(np.ascontiguousarray(sfft.rfft(f, axis=-1).T), axis=-1)
 
 
 def _field(spec, n2: int):
@@ -527,6 +532,7 @@ def _run(data, grid, config, source=None, support=(-math.inf, math.inf), box=Non
             dst[0, :, :nlo] = spec[:cols, :nlo]
             dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
         lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
+        box_lines = np.empty((b1.stop - b1.start, cols), dtype=complex)
         box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
 
     def kick(t):
@@ -534,15 +540,19 @@ def _run(data, grid, config, source=None, support=(-math.inf, math.inf), box=Non
         np.add(uh[0, :, :nlo], uh[1, :, :nlo], out=lines[:, :nlo])
         np.add(uh[0, :, nlo:], uh[1, :, nlo:], out=lines[:, n1 - nhi :])
         lines[:, nlo : n1 - nhi] = 0.0
-        x = sfft.ifft(lines, axis=-1, overwrite_x=True)
-        p, peak = source(t, sfft.irfft(x[:, b1].T, n=n2, axis=-1)[:, b2])
+        # The x1 transforms run in place (numpy.fft's out=); the x2 transform
+        # reads the box's x1 rows copied contiguous, as numpy.fft runs slower
+        # on a strided input and lays its output out like it.
+        sfft.ifft(lines, axis=-1, out=lines)
+        box_lines[...] = lines[:, b1].T
+        p, peak = source(t, sfft.irfft(box_lines, n=n2, axis=-1)[:, b2])
         np.multiply(p, dt, out=box_rows[:, b2])
         lines[:, : b1.start] = 0.0
         lines[:, b1.stop :] = 0.0
         lines[:, b1] = sfft.rfft(box_rows, axis=-1)[:, :cols].T
-        x = sfft.fft(lines, axis=-1, overwrite_x=True)
-        vh[1, :, :nlo] += x[:, :nlo]
-        vh[1, :, nlo:] += x[:, n1 - nhi :]
+        sfft.fft(lines, axis=-1, out=lines)
+        vh[1, :, :nlo] += lines[:, :nlo]
+        vh[1, :, nlo:] += lines[:, n1 - nhi :]
         return peak
 
     def recorded(w):

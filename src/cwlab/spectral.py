@@ -254,7 +254,8 @@ def trig_modes(values: np.ndarray) -> np.ndarray:
 
 def _trig_phases(s, start: float, eta) -> np.ndarray:
     """exp(i (s - start) eta): one row per point s, one column per frequency."""
-    return np.exp(1j * np.outer(np.asarray(s, dtype=float) - start, eta))
+    phases = 1j * np.outer(np.asarray(s, dtype=float) - start, eta)
+    return np.exp(phases, out=phases)  # in place: the table is held once
 
 
 def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.ndarray:
@@ -276,6 +277,31 @@ def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.nd
     tmp = _trig_phases(pts[:, 0], g1.start, g1.freqs()) @ coef
     eta2 = 2.0 * np.pi * np.fft.rfftfreq(g2.points, d=g2.spacing)
     return np.real(np.einsum("mk,mk->m", tmp, _trig_phases(pts[:, 1], g2.start, eta2)))
+
+
+def _periodic_cubic_spline(values: np.ndarray, i1, i2) -> np.ndarray:
+    """The periodic cubic B-spline interpolant of the 2D array values at
+    fractional indices (i1, i2), arrays of one shape, wrapped onto the array.
+
+    The spline's coefficients c solve values = c * [1, 4, 1] / 6 along each
+    axis, a circular convolution, so they are values divided in rfft2 space
+    by the stencil's symbol (4 + 2 cos(2 pi k / n)) / 6 per axis; each point
+    then weights the 4 x 4 coefficients around it by the cubic B-spline.
+    """
+    n1, n2 = values.shape
+    sym1 = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n1))) / 6.0
+    sym2 = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(n2))) / 6.0
+    coef = np.fft.irfft2(np.fft.rfft2(values) / np.outer(sym1, sym2), s=values.shape)
+    taps = np.arange(-1, 3).reshape((4,) + (1,) * np.ndim(i1))
+    axes = []  # per axis: the 4 weights and wrapped indices around each point
+    for i, n in ((i1, n1), (i2, n2)):
+        base = np.floor(i)
+        f = i - base
+        g = 1.0 - f
+        mid = (4.0 - 3.0 * f * f * (1.0 + g), 4.0 - 3.0 * g * g * (1.0 + f))
+        axes.append((np.stack([g**3, *mid, f**3]) / 6.0, (base.astype(int) + taps) % n))
+    (w1, j1), (w2, j2) = axes
+    return np.einsum("a...,b...,ab...->...", w1, w2, coef[j1[:, None], j2[None, :]])
 
 
 @dataclass
