@@ -344,9 +344,11 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     forward solution, from zero data, of the source
     6 a3 eps1 eps2 eps3 v1 v2 v3 under P's gate, with v_j the unit free
     waves, exact translates read by the rule that builds the data
-    (_wave_phases, on P's box).  It is one solve_response, whose
-    coupling is that source alone, so it has P's box and kick skipping; a
-    callable a3 is evaluated in the source, and a3 = 0 gives exactly zero.
+    (_wave_phases, on P's box).  It is one solve_response whose coupling
+    is that source alone: it has P's box and kick skipping, and, as the
+    source does not read u, the loop carries w alone and each kick
+    transforms only the source.  A callable a3 is evaluated in the source,
+    and a3 = 0 gives exactly zero.
     It carries no single- or pairwise-interaction term, the part that rides
     the incoming fronts.
 
@@ -564,15 +566,22 @@ def _under_window_leakage(profile, band) -> bool:
     return inside.size > 0 and bool(np.all(spec[inside] <= leak))
 
 
-def _slice_fit(profile, band) -> DecayFit:
-    """Power-law fit of a windowed slice, flagging fits the data cannot support.
+def _slice_fit(state: WaveState, center, direction, half_length) -> DecayFit:
+    """Power-law fit of state's windowed slice, flagging fits the data cannot
+    support.
 
-    A fit left with too few bins reads superpolynomial (slope -inf) only when
-    the band shows nothing above the instrument's floor: the bins sit at the
-    roundoff floor, or, in a band too short to fit, every bin lies within
-    the window's leakage of the content below the band.  Otherwise too few
-    bins is no measurement (slope NaN, flagged insufficient_bins).
+    The slice runs through center along direction, half_length either side,
+    with the smooth bulk below the fit band, default_band of the grid,
+    removed first; its DFT is fitted in that band.  A fit left with too few
+    bins reads superpolynomial (slope -inf) only when the band shows nothing
+    above the instrument's floor: the bins sit at the roundoff floor, or, in
+    a band too short to fit, every bin lies within the window's leakage of
+    the content below the band.  Otherwise too few bins is no measurement
+    (slope NaN, flagged insufficient_bins).
     """
+    band = default_band(state.grid)
+    profile = windowed_slice(_without_bulk(state, band), state.grid, center=center,
+                             direction=direction, half_length=half_length)
     try:
         return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
     except TooFewBins as err:
@@ -604,15 +613,7 @@ def cone_order_estimate(
     r0 = float(state.t) if center_radius is None else float(center_radius)
     if half_length is None:
         half_length = _clean_half_length(fld.grid, probe, _recorded(fld, "frame"), r0, state.t)
-    band = default_band(fld.grid)
-    sl = windowed_slice(
-        _without_bulk(state, band),
-        fld.grid,
-        center=r0 * probe.direction,
-        direction=probe.direction,
-        half_length=half_length,
-    )
-    return _slice_fit(sl, band)
+    return _slice_fit(state, r0 * probe.direction, probe.direction, half_length)
 
 
 def front_order_estimate(fld: SpaceTimeField, omega, t=None, half_length=None) -> DecayFit:
@@ -629,14 +630,10 @@ def front_order_estimate(fld: SpaceTimeField, omega, t=None, half_length=None) -
     state = fld.state_at(t)
     w = np.asarray(omega, dtype=float)
     w = w / np.hypot(*w)
-    band = default_band(fld.grid)
     if half_length is None:
-        half_length = max(1.2, MIN_BINS * np.pi / (band[1] - band[0]))
-    sl = windowed_slice(
-        _without_bulk(state, band), fld.grid, center=state.t * w, direction=w,
-        half_length=half_length,
-    )
-    return _slice_fit(sl, band)
+        lo, hi = default_band(fld.grid)
+        half_length = max(1.2, MIN_BINS * np.pi / (hi - lo))
+    return _slice_fit(state, state.t * w, w, half_length)
 
 
 # The ridge is sampled on RIDGE_ANGLES rays, and each ray's peak is sought

@@ -162,12 +162,19 @@ def test_finite_propagation_speed():
 # ------------------------------------------------------------ nonlinear step
 
 
-def test_zero_nonlinearity_matches_linear():
+# Both kick paths with a zero source: the all-zero P does not read u, the
+# zero callable cubic coefficient does.
+@pytest.mark.parametrize(
+    "P",
+    [NonlinearitySpec(coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=None),
+     NonlinearitySpec(coeffs=(0.0, 0.0, 0.0, lambda t, X1, X2: 0.0), cutoff=None)],
+    ids=["forcing", "reads u"],
+)
+def test_zero_nonlinearity_matches_linear(P):
     grid = grid2d(64, L)
     u0 = band_limited_noise(grid, seed=5)
     ut0 = band_limited_noise(grid, seed=6)
     # ungated, so the zero source is evaluated and kicked in on the step
-    P = NonlinearitySpec(coeffs=(0.0, 0.0, 0.0, 0.0), cutoff=None)
     out = solve(u0, ut0, grid, SolverConfig(dt=0.02, t0=0.0, t1=0.02), P=P)
     assert out.metadata["stats"]["kicks_applied"] == 1
     ul, utl = linear_propagate(u0, ut0, grid, 0.02)
@@ -355,6 +362,14 @@ def test_free_flow_keeps_one_cached_propagator(P, entries):
     assert solver._propagator.cache_info().currsize <= entries
 
 
+def _smooth_forcing(t, X1, X2):
+    return np.cos(2.0 * t) * np.exp(-(X1**2 + 2.0 * X2**2)) * (1.0 + 0.5 * X1)
+
+
+# A coupling that does not read u: the solver carries w alone.
+_FORCING = NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0), z_cutoff)
+
+
 # The fraction of each axis's Nyquist frequency a kick keeps (the 2/3 rule).
 CUT = 2.0 / 3.0
 
@@ -403,6 +418,8 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
         ("gated response", cubic_nonlinearity(5.0), 10**6, True),
         ("gate in the coefficient", _OPAQUE_GATE, 10**6, True),
         ("solve, every step recorded", cubic_nonlinearity(5.0), 1, False),
+        ("forcing response", _FORCING, 10**6, True),
+        ("forcing solve, every step recorded", _FORCING, 1, False),
     ],
 )
 def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, response):
@@ -444,6 +461,61 @@ def test_stats_time_the_loop_phases(P):
     assert sum(wall.values()) <= elapsed
     if P is None:  # a run that never kicks runs no loop
         assert all(v == 0.0 for v in wall.values())
+
+
+class _CountingFFT:
+    """Stands in for the module solver.sfft names, counting the transforms
+    called through it."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, 0
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_forcing_kick_carries_w_alone(monkeypatch):
+    # a P that does not read u skips the kick's forward half (block to box):
+    # it transforms the source back only, 2 transforms against 4
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    counter = _CountingFFT(solver.sfft)
+    monkeypatch.setattr(solver, "sfft", counter)
+
+    def per_kick(P):
+        counts = []
+        for t1 in (0.3, 0.6):  # 10 and 20 steps, every one kicked, one record
+            counter.calls = 0
+            cfg = SolverConfig(dt=0.03, t0=0.0, t1=t1, record_stride=10**6)
+            solve_response(u0, 0.5 * u0, grid, cfg, P=P)
+            counts.append(counter.calls)
+        return (counts[1] - counts[0]) / 10
+
+    assert per_kick(NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0))) == 2
+    assert per_kick(cubic_nonlinearity(5.0, cutoff=None)) == 4
+
+    # so its response does not depend on the data; the forcing hands out one
+    # array at every kick, which the gate must not scale in place
+    held = {}
+    forcing = NonlinearitySpec(
+        (lambda t, X1, X2: held.setdefault("f", _smooth_forcing(0.0, X1, X2)), 0.0, 0.0, 0.0),
+        z_cutoff,
+    )
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=20)
+    zero = solve_response(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg, P=forcing)
+    data = solve_response(u0, 0.5 * u0, grid, cfg, P=forcing)
+    assert zero.metadata["stats"]["kicks_applied"] == 50
+    assert np.array_equal(data.u, zero.u) and np.array_equal(data.ut, zero.ut)
+    assert np.max(np.abs(zero.u[-1])) > 0.0
+    box = np.abs(grid.axes[0].nodes()) < z_cutoff.edge
+    x1, x2 = meshes(grid)
+    assert np.array_equal(held["f"], _smooth_forcing(0.0, x1[box], x2[:, box]))
 
 
 # ------------------------------------------------------------------ duhamel
