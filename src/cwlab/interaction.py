@@ -7,6 +7,13 @@ locates the emitted light circle, estimates the transversal decay order
 across it, and recovers the cubic coupling from cone amplitudes.  All
 probes carry the band and window they were computed with so reported
 numbers stay reproducible, and look up only slices the run recorded.
+
+A plane wave f(t - x . omega) on a lattice direction (p, q) takes one
+value per p i + q j mod N over the grid's nodes (i, j).  So each wave at
+time t is one line of N values, one FFT of its profile's coefficients,
+read on any index box through a strided view.  The data and the
+trilinear forcing of the polarization channel read the waves by that one
+rule, and no wave is tabulated or cached on the grid.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .spectral import (
     trig_modes,
     windowed_slice,
     _periodic_cubic_spline,
-    _trig_phases,
 )
 
 # Directions must lie on rational lattice lines so that plane translates
@@ -199,13 +205,17 @@ MIN_BINS = 6
 
 @lru_cache(maxsize=16)
 def _wave_lines(frame: CharFrame, m: float, grid: GridND):
-    """Per plane wave, its line: (p, q, gprof, coef).
+    """Per plane wave, (p, q, eta, coef, shift): the spectrum of its line.
 
     (p, q) is the wave's integer direction.  Its profile lives on its own
-    1D grid gprof whose extent is the period of x . omega on the box, so the
-    wave is exactly periodic; coef holds the trig_modes coefficients of the
-    profile, cut off at DATA_CUTOFF (or half gprof's Nyquist frequency, if
-    lower) and without its modes below PROFILE_TRIM.
+    1D grid gprof, of the grid's point count, whose extent is the period of
+    x . omega on the box, so the wave is exactly periodic; eta is gprof's
+    frequencies and coef the trig_modes coefficients of the profile, cut off
+    at DATA_CUTOFF (or half gprof's Nyquist frequency, if lower) and without
+    its modes below PROFILE_TRIM.  The values -x . omega at the grid's nodes
+    are gprof's nodes plus one constant: node (i, j) sits at
+    gprof.start + shift - k h' with k = p i + q j and h' gprof's spacing, so
+    the wave reads its line at k mod N (see _line).
     """
     g = _square_axis(grid)
     lines = []
@@ -214,44 +224,37 @@ def _wave_lines(frame: CharFrame, m: float, grid: GridND):
         gprof = Grid1D(g.points, g.extent / float(np.hypot(p, q)))
         cut = min(gprof.nyquist / 2.0, DATA_CUTOFF)
         prof = synthesize_profile(SymbolSpec(m), gprof, cutoff=cut)
-        coef = trig_modes(prof.values) * (1.0 - plateau_window(gprof.freqs(), *PROFILE_TRIM))
-        lines.append((p, q, gprof, coef))
+        eta = gprof.freqs()
+        coef = trig_modes(prof.values) * (1.0 - plateau_window(eta, *PROFILE_TRIM))
+        shift = -g.start * (omega[0] + omega[1]) - gprof.start
+        lines.append((p, q, eta, coef, shift))
     return tuple(lines)
 
 
-def _wave_phases(frame: CharFrame, m: float, grid: GridND, box):
-    """Per plane wave, (phases, eta, coef, idx) on the index box of grid.
-
-    The wave's line (see _wave_lines) is sampled at the distinct values of
-    -x . omega over the box's nodes, one per integer p i + q j in increasing
-    order, which keeps translates exact to roundoff: phases holds the line's
-    mode phases there, one row per value, and idx each node's row.  The wave
-    at time t on the box is np.real(phases @ (coef * exp(i eta t)))[idx],
-    and its t-derivative the same with i eta coef.  Each wave's table is
-    built only when the generator reaches it.
-    """
-    g = _square_axis(grid)
-    rows, cols = (np.arange(b.start, b.stop) for b in box)
-    for omega, (p, q, gprof, coef) in zip(frame.omegas, _wave_lines(frame, m, grid)):
-        kmesh = np.add.outer(p * rows, q * cols)
-        kk = np.arange(kmesh.min(), kmesh.max() + 1)
-        s = -g.start * (omega[0] + omega[1]) - kk * (g.spacing / float(np.hypot(p, q)))
-        eta = gprof.freqs()
-        yield _trig_phases(s, gprof.start, eta), eta, coef, kmesh - kmesh.min()
+def _line(eta, coef, shift, t, order=0) -> np.ndarray:
+    """A wave's line at time t, or its t-derivative for order 1: entry k is
+    its value at the nodes with p i + q j = k mod N, one length-N FFT of the
+    coefficients carried to t."""
+    c = coef * np.exp(1j * eta * (t + shift))
+    return np.real(np.fft.fft(c if order == 0 else 1j * eta * c))
 
 
-@lru_cache(maxsize=16)
-def _unit_waves(frame: CharFrame, m: float, grid: GridND, t0: float):
-    """Unit-amplitude translates (u, ut) of each plane wave at t0: its
-    phases over the whole grid (_wave_phases) times its coefficients
-    carried to t0 by exp(i eta t0), and times i eta for ut."""
-    pieces = []
-    whole = tuple(slice(0, n) for n in grid.shape)
-    for phases, eta, coef, idx in _wave_phases(frame, m, grid, whole):
-        c = coef * np.exp(1j * eta * t0)
-        pieces.append((np.real(phases @ c)[idx], np.real(phases @ (1j * eta * c))[idx]))
-        del phases  # so the next wave's table is built with this one freed
-    return tuple(pieces)
+def _lattice_view(line, p: int, q: int, box) -> np.ndarray:
+    """line on the index box of the grid: node (i, j) reads
+    line[(p i + q j) mod N], as a read-only strided view of line repeated
+    over the span of p i + q j the box needs."""
+    rows, cols = box
+    n = line.size
+    corners = [p * i + q * j for i in (rows.start, rows.stop - 1)
+               for j in (cols.start, cols.stop - 1)]
+    base = min(corners) // n * n  # span[k - base] = line[k mod n]
+    span = np.concatenate((line,) * ((max(corners) - base) // n + 1))
+    item = span.itemsize
+    view = np.ndarray((rows.stop - rows.start, cols.stop - cols.start), span.dtype, span,
+                      offset=(p * rows.start + q * cols.start - base) * item,
+                      strides=(p * item, q * item))
+    view.flags.writeable = False
+    return view
 
 
 def make_three_wave_data(frame, m, eps, grid, t0):
@@ -260,17 +263,19 @@ def make_three_wave_data(frame, m, eps, grid, t0):
     Returns (u, ut) with u = sum_j eps_j f_j(t0 - x . omega_j): an exact
     free-wave snapshot, at any t0.  Each profile is cut off at DATA_CUTOFF
     (or half its grid's Nyquist frequency, if lower) and loses its modes
-    below PROFILE_TRIM.  Whether the source gate is still closed at t0 is
-    the solver's check (solve and solve_response reject a later t0).
+    below PROFILE_TRIM.  Each wave is its line at t0 (_line, scaled by its
+    eps), laid onto the grid as a lattice view (_lattice_view) and added in:
+    the build holds no 2D array but u and ut, and caches none.  Whether the source gate is still closed at t0 is the solver's
+    check (solve and solve_response reject a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
-    waves = _unit_waves(frame, float(m), grid, float(t0))
+    whole = tuple(slice(0, n) for n in grid.shape)
     u = np.zeros(grid.shape)
     ut = np.zeros(grid.shape)
-    for e, (uw, utw) in zip(eps, waves):
+    for e, (p, q, eta, coef, shift) in zip(eps, _wave_lines(frame, float(m), grid)):
         if e != 0.0:
-            u += e * uw
-            ut += e * utw
+            for out, order in ((u, 0), (ut, 1)):
+                out += _lattice_view(e * _line(eta, coef, shift, t0, order), p, q, whole)
     return u, ut
 
 
@@ -319,19 +324,19 @@ def _triple_forcing(config: ExperimentConfig, eps):
     the box P is evaluated on, _gate_box(P.cutoff, grid) (the whole grid
     without a gate).
 
-    Each v_j is read from _wave_phases on that box, the rule the data
-    (_unit_waves) reads too; its phases are built once, and at time t the
-    coefficients carry exp(i eta t), so a kick costs one small
-    matrix-vector product per wave.
+    Each v_j is read by the rule that builds the data
+    (make_three_wave_data): its line at time t (_line), laid onto that box
+    as a lattice view (_lattice_view), so a kick costs one length-N FFT per
+    wave and no table.
     """
     P, grid = config.P, config.grid
-    waves = tuple(_wave_phases(config.frame, config.m, grid, _gate_box(P.cutoff, grid)[0]))
+    waves, box = _wave_lines(config.frame, config.m, grid), _gate_box(P.cutoff, grid)[0]
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
 
     def forcing(t, x1, x2):
         f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for phases, eta, coef, idx in waves:
-            f = f * np.real(phases @ (coef * np.exp(1j * eta * t)))[idx]
+        for p, q, eta, coef, shift in waves:
+            f = f * _lattice_view(_line(eta, coef, shift, t), p, q, box)
         return f
 
     return forcing
@@ -343,8 +348,9 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     This is the first-Picard eps1 eps2 eps3 term of the response: the
     forward solution, from zero data, of the source
     6 a3 eps1 eps2 eps3 v1 v2 v3 under P's gate, with v_j the unit free
-    waves, exact translates read by the rule that builds the data
-    (_wave_phases, on P's box).  It is one solve_response whose coupling
+    waves, exact translates read by the rule that builds the data (each
+    wave's line at the kick time, laid onto P's box as a lattice view; see
+    _triple_forcing).  It is one solve_response whose coupling
     is that source alone: it has P's box and kick skipping, and, as the
     source does not read u, the loop carries w alone and each kick
     transforms only the source.  A callable a3 is evaluated in the source,
@@ -710,12 +716,14 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
     for f in factors:
         strength = f * max(eps)
         try:
+            # Each rung is read and dropped before the next one solves.
             rung = resp if f == 1.0 else nonlinear_response(config, tuple(f * e for e in eps))
         except BlowupError:
             dropped.append(strength)
             continue
         amps.append(cone_amplitude(rung, probe))
         used.append(strength)
+        del rung
     amps = np.asarray(amps)
     if amps.size == 0 or np.max(amps) <= 0.0:
         raise ValueError("cone amplitudes sit at the noise floor; nothing to fit")
@@ -763,10 +771,10 @@ def coefficient_recovery(resp: SpaceTimeField, trials):
     amp0 = float(np.max(np.abs(a)))
     if amp0 <= NOISE_FLOOR * float(np.max(np.abs(bp0))):
         raise ValueError("baseline cone amplitude is at the noise floor")
+    del bp0  # only tube values are kept across the trials' solves
     out = []
     for trial in trials:
-        bp, _ = _tube(nonlinear_response(replace(config, P=trial), eps), probe)
-        b = bp[mask]
+        b = _tube(nonlinear_response(replace(config, P=trial), eps), probe)[0][mask]
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
         corr = float(np.sum(a * b) / denom) if denom != 0.0 else 0.0
@@ -853,19 +861,20 @@ def run_experiment(
     probe = config.probes[0]
     t0 = config.solver.t0
 
+    # Every field but resp is reduced to its numbers as soon as it is read.
     resp = nonlinear_response(config)
     cone_fit = cone_order_estimate(resp, probe)
-    _, (u0, ut0) = _data_for(config, None)
+    u0, ut0 = _data_for(config, None)[1]
     data = SpaceTimeField(config.grid, np.array([t0]), u0[None], ut0[None])
     incoming_fit = front_order_estimate(data, config.frame.omegas[0], t=t0)
+    del u0, ut0, data
     amp = cone_amplitude(resp, probe)
 
     nulls = {"p_zero_peak": float(np.max(np.abs(nonlinear_response(replace(config, P=None)).u)))}
     if two_wave_check:
         pair, null_probe = two_wave_probe(config.frame, probe)
         eps_two = tuple(config.eps if k in pair else 0.0 for k in range(3))
-        two = nonlinear_response(config, eps=eps_two)
-        e_two = probe_band_energy(two, null_probe)
+        e_two = probe_band_energy(nonlinear_response(config, eps=eps_two), null_probe)
         e_three = probe_band_energy(resp, null_probe)
         nulls["two_wave_pair"] = pair
         nulls["two_wave_angle"] = null_probe.angle
@@ -875,8 +884,7 @@ def run_experiment(
 
     notes = {}
     if polarization:
-        iso = polarization_isolate(resp)
-        notes["polarization_slope"] = cone_order_estimate(iso, probe).slope
+        notes["polarization_slope"] = cone_order_estimate(polarization_isolate(resp), probe).slope
 
     eps_exponent = amplitude_scaling(resp, eps_factors).exponent if eps_factors else None
     estimates = coefficient_recovery(resp, trials) if trials else []

@@ -535,10 +535,12 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         raise ValueError(f"dt = {dt:.3e} exceeds the step bound {bound:.3e}")
 
     # Events on the half-step lattice: kick i at 2i + 1, record j at 2j.
-    kicks = [] if P is None else [
-        2 * i + 1 for i in range(n_steps) if lo < config.t0 + i * dt + 0.5 * dt < hi
-    ]
+    mids = config.t0 + np.arange(n_steps) * dt + 0.5 * dt
+    kicked = np.flatnonzero((lo < mids) & (mids < hi)) if P is not None else []
+    kicks = [2 * int(i) + 1 for i in kicked]
     records = list(range(0, 2 * n_steps + 1, 2 * stride))
+    # The gate's time factor at every kick, evaluated once.
+    gains = {} if gate is None else dict(zip(kicks, gate.time_factor(mids[kicked])))
 
     n1, n2 = grid.shape
     # Without a kick w stays zero: its records are then one read-only zero,
@@ -562,8 +564,9 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         box_lines = np.empty((b1.stop - b1.start, cols), dtype=complex)
         box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
 
-    def kick(t):
-        """Kick w_t by dt * P(t, u_lin + w); returns max |P|."""
+    def kick(t, gain):
+        """Kick w_t by dt * P(t, u_lin + w), with gain the gate's time
+        factor at t; returns max |P|."""
         u = None
         if reads_u:
             np.add(uh[0, :, :nlo], uh[1, :, :nlo], out=lines[:, :nlo])
@@ -576,7 +579,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
             sfft.ifft(lines, axis=-1, out=lines)
             box_lines[...] = lines[:, b1].T
             u = sfft.irfft(box_lines, n=n2, axis=-1)[:, b2]
-        cut = None if gate is None else gate.time_factor(t) * space
+        cut = None if gate is None else gain * space
         with np.errstate(over="ignore", invalid="ignore"):
             p = P(t, x1, x2, u, cutoff_value=cut)
             peak = _abs_max(p)
@@ -609,7 +612,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         jumps += gap > 2
         pos = event
         if event % 2:
-            p_max = max(p_max, kick(config.t0 + (event // 2) * dt + 0.5 * dt))
+            p_max = max(p_max, kick(mids[event // 2], gains.get(event)))
             phase = "kicks"
         else:
             j = event // (2 * stride)

@@ -1,6 +1,7 @@
 """Three-wave interaction experiments: data, response isolation, cone probes."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -42,7 +43,8 @@ from cwlab.solver import (
     z_cutoff,
     _gate_box,
 )
-from cwlab.spectral import plateau_window
+from cwlab.profiles import SymbolSpec, synthesize_profile
+from cwlab.spectral import Grid1D, plateau_window, trig_modes
 
 M = -2.6
 EPS = 0.05
@@ -90,6 +92,75 @@ def test_incoming_front_slopes_match_profile_order(data512):
 def test_data_overlapping_source_gate_rejected(cfg256):
     with pytest.raises(ValueError, match="gate"):
         nonlinear_response(replace(cfg256, solver=replace(cfg256.solver, t0=0.0)))
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (-1, -1), (1, -1), (2, 1), (1, -3)])
+def test_lattice_view_reads_the_line_at_p_i_plus_q_j(p, q):
+    n = 64
+    line = np.random.default_rng(7).standard_normal(n)
+    # the whole grid, off-centre boxes (the first spans more than one period
+    # of the line for every (p, q) but (0, 1)), a single row and a single node
+    boxes = [(slice(0, n), slice(0, n)), (slice(5, 61), slice(17, 60)),
+             (slice(40, 41), slice(3, 50)), (slice(9, 10), slice(33, 34))]
+    for box in boxes:
+        rows, cols = (np.arange(b.start, b.stop) for b in box)
+        view = interaction._lattice_view(line, p, q, box)
+        assert np.array_equal(view, line[np.add.outer(p * rows, q * cols) % n])
+        assert not view.flags.writeable
+
+
+def _phase_table_data(frame, m, eps, grid, t):
+    """The data by the phase-table rule the line rule replaced: each wave's
+    modes evaluated at every distinct value of -x . omega over the grid, one
+    complex exp per value and mode."""
+    g = grid.axes[0]
+    nodes = np.arange(g.points)
+    u, ut = np.zeros(grid.shape), np.zeros(grid.shape)
+    for e, omega in zip(eps, frame.omegas):
+        p, q = interaction._integer_direction(omega)
+        gprof = Grid1D(g.points, g.extent / float(np.hypot(p, q)))
+        cut = min(gprof.nyquist / 2.0, interaction.DATA_CUTOFF)
+        eta = gprof.freqs()
+        coef = trig_modes(synthesize_profile(SymbolSpec(m), gprof, cutoff=cut).values)
+        coef = coef * (1.0 - plateau_window(eta, *interaction.PROFILE_TRIM))
+        kmesh = np.add.outer(p * nodes, q * nodes)
+        kk = np.arange(kmesh.min(), kmesh.max() + 1)
+        s = -g.start * (omega[0] + omega[1]) - kk * (g.spacing / float(np.hypot(p, q)))
+        phases = np.exp(1j * np.outer(s - gprof.start, eta))
+        c = coef * np.exp(1j * eta * t)
+        u += e * np.real(phases @ c)[kmesh - kmesh.min()]
+        ut += e * np.real(phases @ (1j * eta * c))[kmesh - kmesh.min()]
+    return u, ut
+
+
+def test_data_match_the_phase_table_rule(cfg256):
+    skew = CharFrame(((2.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)),
+                      (-np.sqrt(0.5), -np.sqrt(0.5)), (0.0, -1.0)))
+    eps = (0.05, -0.03, 0.07)
+    # t0, a time off the grid's and the run's lattices, and a (2, 1) direction
+    for frame, t in ((cfg256.frame, cfg256.solver.t0), (cfg256.frame, 0.7372), (skew, -0.4113)):
+        got = make_three_wave_data(frame, cfg256.m, eps, cfg256.grid, t)
+        ref = _phase_table_data(frame, cfg256.m, eps, cfg256.grid, t)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_cold_data_build_holds_only_its_result():
+    # nothing 2D is built beside u and ut, and nothing 2D is cached: the
+    # build keeps only its 1D line spectra (_wave_lines, 3 N complex and
+    # 3 N real numbers) besides the result
+    grid = grid2d(512, 13.5)
+    interaction._wave_lines.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u, ut = make_three_wave_data(DEFAULT_FRAME, M, (EPS,) * 3, grid, 0.25)
+        held, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    result = u.nbytes + ut.nbytes
+    assert peak < 2 * result
+    assert held <= result + 2**16
 
 
 # ------------------------------------------------------- response nulls
