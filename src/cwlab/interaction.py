@@ -265,8 +265,9 @@ def make_three_wave_data(frame, m, eps, grid, t0):
     (or half its grid's Nyquist frequency, if lower) and loses its modes
     below PROFILE_TRIM.  Each wave is its line at t0 (_line, scaled by its
     eps), laid onto the grid as a lattice view (_lattice_view) and added in:
-    the build holds no 2D array but u and ut, and caches none.  Whether the source gate is still closed at t0 is the solver's
-    check (solve and solve_response reject a later t0).
+    the build holds no 2D array but u and ut, and caches none.  Whether the
+    source gate is still closed at t0 is the solver's check (solve and
+    solve_response reject a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
     whole = tuple(slice(0, n) for n in grid.shape)
@@ -425,24 +426,17 @@ def band_pass(values, grid: GridND, band) -> np.ndarray:
     return _radial_filter(values, grid, lambda rho: plateau_window(rho - mid, 0.75 * half, half))
 
 
-def high_pass(values, grid: GridND, lo_in: float, lo_out: float) -> np.ndarray:
-    """Remove the low-frequency bulk below lo_in, flat above lo_out.
+def high_pass(values, grid: GridND, band) -> np.ndarray:
+    """Remove the low-frequency bulk below the fit band: zero below
+    0.375 * band[0], flat from 0.75 * band[0] up.
 
     Slice windows have oscillating spectral tails; the field's O(1) bulk
     leaking through them would bury a power law several decades down.
     Removing the bulk first leaves the slope band untouched (the mask is
     identically 1 there) and makes windowed slope fits clean.
     """
-    if not 0 < lo_in < lo_out:
-        raise ValueError("need 0 < lo_in < lo_out")
+    lo_in, lo_out = 0.375 * band[0], 0.75 * band[0]
     return _radial_filter(values, grid, lambda rho: 1.0 - plateau_window(rho, lo_in, lo_out))
-
-
-def _without_bulk(state: WaveState, band) -> np.ndarray:
-    """state.u less its smooth bulk: zero below 0.375 * band[0], untouched
-    from 0.75 * band[0] up, so the fit band passes unchanged."""
-    lo = band[0]
-    return high_pass(state.u, state.grid, 0.375 * lo, 0.75 * lo)
 
 
 def _recorded(fld: SpaceTimeField, key: str):
@@ -586,7 +580,7 @@ def _slice_fit(state: WaveState, center, direction, half_length) -> DecayFit:
     (slope NaN, flagged insufficient_bins).
     """
     band = default_band(state.grid)
-    profile = windowed_slice(_without_bulk(state, band), state.grid, center=center,
+    profile = windowed_slice(high_pass(state.u, state.grid, band), state.grid, center=center,
                              direction=direction, half_length=half_length)
     try:
         return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
@@ -622,7 +616,7 @@ def cone_order_estimate(
     return _slice_fit(state, r0 * probe.direction, probe.direction, half_length)
 
 
-def front_order_estimate(fld: SpaceTimeField, omega, t=None, half_length=None) -> DecayFit:
+def front_order_estimate(fld: SpaceTimeField, omega, t, half_length=None) -> DecayFit:
     """Decay slope across one plane front (the incoming-wave control).
 
     Slices along omega through the front line {x . omega = t} at its point
@@ -632,7 +626,6 @@ def front_order_estimate(fld: SpaceTimeField, omega, t=None, half_length=None) -
     band wherever the bins fall, so a bin never has to sit on the band's
     edge to make up the count.
     """
-    t = float(fld.times[-1]) if t is None else float(t)
     state = fld.state_at(t)
     w = np.asarray(omega, dtype=float)
     w = w / np.hypot(*w)
@@ -666,7 +659,7 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     state = fld.state_at(t)
     grid = fld.grid
     g = _square_axis(grid)
-    bp = np.abs(_without_bulk(state, default_band(grid)))
+    bp = np.abs(high_pass(state.u, grid, default_band(grid)))
     if not state.t > 0:
         raise ValueError("the light circle has positive radius only for t > 0")
     angles = np.linspace(0.0, 2.0 * np.pi, RIDGE_ANGLES, endpoint=False)
@@ -699,8 +692,9 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
 
     Each rung scales the data of resp, a nonlinear_response, by one of
     factors: factor 1 is resp itself, the others are solved on its config.
-    A rung's data strength is its largest per-wave eps.  Amplitudes are read
-    at the config's first probe.  Needs at least three factors spanning a
+    A rung's data strength is its factor times the largest per-wave |eps|,
+    so data of either polarity read the same.  Amplitudes are read at the
+    config's first probe.  Needs at least three positive factors spanning a
     factor of 4.  Runs that blow up are dropped (recorded in ``dropped``);
     amplitudes at the noise floor are dropped too, and the regression is
     refused outright if nothing measurable is left.
@@ -708,13 +702,16 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
     factors = sorted(float(f) for f in factors)
     if len(factors) < 3:
         raise ValueError("need at least three data strengths")
+    if factors[0] <= 0.0:
+        raise ValueError(f"data strength factors must be positive, got {factors[0]:g}")
     if factors[-1] < 4.0 * factors[0]:
         raise ValueError("data strengths must span at least a factor of 4")
     config, eps = _recorded(resp, "config"), resp.metadata["eps"]
     probe = config.probes[0]
+    peak = max(abs(e) for e in eps)
     used, amps, dropped = [], [], []
     for f in factors:
-        strength = f * max(eps)
+        strength = f * peak
         try:
             # Each rung is read and dropped before the next one solves.
             rung = resp if f == 1.0 else nonlinear_response(config, tuple(f * e for e in eps))

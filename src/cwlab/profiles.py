@@ -125,14 +125,6 @@ def _moments(profile: ConormalProfile, k: int) -> tuple[np.ndarray, np.ndarray]:
     return jets, scales
 
 
-def profile_jet(profile: ConormalProfile, k: int) -> np.ndarray:
-    """Derivatives f^(j)(0), j = 0..k, from spectral moments of the profile,
-    avoiding finite differences of samples."""
-    if k < 0:
-        raise ValueError("jet order must be >= 0")
-    return _moments(profile, k)[0]
-
-
 @dataclass
 class PiriouSplit:
     """Taylor-plus-singular splitting of a profile at the origin."""

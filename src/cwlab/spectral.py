@@ -190,20 +190,18 @@ class TooFewBins(ValueError):
 def decay_exponent(
     samples: np.ndarray,
     grid: Grid1D,
-    band: tuple[float, float] | None = None,
+    band: tuple[float, float],
     min_bins: int = 8,
 ) -> DecayFit:
-    """Fit log|spectrum| against log(eta) over a positive-frequency band.
+    """Fit log|spectrum| against log(eta) over the positive-frequency band.
 
-    The default band is [8, nyquist/4].  Bins whose magnitude sits below
-    NOISE_FLOOR * max|spectrum| are treated as noise floor and excluded; if
-    fewer than ``min_bins`` usable bins remain the fit is rejected with
-    TooFewBins, which says whether the band or the noise floor was short.
+    Bins whose magnitude sits below NOISE_FLOOR * max|spectrum| are
+    treated as noise floor and excluded; if fewer than ``min_bins`` usable
+    bins remain the fit is rejected with TooFewBins, which says whether the
+    band or the noise floor was short.
     """
     spec = dft_forward(np.asarray(samples, dtype=float), grid)
     eta = grid.freqs()
-    if band is None:
-        band = (8.0, grid.nyquist / 4.0)
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError(f"invalid band {band}")

@@ -387,7 +387,7 @@ def test_radial_filters_match_complex_fft_reference():
     bulk = 1.0 - plateau_window(rho, 3.0, 6.0)
     tol = 1e-12 * np.max(np.abs(u))
     assert np.max(np.abs(band_pass(u, grid, (lo, hi)) - reference(band))) <= tol
-    assert np.max(np.abs(high_pass(u, grid, 3.0, 6.0) - reference(bulk))) <= tol
+    assert np.max(np.abs(high_pass(u, grid, (8.0, 20.0)) - reference(bulk))) <= tol
 
 
 # ------------------------------------------------------------- geometry
@@ -504,6 +504,27 @@ def test_cubic_coupling_scales_amplitude_cubically(resp256):
     assert abs(scaling.exponent - 3.0) < 0.15
     assert not scaling.dropped
     assert scaling.eps == (EPS / 4, EPS / 2, EPS)
+
+
+def test_negative_polarity_data_scale_like_positive(cfg256, resp256):
+    negated = nonlinear_response(cfg256, eps=(-EPS,) * 3)
+    scaling = amplitude_scaling(negated, [0.25, 0.5, 1.0])
+    assert scaling.eps == (EPS / 4, EPS / 2, EPS)
+    assert scaling.exponent == amplitude_scaling(resp256, [0.25, 0.5, 1.0]).exponent
+
+
+def test_scaling_refuses_nonpositive_factors(resp256):
+    with pytest.raises(ValueError, match="positive"):
+        amplitude_scaling(resp256, [-1.0, 0.5, 1.0, 4.0])
+    with pytest.raises(ValueError, match="positive"):
+        amplitude_scaling(resp256, [0.0, 0.5, 1.0])
+
+
+def test_scaling_drops_a_rung_that_blows_up(resp256):
+    scaling = amplitude_scaling(resp256, [0.25, 0.5, 1.0, 1e103])
+    assert scaling.dropped == (1e103 * EPS,)
+    assert scaling.eps == (EPS / 4, EPS / 2, EPS)
+    assert scaling.exponent == amplitude_scaling(resp256, [0.25, 0.5, 1.0]).exponent
 
 
 def test_quartic_coupling_scales_quartically(cfg256):

@@ -19,7 +19,6 @@ from cwlab.profiles import (
     k_of_m,
     mollifier_polynomial,
     piriou_decompose,
-    profile_jet,
     profile_power,
     synthesize_profile,
 )
@@ -79,7 +78,7 @@ def test_k_of_m():
 
 def test_profile_jet_matches_closed_form():
     prof = synthesize_profile(SymbolSpec(-2.6), GRID)
-    jets = profile_jet(prof, 1)
+    jets = _moments(prof, 1)[0]
     assert abs(jets[0] - symbol_mass(-2.6)) < 1e-3
     assert abs(jets[1]) < 1e-8  # even profile
 
@@ -99,7 +98,7 @@ def test_piriou_reconstruction_and_vanishing():
     assert split.k == 1
     recon = split.taylor.values + split.singular.values
     assert np.max(np.abs(recon - prof.values)) < 1e-12 * np.max(np.abs(prof.values))
-    jets = profile_jet(split.singular, split.k)
+    jets = _moments(split.singular, split.k)[0]
     scale = np.max(np.abs(prof.values))
     assert np.all(np.abs(jets) < 1e-8 * scale)
 
@@ -123,7 +122,7 @@ def test_piriou_higher_vanishing_order():
     prof = synthesize_profile(SymbolSpec(-4.5), GRID)
     split = piriou_decompose(prof)
     assert split.k == 3
-    jets = profile_jet(split.singular, 3)
+    jets = _moments(split.singular, 3)[0]
     scale = np.max(np.abs(prof.values))
     assert np.all(np.abs(jets) < 1e-7 * scale)
     recon = split.taylor.values + split.singular.values
