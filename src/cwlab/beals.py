@@ -17,6 +17,7 @@ import numpy as np
 from .spectral import (
     NOISE_FLOOR,
     GridND,
+    _wavenumbers,
     dft_forward_nd,  # unused here; bench/tracing.py wraps beals.dft_forward_nd by name
 )
 
@@ -88,24 +89,16 @@ def _weighted_power(f: np.ndarray, grid: GridND, weight: BealsWeight) -> np.ndar
     p = np.abs(np.fft.rfftn(f)) ** 2 * grid.cell_volume**2
     floor = NOISE_FLOOR * np.sqrt(p.max())
     p[p < floor**2] = 0.0
-    g1, g2, g3 = grid.axes
-    e1, e2 = g1.freqs(), g2.freqs()
-    e3 = 2.0 * np.pi * np.fft.rfftfreq(g3.points, d=g3.spacing)
+    e1, e2, e3 = _wavenumbers(grid)
     # the zero and Nyquist columns stand for themselves, every other column
     # also for its Hermitian mirror
     count = np.full(e3.size, 2.0)
     count[[0, -1]] = 1.0
-    p *= (1.0 + e1**2)[:, None, None] ** weight.k1
-    p *= (1.0 + e2**2)[None, :, None] ** weight.k2
-    p *= (count * (1.0 + e3**2) ** weight.k3)[None, None, :]
+    p *= (1.0 + e1**2) ** weight.k1
+    p *= (1.0 + e2**2) ** weight.k2
+    p *= count * (1.0 + e3**2) ** weight.k3
     if weight.s != 0.0:
-        full = (
-            1.0
-            + e1[:, None, None] ** 2
-            + e2[None, :, None] ** 2
-            + e3[None, None, :] ** 2
-        )
-        p *= full**weight.s
+        p *= (1.0 + e1**2 + e2**2 + e3**2) ** weight.s
     return p
 
 

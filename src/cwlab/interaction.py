@@ -40,7 +40,6 @@ from .solver import (
     solve_response,
     _gate_box,
     _time_index,
-    _wavenumbers,
 )
 from .spectral import (
     NOISE_FLOOR,
@@ -54,6 +53,7 @@ from .spectral import (
     trig_modes,
     windowed_slice,
     _periodic_cubic_spline,
+    _wavenumbers,
 )
 
 # Directions must lie on rational lattice lines so that plane translates
@@ -381,14 +381,19 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
                         config, eps)
 
 
+def _band(grid: GridND, lo: float, top: float, share: float) -> tuple[float, float]:
+    """(lo, min(top, share * nyquist)) on the square grid; refused when empty."""
+    hi = min(top, share * _square_axis(grid).nyquist)
+    if hi <= lo:
+        raise ValueError(f"grid too coarse for the band ({lo:g}, {hi:g}): it needs a "
+                         f"spacing below pi/{lo / share:g}")
+    return lo, hi
+
+
 def default_band(grid: GridND) -> tuple[float, float]:
     """Fit band for decay-rate estimates: CONE_BAND, top clipped to half
     the grid nyquist so refined grids fit over identical frequencies."""
-    hi = min(CONE_BAND[1], _square_axis(grid).nyquist / 2.0)
-    if hi <= CONE_BAND[0]:
-        raise ValueError(f"grid too coarse for the fit band {CONE_BAND}: it needs a "
-                         f"spacing below pi/{2.0 * CONE_BAND[0]:g}")
-    return CONE_BAND[0], hi
+    return _band(grid, *CONE_BAND, 0.5)
 
 
 def amplitude_band(grid: GridND) -> tuple[float, float]:
@@ -400,12 +405,7 @@ def amplitude_band(grid: GridND) -> tuple[float, float]:
     comparing slopes across refinements needs a frequency range common to
     both grids.
     """
-    lo = 8.0
-    hi = _square_axis(grid).nyquist / 4.0
-    if hi <= lo:
-        raise ValueError(f"grid too coarse for the amplitude band ({lo:g}, nyquist/4): it "
-                         f"needs a spacing below pi/{4.0 * lo:g}")
-    return lo, hi
+    return _band(grid, 8.0, np.inf, 0.25)
 
 
 def _radial_filter(values, grid: GridND, gain) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy import fft as sfft
 
-from .spectral import Grid1D, GridND, plateau_window
+from .spectral import Grid1D, GridND, _wavenumbers, plateau_window
 
 __all__ = [
     "BlowupError",
@@ -122,7 +122,7 @@ class SourceGate:
         return -self.edge, self.edge
 
     def time_factor(self, t):
-        return plateau_window(np.abs(np.asarray(t, dtype=float)), self.flat, self.edge)
+        return plateau_window(t, self.flat, self.edge)
 
     def space_factor(self, x1, x2):
         r = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
@@ -286,14 +286,6 @@ class SpaceTimeField:
     def state_at(self, t: float) -> WaveState:
         i = self.index_of(t)
         return WaveState(self.grid, float(self.times[i]), self.u[i], self.ut[i])
-
-
-@lru_cache(maxsize=32)
-def _wavenumbers(grid: GridND):
-    gx, gy = grid.axes
-    kx = 2.0 * np.pi * np.fft.fftfreq(gx.points, d=gx.spacing)
-    ky = 2.0 * np.pi * np.fft.rfftfreq(gy.points, d=gy.spacing)
-    return kx[:, None], ky[None, :]
 
 
 class _Block(NamedTuple):

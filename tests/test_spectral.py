@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cwlab import beals, interaction, solver, spectral
 from cwlab.spectral import (
     Grid1D,
     GridND,
@@ -154,6 +155,91 @@ def test_windows():
     assert np.all(w[np.abs(s) <= 1.0] == 1.0)
     assert np.all(w[np.abs(s) >= 2.0] == 0.0)
     assert np.all((w >= 0) & (w <= 1))
+
+
+def _masked_bump(s):
+    """bump_window as a masked scatter with a scalar fork: the oracle for
+    the single-expression window."""
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
+    return out[0] if scalar else out
+
+
+def _masked_step(t):
+    """The C-infinity step 0 for t<=0, 1 for t>=1 as a masked scatter with a
+    scalar fork: the oracle for plateau_window's step."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    a = np.zeros_like(t)
+    pos = t > 0
+    a[pos] = np.exp(-1.0 / t[pos])
+    b = np.zeros_like(t)
+    neg = t < 1
+    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    out = a / (a + b)
+    return out[0] if scalar else out
+
+
+def _masked_plateau(s, inner, outer):
+    return _masked_step((outer - np.abs(np.asarray(s, dtype=float))) / (outer - inner))
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@pytest.mark.parametrize("inner, outer", [(0.4, 0.9), (1.0, 2.0), (0.75 * 10.0, 10.0)])
+def test_windows_keep_the_masked_values_bit_for_bit(inner, outer):
+    # Warnings are errors in this suite: a divide or overflow warning from
+    # the branch np.where discards would fail here.
+    rng = np.random.default_rng(7)
+    edges = np.array([0.0, inner, outer, 1.0, np.inf])
+    points = [rng.uniform(-3.0, 3.0, 100_000) * outer, np.concatenate([edges, -edges])]
+    for s in points + [s.reshape(-1, 2) for s in points]:
+        assert _same_bits(bump_window(s), _masked_bump(s))
+        assert _same_bits(plateau_window(s, inner, outer), _masked_plateau(s, inner, outer))
+    for x in np.concatenate([edges, -edges, [0.3, -0.95 * outer]]):
+        for s in (x, float(x), np.array(x)):
+            assert type(bump_window(s)) is np.float64
+            assert _same_bits(bump_window(s), _masked_bump(s))
+            assert type(plateau_window(s, inner, outer)) is np.float64
+            assert _same_bits(plateau_window(s, inner, outer), _masked_plateau(s, inner, outer))
+
+
+def test_filter_windows_keep_their_bits_on_the_512_point_half_spectrum():
+    grid = solver.grid2d(512, 13.5)
+    rho = np.hypot(*spectral._wavenumbers(grid))
+    lo, hi = interaction.default_band(grid)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for s, inner, outer in ((rho - mid, 0.75 * half, half), (rho, 0.375 * lo, 0.75 * lo)):
+        assert _same_bits(plateau_window(s, inner, outer), _masked_plateau(s, inner, outer))
+    assert _same_bits(bump_window(rho / hi), _masked_bump(rho / hi))
+
+
+@pytest.mark.parametrize("grid", [
+    GridND((Grid1D(16, 5.0), Grid1D(8, 3.0, 1.0))),
+    GridND((Grid1D(8, 2.0), Grid1D(4, 7.0, -1.0), Grid1D(16, 3.5))),
+])
+def test_one_wavenumber_rule_for_every_rfftn_spectrum(grid):
+    ks = spectral._wavenumbers(grid)
+    assert len(ks) == grid.ndim
+    assert np.broadcast_shapes(*(k.shape for k in ks)) == np.fft.rfftn(np.zeros(grid.shape)).shape
+    for axis, (k, g) in enumerate(zip(ks, grid.axes)):
+        freq = np.fft.rfftfreq if axis == grid.ndim - 1 else np.fft.fftfreq
+        eta = 2.0 * np.pi * freq(g.points, g.spacing)
+        assert k.shape == tuple(eta.size if a == axis else 1 for a in range(grid.ndim))
+        assert np.array_equal(k.ravel(), eta)
+        assert not k.flags.writeable
+    assert spectral._wavenumbers(grid) is ks
+    for module in (solver, interaction, beals):
+        assert module._wavenumbers is spectral._wavenumbers
 
 
 def _plane_wave_field(n=256, ext=8.0, m=-2.6, direction=(0.0, 1.0)):

@@ -1,7 +1,10 @@
 """The repository's tools: tools/code_lines.py, which every code-line figure
-in CHANGES.md comes from."""
+in CHANGES.md comes from, and tools/rss_phases.py, which every memory figure
+by phase comes from."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,13 @@ def test_main_prints_each_module_and_the_total(code_lines, tmp_path, capsys):
     assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["a", "1"], ["b", "5"], ["total", "6"]]
+
+
+def test_rss_phases_prints_a_positive_figure_for_every_phase():
+    # the tool sets its own thread caps and path, so it runs in a process of its own
+    run = subprocess.run([sys.executable, str(TOOLS / "rss_phases.py"), "experiment_256"],
+                         capture_output=True, text=True, check=True)
+    rows = [line.split() for line in run.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["import", "setup", "op", "check", "traced"]
+    assert [row[2] for row in rows] == ["MB"] * 4 + ["MiB"]
+    assert all(float(row[1]) > 0.0 for row in rows)

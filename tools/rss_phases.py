@@ -6,6 +6,12 @@ peak resident set size (ru_maxrss, in the benchmark's MB of 2**20 bytes)
 after each phase: import, set-up, the first operation and the check.  BLAS
 and OpenMP thread counts are capped as bench/run.py caps them.
 
+ru_maxrss is a high-water mark of the whole heap, so where the allocator
+happens to place a block can move it by a megabyte or more on unchanged
+code.  The last line is a figure that placement cannot move: one more
+operation, run under tracemalloc, and the peak of the memory it traced
+(numpy reports its array buffers to tracemalloc), in MiB.
+
     python tools/rss_phases.py response_512 --seed 21
     python tools/rss_phases.py experiment_256
 
@@ -19,6 +25,7 @@ import argparse
 import os
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +57,11 @@ def main(argv: list[str]) -> int:
     print(f"op      {peak_rss_mb():8.2f} MB")
     checks, _ = wl.check(out)
     print(f"check   {peak_rss_mb():8.2f} MB")
+    tracemalloc.start()
+    wl.op()
+    traced = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    print(f"traced  {traced:8.3f} MiB")
     failed = [c.name for c in checks if not c.ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
