@@ -2,7 +2,8 @@
 
 Builds superposed plane-wave data, solves for the nonlinear response
 w = u - u_lin directly (the source gate confines the cubic term to the
-crossing region, and the solver kicks only while the gate is open),
+crossing region, the solver kicks only while the gate is open, and the
+free wave u_lin is read under the gate, never carried),
 locates the emitted light circle, estimates the transversal decay order
 across it, and recovers the cubic coupling from cone amplitudes.  All
 probes carry the band and window they were computed with so reported
@@ -11,9 +12,10 @@ numbers stay reproducible, and look up only slices the run recorded.
 A plane wave f(t - x . omega) on a lattice direction (p, q) takes one
 value per p i + q j mod N over the grid's nodes (i, j).  So each wave at
 time t is one line of N values, one FFT of its profile's coefficients,
-read on any index box through a strided view.  The data and the
-trilinear forcing of the polarization channel read the waves by that one
-rule, and no wave is tabulated or cached on the grid.
+read on any index box through a strided view.  The data, the free wave
+u_lin that a response's coupling reads on the gate's box at each kick, and
+the trilinear forcing of the polarization channel read the waves by that
+one rule (_waves), and no wave is tabulated or cached on the grid.
 """
 
 from __future__ import annotations
@@ -205,17 +207,18 @@ MIN_BINS = 6
 
 @lru_cache(maxsize=16)
 def _wave_lines(frame: CharFrame, m: float, grid: GridND):
-    """Per plane wave, (p, q, eta, coef, shift): the spectrum of its line.
+    """(pq, eta, coef, shift): the spectra of the three waves' lines, row j
+    of each (3, N) array (of shift, (3, 1)) for wave j.
 
-    (p, q) is the wave's integer direction.  Its profile lives on its own
-    1D grid gprof, of the grid's point count, whose extent is the period of
-    x . omega on the box, so the wave is exactly periodic; eta is gprof's
-    frequencies and coef the trig_modes coefficients of the profile, cut off
-    at DATA_CUTOFF (or half gprof's Nyquist frequency, if lower) and without
-    its modes below PROFILE_TRIM.  The values -x . omega at the grid's nodes
+    pq[j] = (p, q) is the wave's integer direction.  Its profile lives on
+    its own 1D grid gprof, of the grid's point count, whose extent is the
+    period of x . omega on the box, so the wave is exactly periodic; eta is
+    gprof's frequencies and coef the trig_modes coefficients of the profile,
+    cut off at DATA_CUTOFF (or half gprof's Nyquist frequency, if lower) and
+    without its modes below PROFILE_TRIM.  The values -x . omega at the grid's nodes
     are gprof's nodes plus one constant: node (i, j) sits at
     gprof.start + shift - k h' with k = p i + q j and h' gprof's spacing, so
-    the wave reads its line at k mod N (see _line).
+    the wave reads its line at k mod N (see _waves).
     """
     g = _square_axis(grid)
     lines = []
@@ -227,16 +230,9 @@ def _wave_lines(frame: CharFrame, m: float, grid: GridND):
         eta = gprof.freqs()
         coef = trig_modes(prof.values) * (1.0 - plateau_window(eta, *PROFILE_TRIM))
         shift = -g.start * (omega[0] + omega[1]) - gprof.start
-        lines.append((p, q, eta, coef, shift))
-    return tuple(lines)
-
-
-def _line(eta, coef, shift, t, order=0) -> np.ndarray:
-    """A wave's line at time t, or its t-derivative for order 1: entry k is
-    its value at the nodes with p i + q j = k mod N, one length-N FFT of the
-    coefficients carried to t."""
-    c = coef * np.exp(1j * eta * (t + shift))
-    return np.real(np.fft.fft(c if order == 0 else 1j * eta * c))
+        lines.append(((p, q), eta, coef, [shift]))
+    pq, *stacked = zip(*lines)
+    return (pq, *map(np.array, stacked))
 
 
 def _lattice_view(line, p: int, q: int, box) -> np.ndarray:
@@ -257,38 +253,75 @@ def _lattice_view(line, p: int, q: int, box) -> np.ndarray:
     return view
 
 
+def _waves(frame, m, grid, box, t, eps, order=0) -> list:
+    """The waves eps_j v_j with nonzero eps_j at time t (their t-derivatives
+    for order 1) on the index box of grid, each a lattice view of its line
+    (_lattice_view): entry k of a line is the wave's value at the nodes with
+    p i + q j = k mod N.  The lines are one exp and one length-N FFT of the
+    stacked coefficients carried to t."""
+    pq, eta, coef, shift = _wave_lines(frame, float(m), grid)
+    live = [j for j, e in enumerate(eps) if e != 0.0]
+    c = coef[live] * np.exp(1j * eta[live] * (t + shift[live]))
+    lines = np.real(np.fft.fft(c if order == 0 else 1j * eta[live] * c))
+    return [_lattice_view(eps[j] * line, *pq[j], box) for j, line in zip(live, lines)]
+
+
 def make_three_wave_data(frame, m, eps, grid, t0):
     """Superpose three plane-wave profiles with per-wave amplitudes at t0.
 
     Returns (u, ut) with u = sum_j eps_j f_j(t0 - x . omega_j): an exact
     free-wave snapshot, at any t0.  Each profile is cut off at DATA_CUTOFF
     (or half its grid's Nyquist frequency, if lower) and loses its modes
-    below PROFILE_TRIM.  Each wave is its line at t0 (_line, scaled by its
-    eps), laid onto the grid as a lattice view (_lattice_view) and added in:
-    the build holds no 2D array but u and ut, and caches none.  Whether the
+    below PROFILE_TRIM.  Each wave is its line at t0 scaled by its eps,
+    laid onto the grid as a lattice view (_waves) and added in: the build
+    holds no 2D array but u and ut, and caches none.  Whether the
     source gate is still closed at t0 is the solver's check (solve and
     solve_response reject a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
     whole = tuple(slice(0, n) for n in grid.shape)
-    u = np.zeros(grid.shape)
-    ut = np.zeros(grid.shape)
-    for e, (p, q, eta, coef, shift) in zip(eps, _wave_lines(frame, float(m), grid)):
-        if e != 0.0:
-            for out, order in ((u, 0), (ut, 1)):
-                out += _lattice_view(e * _line(eta, coef, shift, t0, order), p, q, whole)
+    u, ut = np.zeros(grid.shape), np.zeros(grid.shape)
+    for out, order in ((u, 0), (ut, 1)):
+        for wave in _waves(frame, m, grid, whole, t0, eps, order):
+            out += wave
     return u, ut
 
 
-def _data_for(config: ExperimentConfig, eps):
-    """(eps, (u0, ut0)): the per-wave amplitudes (config.eps for each wave
-    when eps is None) and the run's data at t0."""
-    eps = (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
-    return eps, make_three_wave_data(config.frame, config.m, eps, config.grid, config.solver.t0)
+@dataclass(frozen=True, kw_only=True)
+class _ShiftedCoupling(NonlinearitySpec):
+    """P(t, x, u_lin + w), for the P of coeffs and cutoff: the coupling of
+    the response w to the three-wave data of frame, m and per-wave eps on
+    grid, whose free flow u_lin = sum_j eps_j v_j it reads at each kick on
+    P's box by the data's rule (_waves).
+
+    Solved from zero data, it gives the data's response while the solver
+    carries w alone.  P is evaluated by NonlinearitySpec.__call__, looked
+    up at call time, so whatever wraps that sees every kick; the repr names
+    every field, so two problems never read alike.
+    """
+
+    frame: CharFrame
+    m: float
+    grid: GridND
+    eps: tuple
+
+    def __call__(self, t, x1, x2, u, cutoff_value=None):
+        if u is not None:  # P reads u
+            box = _gate_box(self.cutoff, self.grid)[0]
+            u = sum(_waves(self.frame, self.m, self.grid, box, t, self.eps), u)
+        return NonlinearitySpec.__call__(self, t, x1, x2, u, cutoff_value)
 
 
-def _as_response(out: SpaceTimeField, config: ExperimentConfig, eps) -> SpaceTimeField:
-    """out, read-only, recording the config and per-wave eps it was run on."""
+def _eps_of(config: ExperimentConfig, eps) -> tuple:
+    """Per-wave amplitudes: config.eps for each wave when eps is None."""
+    return (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
+
+
+def _response(config: ExperimentConfig, P, eps) -> SpaceTimeField:
+    """The response of zero data to P on config's grid and run, read-only,
+    recording the config and per-wave eps it stands for."""
+    zero = np.broadcast_to(0.0, config.grid.shape)
+    out = solve_response(zero, zero, config.grid, config.solver, P=P)
     out.u.flags.writeable = out.ut.flags.writeable = False
     out.metadata.update(config=config, frame=config.frame, eps=eps)
     return out
@@ -297,23 +330,28 @@ def _as_response(out: SpaceTimeField, config: ExperimentConfig, eps) -> SpaceTim
 def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     """The source-driven part w = u - u_lin of the field, in one solve.
 
-    The solver carries the free waves u_lin exactly and integrates w in the
-    interaction picture, kicking it by P(u_lin + w) only on steps where the
-    source gate is open; the closed stretches before and after the crossing
-    are single exact propagations.  This is solve(P) - solve(P=None) up to
+    w solves w_tt = Lap w + P(t, x, u_lin + w) from zero data, with u_lin
+    the free waves of the data: the coupling (_ShiftedCoupling) reads u_lin
+    exactly on P's box at each kick by the data's one line rule (_waves),
+    so the solver carries w alone.  It kicks only on steps where the source
+    gate is open; the closed stretches before and after the crossing are
+    single exact propagations.  This is solve(P) - solve(P=None) up to
     roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
     The field records its config and per-wave eps, and its arrays are
     read-only: the diagnostics extend a response they are handed instead of
     solving it again, so one field may serve several of them.
     """
-    eps, (u0, ut0) = _data_for(config, eps)
-    return _as_response(solve_response(u0, ut0, config.grid, config.solver, P=config.P),
-                        config, eps)
+    eps, P = _eps_of(config, eps), config.P
+    if P is not None:
+        P = _ShiftedCoupling(P.coeffs, P.cutoff, frame=config.frame, m=config.m,
+                             grid=config.grid, eps=eps)
+    return _response(config, P, eps)
 
 
 def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     """Free evolution of the same data, at the run's record times."""
-    eps, (u0, ut0) = _data_for(config, eps)
+    eps = _eps_of(config, eps)
+    u0, ut0 = make_three_wave_data(config.frame, config.m, eps, config.grid, config.solver.t0)
     out = solve(u0, ut0, config.grid, config.solver, P=None)
     out.metadata.update(frame=config.frame, eps=eps)
     return out
@@ -325,19 +363,18 @@ def _triple_forcing(config: ExperimentConfig, eps):
     the box P is evaluated on, _gate_box(P.cutoff, grid) (the whole grid
     without a gate).
 
-    Each v_j is read by the rule that builds the data
-    (make_three_wave_data): its line at time t (_line), laid onto that box
-    as a lattice view (_lattice_view), so a kick costs one length-N FFT per
-    wave and no table.
+    The v_j are read by the rule that builds the data and the free wave of
+    a response (_waves): their lines at time t, one FFT for the three,
+    laid onto that box as lattice views, so a kick builds no table.
     """
     P, grid = config.P, config.grid
-    waves, box = _wave_lines(config.frame, config.m, grid), _gate_box(P.cutoff, grid)[0]
+    box = _gate_box(P.cutoff, grid)[0]
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
 
     def forcing(t, x1, x2):
         f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for p, q, eta, coef, shift in waves:
-            f = f * _lattice_view(_line(eta, coef, shift, t), p, q, box)
+        for v in _waves(config.frame, config.m, grid, box, t, (1.0, 1.0, 1.0)):
+            f = f * v
         return f
 
     return forcing
@@ -376,9 +413,7 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     if P is None or P.degree != 3:
         raise ValueError("the trilinear channel needs a cubic coupling")
     channel = NonlinearitySpec((_triple_forcing(config, eps), 0.0, 0.0, 0.0), cutoff=P.cutoff)
-    zero = np.zeros(config.grid.shape)
-    return _as_response(solve_response(zero, zero, config.grid, config.solver, P=channel),
-                        config, eps)
+    return _response(config, channel, eps)
 
 
 def _band(grid: GridND, lo: float, top: float, share: float) -> tuple[float, float]:
@@ -861,7 +896,7 @@ def run_experiment(
     # Every field but resp is reduced to its numbers as soon as it is read.
     resp = nonlinear_response(config)
     cone_fit = cone_order_estimate(resp, probe)
-    u0, ut0 = _data_for(config, None)[1]
+    u0, ut0 = make_three_wave_data(config.frame, config.m, config.eps, config.grid, t0)
     data = SpaceTimeField(config.grid, np.array([t0]), u0[None], ut0[None])
     incoming_fit = front_order_estimate(data, config.frame.omegas[0], t=t0)
     del u0, ut0, data

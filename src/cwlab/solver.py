@@ -3,8 +3,8 @@
 Linear propagation is exact per Fourier mode (unitary in the wave energy),
 so the only time-discretization error comes from the nonlinear kick, applied
 by Strang splitting with 2/3-rule dealiasing of the powers.  The splitting
-runs in the interaction picture: the free flow u_lin of the data is carried
-exactly, and only w = u - u_lin is kicked, by P(u_lin + w).  P is gated by a
+runs in the interaction picture: only w = u - u_lin is kicked, by
+P(u_lin + w), with u_lin the exact free flow of the data.  P is gated by a
 SourceGate, a separable space-time bump whose space factor is cached per
 grid; steps whose midpoint lies outside its time support are not kicked,
 and each closed stretch is crossed in one exact propagation.  One loop,
@@ -14,12 +14,14 @@ realizes the forward fundamental solution (duhamel_apply).
 
 The stepping loop touches only what a kick can read or write (FFT pruning).
 Between records it carries w on the dealiased block of the spectrum alone,
-and u_lin beside it only when P reads u: every kick is cut to the block, so
-nothing outside it is ever needed.  P is evaluated only on the box, the
-index box of the grid holding the gate's spatial support (the whole grid
-for an ungated coupling), so a kick transforms from the block onto the box
-and back, one axis at a time, and never over the whole grid; a forcing's
-kick transforms back only.
+and u_lin beside it only when P reads u and the data are nonzero (a
+coupling that adds a known free wave to u itself is solved from zero data
+with w alone): every kick is cut to the block, so nothing outside it is
+ever needed.  P is evaluated only on the box, the index box of the grid
+holding the gate's spatial support (the whole grid for an ungated
+coupling), so a kick transforms from the block onto the box and back, one
+axis at a time, and never over the whole grid; a forcing's kick transforms
+back only.
 
 Every transform is numpy.fft (pocketfft), the package's only FFT library.
 The module keeps it under the name sfft, which the benchmark's tracer
@@ -490,11 +492,11 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     (see _block): w starts at zero, every kick is cut to the block, and a
     kick reads u_lin + w only through it.  u_lin is carried beside w only
     when P reads u, that is when a coefficient of a positive power of u is
-    live (see NonlinearitySpec.__call__); a P that does not read u, a
-    forcing, gives a response that does not depend on the data.  P is
-    evaluated on its box, the index box of grid holding the gate's spatial
-    support (the whole grid without a gate), with the gate's cached space
-    factor.  A kick of a P that reads u scatters the block onto x1 lines,
+    live (see NonlinearitySpec.__call__), and the data are nonzero; a P
+    that does not read u, a forcing, gives a response that does not depend
+    on the data.  P is evaluated on its box, the index box of grid holding
+    the gate's spatial support (the whole grid without a gate), with the
+    gate's cached space factor.  A kick of a P that reads u scatters the block onto x1 lines,
     transforms along x1, keeps the box's x1 rows and transforms along x2
     onto the box only; a forcing's kick skips that forward half.  P goes
     back by a real transform of the box rows along x2, cut to the block's ky
@@ -504,7 +506,8 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
-    (free flows longer than one step), max |P|, dt_margin (dt over the step
+    (free flows longer than one step), carries_free_flow (whether the loop
+    carried u_lin beside w), max |P|, dt_margin (dt over the step
     bound h / (DEALIAS pi)), the shapes of the spectral block the loop
     carried and of the box P was evaluated on ((0, 0) each when no step was
     kicked), and wall_s, the wall time in seconds of the loop's kicks,
@@ -534,6 +537,8 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     # The gate's time factor at every kick, evaluated once.
     gains = {} if gate is None else dict(zip(kicks, gate.time_factor(mids[kicked])))
 
+    reads_u = P is not None and _live_top(P.coeffs) > 0
+    carries = bool(kicks) and reads_u and bool(u0.any() or ut0.any())
     n1, n2 = grid.shape
     # Without a kick w stays zero: its records are then one read-only zero,
     # which takes no memory.
@@ -543,11 +548,10 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     if kicks:
         nlo, nhi, cols, _ = _block(grid, DEALIAS)
         (b1, b2), x1, x2, space = _gate_box(gate, grid)
-        reads_u = _live_top(P.coeffs) > 0
-        # uh[-1], vh[-1] hold w; uh[0], vh[0] hold u_lin when P reads u.
-        uh = np.zeros((1 + reads_u, cols, nlo + nhi), dtype=complex)
+        # uh[-1], vh[-1] hold w; uh[0], vh[0] hold u_lin when it is carried.
+        uh = np.zeros((1 + carries, cols, nlo + nhi), dtype=complex)
         vh = np.zeros_like(uh)
-        if reads_u:
+        if carries:
             for dst, f in zip((uh, vh), (u0, ut0)):
                 spec = _spectrum(f)
                 dst[0, :, :nlo] = spec[:cols, :nlo]
@@ -561,8 +565,13 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         factor at t; returns max |P|."""
         u = None
         if reads_u:
-            np.add(uh[0, :, :nlo], uh[1, :, :nlo], out=lines[:, :nlo])
-            np.add(uh[0, :, nlo:], uh[1, :, nlo:], out=lines[:, n1 - nhi :])
+            # u_lin + w when u_lin is carried, else w alone, copied
+            halves = (lines[:, :nlo], uh[..., :nlo]), (lines[:, n1 - nhi :], uh[..., nlo:])
+            for dst, src in halves:
+                if carries:
+                    np.add(src[0], src[1], out=dst)
+                else:
+                    dst[...] = src[0]
             lines[:, nlo : n1 - nhi] = 0.0
             # The x1 transforms run in place (numpy.fft's out=); the x2
             # transform reads the box's x1 rows copied contiguous, as
@@ -617,6 +626,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         "kicks_applied": len(kicks),
         "kicks_skipped": n_steps - len(kicks),
         "exact_jumps": jumps,
+        "carries_free_flow": carries,
         "max_abs_p": p_max,
         "dt_margin": dt / bound,
         "block": (nlo + nhi, cols) if kicks else (0, 0),

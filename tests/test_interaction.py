@@ -40,6 +40,7 @@ from cwlab.solver import (
     cubic_nonlinearity,
     grid2d,
     solve,
+    solve_response,
     z_cutoff,
     _gate_box,
 )
@@ -183,6 +184,36 @@ def test_response_matches_solver_differencing(points, cfg256, resp256):
     assert np.array_equal(resp.times, nl.times)
     for got, a, b in ((resp.u, nl.u, lin.u), (resp.ut, nl.ut, lin.ut)):
         assert np.max(np.abs(got - (a - b))) <= 1e-9 * np.max(np.abs(got))
+
+
+def _varying_a3(t, x1, x2):
+    return 1.0 + 0.5 * np.cos(x1 - 2.0 * x2) * np.exp(-t * t)
+
+
+@pytest.mark.parametrize("points", [128, 256])
+@pytest.mark.parametrize(
+    "P, eps",
+    [
+        (cubic_nonlinearity(1.0), (EPS,) * 3),
+        (cubic_nonlinearity(_varying_a3), (EPS,) * 3),
+        (quartic_coupling(), (EPS,) * 3),
+        (cubic_nonlinearity(1.0), (EPS, EPS, 0.0)),
+        (cubic_nonlinearity(-2.0), (EPS, -0.03, 0.07)),
+    ],
+    ids=["cubic", "callable-a3", "quartic", "two-wave", "mixed-sign"],
+)
+def test_shifted_response_equals_the_carried_one(points, P, eps, cfg256, resp256):
+    # the response solves zero data under P(u_lin + w), with u_lin read on
+    # P's box from the data's lines; the loop then carries w alone, where
+    # the response of the data themselves carries u_lin beside it
+    cfg = replace(cfg256 if points == 256 else default_experiment(points=points), P=P)
+    shifted = resp256 if cfg == cfg256 and eps == (EPS,) * 3 else nonlinear_response(cfg, eps)
+    data = make_three_wave_data(cfg.frame, cfg.m, eps, cfg.grid, cfg.solver.t0)
+    carried = solve_response(*data, cfg.grid, cfg.solver, P=P)
+    assert shifted.metadata["stats"]["carries_free_flow"] is False
+    assert carried.metadata["stats"]["carries_free_flow"] is True
+    for got, ref in ((shifted.u[-1], carried.u[-1]), (shifted.ut[-1], carried.ut[-1])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_default_response_kicks_only_while_gate_open(resp256):
@@ -355,6 +386,27 @@ def test_channel_forcing_is_the_product_of_the_data_waves(cfg256):
                  for e in np.eye(3)]
         ref = 6.0 * waves[0] * waves[1] * waves[2]
         assert np.max(np.abs(forcing(t, x1, x2) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_free_wave_of_a_response_is_the_data_on_the_box(cfg256):
+    # the free wave u_lin a response's coupling adds to w is the eps-weighted
+    # sum of the waves by the data's rule: at w = 0 a coupling P(u) = u reads
+    # the data on P's box, at t0, at a mid-gate time off the run's lattice,
+    # at t1 and on a frame with a (2, 1) direction
+    skew = CharFrame(((2.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)),
+                      (-np.sqrt(0.5), -np.sqrt(0.5)), (0.0, -1.0)))
+    eps = (0.05, -0.03, 0.07)
+    box, x1, x2, _ = _gate_box(z_cutoff, cfg256.grid)
+    zero = np.zeros((box[0].stop - box[0].start, box[1].stop - box[1].start))
+    t0, t1 = cfg256.solver.t0, cfg256.solver.t1
+    for frame, t in ((cfg256.frame, t0), (cfg256.frame, 0.3137), (cfg256.frame, t1), (skew, t1)):
+        coupling = interaction._ShiftedCoupling((0.0, 1.0, 0.0, 0.0), z_cutoff, frame=frame,
+                                                m=cfg256.m, grid=cfg256.grid, eps=eps)
+        ref = make_three_wave_data(frame, cfg256.m, eps, cfg256.grid, t)[0][box]
+        waves = sum(interaction._waves(frame, cfg256.m, cfg256.grid, box, t, eps))
+        for got in (waves, coupling(t, x1, x2, zero, cutoff_value=1.0)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert "eps=(0.05, -0.03, 0.07)" in repr(coupling)
 
 
 def test_polarization_strips_front_riding_energy(cfg256, resp256, iso256):
@@ -594,9 +646,10 @@ def test_run_experiment_solves_each_input_once(monkeypatch, cfg256):
     run_experiment(
         cfg256, trials=(cubic_nonlinearity(2.0), cubic_nonlinearity(-1.0)), polarization=True
     )
-    # 8 solves: 7 nonlinear responses (the base run, P = None, the two-wave
-    # pair, two scaling rungs and two trials) and the trilinear channel, one
-    # response of zero data; the incoming-front fit reads the data itself
+    # 8 solves, each of zero data: 7 nonlinear responses (the base run,
+    # P = None, the two-wave pair, two scaling rungs and two trials), each
+    # under a coupling that names its eps, and the trilinear channel; the
+    # incoming-front fit reads the data itself
     assert len(solves) == 8
     assert len(set(solves)) == len(solves)
     assert {name for name, _ in solves} == {"solve_response"}

@@ -459,8 +459,9 @@ def test_stats_time_the_loop_phases(P):
     assert set(wall) == {"kicks", "propagate", "records"}
     assert all(v >= 0.0 for v in wall.values())
     assert sum(wall.values()) <= elapsed
-    if P is None:  # a run that never kicks runs no loop
+    if P is None:  # a run that never kicks runs no loop and carries nothing
         assert all(v == 0.0 for v in wall.values())
+    assert out.metadata["stats"]["carries_free_flow"] is (P is not None)
 
 
 class _CountingFFT:
@@ -482,23 +483,28 @@ class _CountingFFT:
 
 def test_forcing_kick_carries_w_alone(monkeypatch):
     # a P that does not read u skips the kick's forward half (block to box):
-    # it transforms the source back only, 2 transforms against 4
+    # it transforms the source back only, 2 transforms against 4.  u_lin
+    # rides beside w only when P reads u and the data are nonzero; w alone
+    # still takes 4 transforms per kick
     grid = grid2d(64, L)
     u0 = _pulse(grid)
     counter = _CountingFFT(solver.sfft)
     monkeypatch.setattr(solver, "sfft", counter)
 
-    def per_kick(P):
-        counts = []
+    def per_kick(P, data=u0):
+        counts, carried = [], set()
         for t1 in (0.3, 0.6):  # 10 and 20 steps, every one kicked, one record
             counter.calls = 0
             cfg = SolverConfig(dt=0.03, t0=0.0, t1=t1, record_stride=10**6)
-            solve_response(u0, 0.5 * u0, grid, cfg, P=P)
+            out = solve_response(data, 0.5 * data, grid, cfg, P=P)
             counts.append(counter.calls)
-        return (counts[1] - counts[0]) / 10
+            carried.add(out.metadata["stats"]["carries_free_flow"])
+        return (counts[1] - counts[0]) / 10, carried
 
-    assert per_kick(NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0))) == 2
-    assert per_kick(cubic_nonlinearity(5.0, cutoff=None)) == 4
+    cubic = cubic_nonlinearity(5.0, cutoff=None)
+    assert per_kick(NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0))) == (2, {False})
+    assert per_kick(cubic) == (4, {True})
+    assert per_kick(cubic, np.zeros(grid.shape)) == (4, {False})
 
     # so its response does not depend on the data; the forcing hands out one
     # array at every kick, which the gate must not scale in place
