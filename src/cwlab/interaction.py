@@ -1,13 +1,14 @@
 """Three-wave interaction experiments on the gated semilinear wave model.
 
 Builds superposed plane-wave data, solves for the nonlinear response
-w = u - u_lin directly (the source gate confines the cubic term to the
-crossing region, the solver kicks only while the gate is open, and the
-free wave u_lin is read under the gate, never carried),
-locates the emitted light circle, estimates the transversal decay order
-across it, and recovers the cubic coupling from cone amplitudes.  All
-probes carry the band and window they were computed with so reported
-numbers stay reproducible, and look up only slices the run recorded.
+w = u - u_lin directly, as one solver.solve of zero data (the source gate
+confines the cubic term to the crossing region, the solver kicks only
+while the gate is open, and the free wave u_lin is read under the gate,
+never carried), locates the emitted light circle, estimates the
+transversal decay order across it, and recovers the cubic coupling from
+cone amplitudes.  All probes carry the band and window they were computed
+with so reported numbers stay reproducible, and look up only slices the
+run recorded.
 
 A plane wave f(t - x . omega) on a lattice direction (p, q) takes one
 value per p i + q j mod N over the grid's nodes (i, j).  So each wave at
@@ -39,8 +40,8 @@ from .solver import (
     energy,  # unused here; bench/tracing.py wraps interaction.energy by name
     grid2d,
     solve,
-    solve_response,
     _gate_box,
+    _live_top,
     _time_index,
 )
 from .spectral import (
@@ -275,8 +276,8 @@ def make_three_wave_data(frame, m, eps, grid, t0):
     below PROFILE_TRIM.  Each wave is its line at t0 scaled by its eps,
     laid onto the grid as a lattice view (_waves) and added in: the build
     holds no 2D array but u and ut, and caches none.  Whether the
-    source gate is still closed at t0 is the solver's check (solve and
-    solve_response reject a later t0).
+    source gate is still closed at t0 is the solver's check (solve
+    rejects a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
     whole = tuple(slice(0, n) for n in grid.shape)
@@ -294,10 +295,11 @@ class _ShiftedCoupling(NonlinearitySpec):
     grid, whose free flow u_lin = sum_j eps_j v_j it reads at each kick on
     P's box by the data's rule (_waves).
 
-    Solved from zero data, it gives the data's response while the solver
-    carries w alone.  P is evaluated by NonlinearitySpec.__call__, looked
-    up at call time, so whatever wraps that sees every kick; the repr names
-    every field, so two problems never read alike.
+    Solved from zero data by solve, it gives the data's response, with the
+    loop's block holding w alone.  P is evaluated by
+    NonlinearitySpec.__call__, looked up at call time, so whatever wraps
+    that sees every kick; the repr names every field, so two problems never
+    read alike.
     """
 
     frame: CharFrame
@@ -318,10 +320,12 @@ def _eps_of(config: ExperimentConfig, eps) -> tuple:
 
 
 def _response(config: ExperimentConfig, P, eps) -> SpaceTimeField:
-    """The response of zero data to P on config's grid and run, read-only,
-    recording the config and per-wave eps it stands for."""
+    """The solve of zero data under P on config's grid and run, read-only,
+    recording the config and per-wave eps it stands for.  solve is looked
+    up as this module's global at call time, so whatever wraps that sees
+    every response."""
     zero = np.broadcast_to(0.0, config.grid.shape)
-    out = solve_response(zero, zero, config.grid, config.solver, P=P)
+    out = solve(zero, zero, config.grid, config.solver, P=P)
     out.u.flags.writeable = out.ut.flags.writeable = False
     out.metadata.update(config=config, frame=config.frame, eps=eps)
     return out
@@ -330,12 +334,12 @@ def _response(config: ExperimentConfig, P, eps) -> SpaceTimeField:
 def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     """The source-driven part w = u - u_lin of the field, in one solve.
 
-    w solves w_tt = Lap w + P(t, x, u_lin + w) from zero data, with u_lin
-    the free waves of the data: the coupling (_ShiftedCoupling) reads u_lin
+    w is the solve of zero data under P(t, x, u_lin + w), with u_lin the
+    free waves of the data: the coupling (_ShiftedCoupling) reads u_lin
     exactly on P's box at each kick by the data's one line rule (_waves),
-    so the solver carries w alone.  It kicks only on steps where the source
-    gate is open; the closed stretches before and after the crossing are
-    single exact propagations.  This is solve(P) - solve(P=None) up to
+    so the loop's block holds w alone.  It kicks only on steps where the
+    source gate is open; the closed stretches before and after the crossing
+    are single exact propagations.  This is solve(P) - solve(P=None) up to
     roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
     The field records its config and per-wave eps, and its arrays are
     read-only: the diagnostics extend a response they are handed instead of
@@ -388,11 +392,10 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     6 a3 eps1 eps2 eps3 v1 v2 v3 under P's gate, with v_j the unit free
     waves, exact translates read by the rule that builds the data (each
     wave's line at the kick time, laid onto P's box as a lattice view; see
-    _triple_forcing).  It is one solve_response whose coupling
-    is that source alone: it has P's box and kick skipping, and, as the
-    source does not read u, the loop carries w alone and each kick
-    transforms only the source.  A callable a3 is evaluated in the source,
-    and a3 = 0 gives exactly zero.
+    _triple_forcing).  It is one solve of zero data whose coupling is that
+    source alone: it has P's box and kick skipping, and, as the source does
+    not read u, each kick transforms only the source.  A callable a3 is
+    evaluated in the source, and a3 = 0 gives exactly zero.
     It carries no single- or pairwise-interaction term, the part that rides
     the incoming fronts.
 
@@ -405,12 +408,13 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     at eps/2).
 
     The field records resp's config, frame and eps, like a
-    nonlinear_response, and metadata["stats"] is the solve's.  P None or of
-    another degree than 3 raises ValueError.
+    nonlinear_response, and metadata["stats"] is the solve's.  P None, or
+    a P with a live coefficient above the cubic, raises ValueError; zero
+    coefficients above it, which P itself never reads, do not.
     """
     config, eps = _recorded(resp, "config"), resp.metadata["eps"]
     P = config.P
-    if P is None or P.degree != 3:
+    if P is None or _live_top(P.coeffs) > 3:
         raise ValueError("the trilinear channel needs a cubic coupling")
     channel = NonlinearitySpec((_triple_forcing(config, eps), 0.0, 0.0, 0.0), cutoff=P.cutoff)
     return _response(config, channel, eps)

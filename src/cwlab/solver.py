@@ -2,26 +2,25 @@
 
 Linear propagation is exact per Fourier mode (unitary in the wave energy),
 so the only time-discretization error comes from the nonlinear kick, applied
-by Strang splitting with 2/3-rule dealiasing of the powers.  The splitting
-runs in the interaction picture: only w = u - u_lin is kicked, by
-P(u_lin + w), with u_lin the exact free flow of the data.  P is gated by a
-SourceGate, a separable space-time bump whose space factor is cached per
+by Strang splitting with 2/3-rule dealiasing of the powers.  P is gated by
+a SourceGate, a separable space-time bump whose space factor is cached per
 grid; steps whose midpoint lies outside its time support are not kicked,
 and each closed stretch is crossed in one exact propagation.  One loop,
-solve_response, computes w alone; solve adds the exact free flow of the
-data at the same record times, and a forcing, a P that does not read u,
-realizes the forward fundamental solution (duhamel_apply).
+solve, integrates every problem: a forcing, a P that does not read u,
+solved from zero data gives the forward fundamental solution, and a
+response w = u - u_lin is the zero-data solve of a coupling that adds the
+free wave u_lin to u itself.
 
 The stepping loop touches only what a kick can read or write (FFT pruning).
-Between records it carries w on the dealiased block of the spectrum alone,
-and u_lin beside it only when P reads u and the data are nonzero (a
-coupling that adds a known free wave to u itself is solved from zero data
-with w alone): every kick is cut to the block, so nothing outside it is
-ever needed.  P is evaluated only on the box, the index box of the grid
-holding the gate's spatial support (the whole grid for an ungated
-coupling), so a kick transforms from the block onto the box and back, one
-axis at a time, and never over the whole grid; a forcing's kick transforms
-back only.
+It holds one state, u on the dealiased block of the spectrum: every kick
+is cut to the block and reads u only through it, so the data's spectrum
+outside the block is free flow throughout, propagated exactly from record
+to record and written into the records in place, to which the loop adds
+the block (zero data skip it).  P is evaluated only on the box, the index
+box of the grid holding the gate's spatial support (the whole grid for an
+ungated coupling), so a kick transforms from the block onto the box and
+back, one axis at a time, and never over the whole grid; a forcing's kick
+transforms back only.
 
 Every transform is numpy.fft (pocketfft), the package's only FFT library.
 The module keeps it under the name sfft, which the benchmark's tracer
@@ -34,7 +33,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy import fft as sfft
@@ -50,12 +49,10 @@ __all__ = [
     "SourceGate",
     "SpaceTimeField",
     "WaveState",
-    "duhamel_apply",
     "energy",
     "grid2d",
     "linear_propagate",
     "solve",
-    "solve_response",
     "z_cutoff",
 ]
 
@@ -140,7 +137,7 @@ z_cutoff = SourceGate(flat=0.4, edge=0.9)
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """P(y, u) = cutoff(y) * sum_j coeffs[j] * u^j, of degree len(coeffs) - 1.
+    """P(y, u) = cutoff(y) * sum_j coeffs[j] * u^j.
 
     Coefficients are reals or callables of (t, X1, X2), at least four of them
     (degree >= 3); cutoff is a SourceGate, which lets the solver skip the
@@ -161,10 +158,6 @@ class NonlinearitySpec:
                 raise ValueError("coefficients must be finite")
         if self.cutoff is not None and not isinstance(self.cutoff, SourceGate):
             raise TypeError("cutoff must be a SourceGate or None")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         """P at time t for u sampled on the meshes (x1, x2); cutoff_value,
@@ -212,7 +205,7 @@ class SolverConfig:
 
     dt is nudged so an integer number of steps lands exactly on t1 (see
     lattice); solve() checks the step bound dt <= h / (DEALIAS pi) of the
-    splitting, one radian per step of the fastest mode it carries, and that
+    splitting, one radian per step of the fastest mode it steps, and that
     the source gate of P is still closed at t0.
     """
 
@@ -291,7 +284,7 @@ class SpaceTimeField:
 
 
 class _Block(NamedTuple):
-    """The part of a grid's rfft2 spectrum the solver carries, in its layout.
+    """The part of a grid's rfft2 spectrum the solver steps, in its layout.
 
     A spectrum in block layout is the rfft2 spectrum transposed, indexed
     [ky, kx], so transforms along x1 run on contiguous data.  The block keeps
@@ -308,7 +301,7 @@ class _Block(NamedTuple):
 # Every kick is cut to |kx|, |ky| <= DEALIAS times the Nyquist frequency K
 # (the 2/3 rule of Orszag, J. Atmos. Sci. 28, 1971).  The square of a field
 # on that block then aliases onto no mode strictly inside the cut, its cube
-# only from its band above 4K/3 per axis, and the loop carries the block
+# only from its band above 4K/3 per axis, and the loop holds the block
 # alone, 4/9 of the spectrum.
 DEALIAS = 2.0 / 3.0
 
@@ -338,10 +331,10 @@ def _spectrum(f):
     return sfft.fft(np.ascontiguousarray(sfft.rfft(f, axis=-1).T), axis=-1)
 
 
-def _field(spec, n2: int):
+def _field(spec, n2: int, out=None):
     """The real field of n2 columns whose rfft2 is spec (block layout, with
-    any missing ky columns zero)."""
-    return sfft.irfft(sfft.ifft(spec, axis=-1).T, n=n2, axis=-1)
+    any missing ky columns zero), written into out when given."""
+    return sfft.irfft(sfft.ifft(spec, axis=-1).T, n=n2, axis=-1, out=out)
 
 
 def _free_propagator(k, dt: float):
@@ -416,24 +409,12 @@ def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=T
         v -= sb
 
 
-def _free_flow(u0, ut0, grid: GridND, step: float, count: int, cached=True):
-    """The exact free flow of the data (u0, ut0) at count + 1 times step
-    apart, the data itself first: one propagation of the whole spectrum
-    per interval (see _propagate for cached)."""
-    _check_grid(grid, u0, ut0)
-    uh, vh = _spectrum(u0), _spectrum(ut0)
-    us, uts = [u0], [ut0]
-    for _ in range(count):
-        _propagate(uh, vh, grid, None, step, cached)
-        us.append(_field(uh, grid.shape[1]))
-        uts.append(_field(vh, grid.shape[1]))
-    return np.asarray(us, dtype=float), np.asarray(uts, dtype=float)
-
-
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
-    us, uts = _free_flow(u, ut, grid, dt, 1)
-    return us[1], uts[1]
+    _check_grid(grid, u, ut)
+    uh, vh = _spectrum(u), _spectrum(ut)
+    _propagate(uh, vh, grid, None, dt)
+    return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
 
 
 def _abs_max(a) -> float:
@@ -456,58 +437,41 @@ def energy(u, ut, grid: GridND) -> float:
         return float(grid.cell_volume * np.sum(ut**2 + ux**2 + uy**2))
 
 
+
+
 def solve(u0, ut0, grid: GridND, config: SolverConfig,
           P: NonlinearitySpec | None = None) -> SpaceTimeField:
     """Integrate u_tt = Lap u + P(y, u) from (u0, ut0) at t0 up to t1.
 
-    Records u = u_lin + w: the exact free flow u_lin of the data at the
-    record times of the response w (see solve_response), plus w.  With P
-    None, u is the free flow alone, reached without time steps.
-    """
-    out = solve_response(u0, ut0, grid, config, P)
-    step, count = out.metadata["record_stride"] * out.metadata["dt"], out.times.size - 1
-    # One record interval is a one-off jump: its propagator is not cached.
-    u, ut = _free_flow(u0, ut0, grid, step, count, cached=count > 1)
-    out.u, out.ut = (u, ut) if P is None else (u + out.u, ut + out.ut)
-    return out
+    Strang splitting: step i kicks u_t by dt * P(t_mid, u) at its midpoint
+    t_mid when the time support of P's gate holds t_mid (every step for an
+    ungated P); elsewhere P vanishes and the step is free flow, so a gated
+    P costs a kick only while the gate is open, and the gate must still be
+    closed at t0.  Free flow is exact for any length, so the state is
+    propagated once per gap between events (kicks and record times): one
+    full step between consecutive kicks, one jump across each closed
+    stretch.
 
-
-def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
-                   P: NonlinearitySpec | None = None) -> SpaceTimeField:
-    """The nonlinear response w = u - u_lin of the data (u0, ut0) at t0.
-
-    w solves w_tt = Lap w + P(y, u_lin + w) from zero data, with u_lin the
-    exact free flow of the data (integrating-factor, or Lawson, form of the
-    Strang splitting); the response is the same as solve(P) - solve(None)
-    without the cancellation of the O(eps) free waves.  Step i kicks w_t by
-    dt * P(t_mid, u_lin + w) at its midpoint t_mid when the time support of
-    P's gate holds t_mid (every step for an ungated P); elsewhere P vanishes
-    and the step is free flow, so a gated P costs a kick only while the gate
-    is open, and the gate must still be closed at t0.  Free flow is exact
-    for any length, so the state is propagated once per gap between events
-    (kicks and record times): one full step between consecutive kicks, one
-    jump across each closed stretch.
-
-    The loop carries w on the dealiased block of the rfft2 spectrum alone
-    (see _block): w starts at zero, every kick is cut to the block, and a
-    kick reads u_lin + w only through it.  u_lin is carried beside w only
-    when P reads u, that is when a coefficient of a positive power of u is
-    live (see NonlinearitySpec.__call__), and the data are nonzero; a P
-    that does not read u, a forcing, gives a response that does not depend
-    on the data.  P is evaluated on its box, the index box of grid holding
-    the gate's spatial support (the whole grid without a gate), with the
-    gate's cached space factor.  A kick of a P that reads u scatters the block onto x1 lines,
-    transforms along x1, keeps the box's x1 rows and transforms along x2
-    onto the box only; a forcing's kick skips that forward half.  P goes
-    back by a real transform of the box rows along x2, cut to the block's ky
-    columns, and a transform along x1.  Each record after t0 scatters w from
-    the block; the t0 record is the zero response, and a run that never
-    kicks (P None, or a gate that never opens) returns read-only zero
-    records.
+    The loop holds u on the dealiased block of the rfft2 spectrum alone
+    (see _block): at t0 the block holds the data's block part, zero for
+    zero data, and every kick is cut to the block and reads u only through
+    it.  The rest of the data's spectrum is therefore free flow throughout:
+    it is propagated exactly from record to record and written into the
+    records, to which the loop adds the block.  P is evaluated on its box,
+    the index box of grid holding the gate's spatial support (the whole
+    grid without a gate), with the gate's cached space factor.  A kick of a
+    P that reads u (a live coefficient of a positive power of u; see
+    NonlinearitySpec.__call__) scatters the block onto x1 lines, transforms
+    along x1, keeps the box's x1 rows and transforms along x2 onto the box
+    only; a P that does not read u, a forcing, skips that forward half.  P
+    goes back by a real transform of the box rows along x2, cut to the
+    block's ky columns, and a transform along x1.  The t0 record is the
+    data.  A run that never kicks (P None, or a gate that never opens) is
+    the free flow of the whole spectrum, reached without time steps, and
+    from zero data it returns read-only zero records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
-    (free flows longer than one step), carries_free_flow (whether the loop
-    carried u_lin beside w), max |P|, dt_margin (dt over the step
+    (free flows longer than one step), max |P|, dt_margin (dt over the step
     bound h / (DEALIAS pi)), the shapes of the spectral block the loop
     carried and of the box P was evaluated on ((0, 0) each when no step was
     kicked), and wall_s, the wall time in seconds of the loop's kicks,
@@ -523,7 +487,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     h = min(g.spacing for g in grid.axes)
     n_steps, stride, dt = config.lattice()
     # The method's step bound: at most one radian per step of the fastest axis
-    # mode the loop carries, |k| = DEALIAS * pi/h at the block's edge; the
+    # mode the loop steps, |k| = DEALIAS * pi/h at the block's edge; the
     # free flow of every mode is exact, so the modes beyond it bound nothing.
     bound = h / (DEALIAS * np.pi)
     if dt > bound + 1e-12:
@@ -538,41 +502,48 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
     gains = {} if gate is None else dict(zip(kicks, gate.time_factor(mids[kicked])))
 
     reads_u = P is not None and _live_top(P.coeffs) > 0
-    carries = bool(kicks) and reads_u and bool(u0.any() or ut0.any())
+    data = bool(u0.any() or ut0.any())
     n1, n2 = grid.shape
-    # Without a kick w stays zero: its records are then one read-only zero,
-    # which takes no memory.
+    # Zero data that are never kicked stay zero: their records are then one
+    # read-only zero, which takes no memory.
     shape = (len(records),) + grid.shape
-    us, uts = (np.zeros(shape), np.zeros(shape)) if kicks else (np.broadcast_to(0.0, shape),) * 2
+    if kicks or data:
+        us, uts = np.zeros(shape), np.zeros(shape)
+    else:
+        us = uts = np.broadcast_to(0.0, shape)
+    specs = (_spectrum(u0), _spectrum(ut0)) if data else ()
 
     if kicks:
         nlo, nhi, cols, _ = _block(grid, DEALIAS)
         (b1, b2), x1, x2, space = _gate_box(gate, grid)
-        # uh[-1], vh[-1] hold w; uh[0], vh[0] hold u_lin when it is carried.
-        uh = np.zeros((1 + carries, cols, nlo + nhi), dtype=complex)
+        uh = np.zeros((cols, nlo + nhi), dtype=complex)
         vh = np.zeros_like(uh)
-        if carries:
-            for dst, f in zip((uh, vh), (u0, ut0)):
-                spec = _spectrum(f)
-                dst[0, :, :nlo] = spec[:cols, :nlo]
-                dst[0, :, nlo:] = spec[:cols, n1 - nhi:]
+        # The data's block moves into the loop and leaves zeros behind.
+        for dst, spec in zip((uh, vh), specs):
+            halves = (dst[:, :nlo], spec[:cols, :nlo]), (dst[:, nlo:], spec[:cols, n1 - nhi :])
+            for part, src in halves:
+                part[...], src[...] = src, 0.0
         lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
         box_lines = np.empty((b1.stop - b1.start, cols), dtype=complex)
         box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
 
+    if data:
+        # The rest of the data's spectrum, free flow at every record.
+        us[0], uts[0] = u0, ut0
+        for j in range(1, len(records)):
+            # One record interval is a one-off jump: its propagator is not cached.
+            _propagate(*specs, grid, None, stride * dt, cached=len(records) > 2)
+            _field(specs[0], n2, out=us[j])
+            _field(specs[1], n2, out=uts[j])
+
     def kick(t, gain):
-        """Kick w_t by dt * P(t, u_lin + w), with gain the gate's time
-        factor at t; returns max |P|."""
+        """Kick u_t by dt * P(t, u), with gain the gate's time factor at t;
+        returns max |P|."""
         u = None
         if reads_u:
-            # u_lin + w when u_lin is carried, else w alone, copied
-            halves = (lines[:, :nlo], uh[..., :nlo]), (lines[:, n1 - nhi :], uh[..., nlo:])
-            for dst, src in halves:
-                if carries:
-                    np.add(src[0], src[1], out=dst)
-                else:
-                    dst[...] = src[0]
+            lines[:, :nlo] = uh[:, :nlo]
             lines[:, nlo : n1 - nhi] = 0.0
+            lines[:, n1 - nhi :] = uh[:, nlo:]
             # The x1 transforms run in place (numpy.fft's out=); the x2
             # transform reads the box's x1 rows copied contiguous, as
             # numpy.fft runs slower on a strided input and lays its output
@@ -591,16 +562,21 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         lines[:, b1.stop :] = 0.0
         lines[:, b1] = sfft.rfft(box_rows, axis=-1)[:, :cols].T
         sfft.fft(lines, axis=-1, out=lines)
-        vh[-1, :, :nlo] += lines[:, :nlo]
-        vh[-1, :, nlo:] += lines[:, n1 - nhi :]
+        vh[:, :nlo] += lines[:, :nlo]
+        vh[:, nlo:] += lines[:, n1 - nhi :]
         return peak
 
-    def recorded(w):
-        """The field whose spectrum is w, scattered from the block."""
-        spec = np.zeros((n2 // 2 + 1, n1), complex)
-        spec[:cols, :nlo] = w[:, :nlo]
-        spec[:cols, n1 - nhi :] = w[:, nlo:]
-        return _field(spec, n2)
+    def record(j):
+        """Add the fields of the block into record j, which holds the data's
+        free flow; zero data have none, and the fields are written there."""
+        for stack, w in ((us, uh), (uts, vh)):
+            spec = np.zeros((n2 // 2 + 1, n1), complex)
+            spec[:cols, :nlo] = w[:, :nlo]
+            spec[:cols, n1 - nhi :] = w[:, nlo:]
+            if data:
+                stack[j] += _field(spec, n2)
+            else:
+                _field(spec, n2, out=stack[j])
 
     pos, jumps, p_max = 0, 0, 0.0
     wall = dict.fromkeys(("kicks", "propagate", "records"), 0.0)
@@ -616,8 +592,7 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
             p_max = max(p_max, kick(mids[event // 2], gains.get(event)))
             phase = "kicks"
         else:
-            j = event // (2 * stride)
-            us[j], uts[j] = recorded(uh[-1]), recorded(vh[-1])
+            record(event // (2 * stride))
             phase = "records"
         wall[phase] += time.perf_counter() - propagated
 
@@ -626,7 +601,6 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         "kicks_applied": len(kicks),
         "kicks_skipped": n_steps - len(kicks),
         "exact_jumps": jumps,
-        "carries_free_flow": carries,
         "max_abs_p": p_max,
         "dt_margin": dt / bound,
         "block": (nlo + nhi, cols) if kicks else (0, 0),
@@ -641,18 +615,3 @@ def solve_response(u0, ut0, grid: GridND, config: SolverConfig,
         metadata={"dt": dt, "t0": config.t0, "t1": config.t1,
                   "record_stride": stride, "stats": stats},
     )
-
-
-def duhamel_apply(forcing: Callable, grid: GridND, config: SolverConfig) -> SpaceTimeField:
-    """Forward solution operator: zero data driven by forcing(t, X1, X2).
-
-    The response of zero data to the ungated coupling P = forcing, which does
-    not read u: solve_response realizes
-    u(t) = int sin(|k|(t-s))/|k| F^(s) ds per mode through the same splitting
-    loop as solve, so both sides of a cross-check share one discretization.
-    Every step is kicked, with forcing evaluated on the whole grid; the loop
-    carries w alone and each kick transforms the forcing only.
-    """
-    zero = np.zeros(grid.shape)
-    P = NonlinearitySpec((forcing, 0.0, 0.0, 0.0))
-    return solve_response(zero, zero, grid, config, P=P)

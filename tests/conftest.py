@@ -53,3 +53,42 @@ def data512(cfg512):
     fld = SpaceTimeField(cfg512.grid, np.array([t0]), u0[None], ut0[None])
     fld.metadata["frame"] = cfg512.frame
     return fld
+
+
+# The fraction of each axis's Nyquist frequency a kick keeps (the 2/3 rule).
+CUT = 2.0 / 3.0
+
+
+def lawson_reference(u0, ut0, grid, cfg, P, response):
+    """Records of a plain full-grid Strang/Lawson stepper: u_lin and w on the
+    whole rfft2 spectrum, every step kicked (the gate's own zeros stand in
+    for skipped kicks), no box, no block, no jumps.  With response, the
+    records hold w = u - u_lin, else u."""
+    n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
+    dt = (cfg.t1 - cfg.t0) / n
+    g = grid.axes[0]
+    kx, ky = g.freqs()[:, None], np.abs(g.freqs()[None, : g.points // 2 + 1])
+    k = np.hypot(kx, ky)
+    mask = (np.abs(kx) <= CUT * g.nyquist) & (ky <= CUT * g.nyquist)
+    c, s = np.cos(0.5 * k * dt), np.sin(0.5 * k * dt)
+    sinc = np.where(k > 0, s / np.where(k > 0, k, 1.0), 0.5 * dt)
+    x1, x2 = grid.nodes()
+    x1, x2 = x1[:, None], x2[None, :]
+    lin = [np.fft.rfft2(u0), np.fft.rfft2(ut0)]
+    w = [np.zeros_like(lin[0]), np.zeros_like(lin[0])]
+
+    def half(f):
+        return [c * f[0] + sinc * f[1], c * f[1] - k * s * f[0]]
+
+    def record(i):
+        return [np.fft.irfft2(w[i] if response else lin[i] + w[i], s=grid.shape)]
+
+    us, uts = record(0), record(1)
+    for i in range(n):
+        lin, w = half(lin), half(w)
+        u = np.fft.irfft2(mask * (lin[0] + w[0]), s=grid.shape)
+        w[1] = w[1] + dt * mask * np.fft.rfft2(P(cfg.t0 + (i + 0.5) * dt, x1, x2, u))
+        lin, w = half(lin), half(w)
+        if (i + 1) % cfg.record_stride == 0:
+            us, uts = us + record(0), uts + record(1)
+    return np.array(us), np.array(uts)

@@ -35,3 +35,23 @@ def test_bench_selftest_passes(monkeypatch):
     import selftest
 
     assert selftest.main() == 0
+
+
+def test_traced_benchmark_counts_every_solve(monkeypatch):
+    # every response is a solve looked up as interaction's global, so the
+    # tracer's solve spans and step count see a response and its channel
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    cfg = interaction.default_experiment(points=128)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase(0, "op"):
+            resp = interaction.nonlinear_response(cfg)
+            iso = interaction.polarization_isolate(resp)
+    finally:
+        tracer.uninstall()
+    assert [s[3] for s in tracer.spans].count("solver.solve_nl") == 2
+    steps = resp.metadata["stats"]["steps"] + iso.metadata["stats"]["steps"]
+    assert tracer.counts[0]["solver.steps"] == steps

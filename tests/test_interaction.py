@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import lawson_reference
 
 from cwlab import interaction
 from cwlab.interaction import (
@@ -40,7 +41,6 @@ from cwlab.solver import (
     cubic_nonlinearity,
     grid2d,
     solve,
-    solve_response,
     z_cutoff,
     _gate_box,
 )
@@ -190,29 +190,31 @@ def _varying_a3(t, x1, x2):
     return 1.0 + 0.5 * np.cos(x1 - 2.0 * x2) * np.exp(-t * t)
 
 
-@pytest.mark.parametrize("points", [128, 256])
+_COUPLINGS = {
+    "cubic": (cubic_nonlinearity(1.0), (EPS,) * 3),
+    "callable-a3": (cubic_nonlinearity(_varying_a3), (EPS,) * 3),
+    "quartic": (quartic_coupling(), (EPS,) * 3),
+    "two-wave": (cubic_nonlinearity(1.0), (EPS, EPS, 0.0)),
+    "mixed-sign": (cubic_nonlinearity(-2.0), (EPS, -0.03, 0.07)),
+}
+
+
 @pytest.mark.parametrize(
-    "P, eps",
-    [
-        (cubic_nonlinearity(1.0), (EPS,) * 3),
-        (cubic_nonlinearity(_varying_a3), (EPS,) * 3),
-        (quartic_coupling(), (EPS,) * 3),
-        (cubic_nonlinearity(1.0), (EPS, EPS, 0.0)),
-        (cubic_nonlinearity(-2.0), (EPS, -0.03, 0.07)),
-    ],
-    ids=["cubic", "callable-a3", "quartic", "two-wave", "mixed-sign"],
+    "points, coupling", [(128, name) for name in _COUPLINGS] + [(256, "cubic")]
 )
-def test_shifted_response_equals_the_carried_one(points, P, eps, cfg256, resp256):
+def test_response_matches_the_full_grid_stepper(points, coupling, cfg256, resp256):
     # the response solves zero data under P(u_lin + w), with u_lin read on
-    # P's box from the data's lines; the loop then carries w alone, where
-    # the response of the data themselves carries u_lin beside it
+    # P's box from the data's lines; the reference steps u_lin beside w on
+    # the whole spectrum, kicking w by P(u_lin + w) on every step
+    P, eps = _COUPLINGS[coupling]
     cfg = replace(cfg256 if points == 256 else default_experiment(points=points), P=P)
-    shifted = resp256 if cfg == cfg256 and eps == (EPS,) * 3 else nonlinear_response(cfg, eps)
+    resp = resp256 if cfg == cfg256 and eps == (EPS,) * 3 else nonlinear_response(cfg, eps)
     data = make_three_wave_data(cfg.frame, cfg.m, eps, cfg.grid, cfg.solver.t0)
-    carried = solve_response(*data, cfg.grid, cfg.solver, P=P)
-    assert shifted.metadata["stats"]["carries_free_flow"] is False
-    assert carried.metadata["stats"]["carries_free_flow"] is True
-    for got, ref in ((shifted.u[-1], carried.u[-1]), (shifted.ut[-1], carried.ut[-1])):
+    # the run records t0 and t1; the reference records every stride-th step
+    run = replace(cfg.solver, record_stride=resp.metadata["stats"]["steps"])
+    ref_u, ref_ut = lawson_reference(*data, cfg.grid, run, P, response=True)
+    for got, ref in ((resp.u, ref_u), (resp.ut, ref_ut)):
+        assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -337,10 +339,10 @@ def test_channel_gap_to_the_sum_is_second_order_in_eps():
         assert 3.5 <= g / g_half <= 4.5
 
 
-def test_polarization_is_one_solve_response(monkeypatch, resp256, iso256):
+def test_polarization_is_one_solve(monkeypatch, resp256, iso256):
     solves = _traced_solves(monkeypatch)
     iso = polarization_isolate(resp256)
-    assert [name for name, _ in solves] == ["solve_response"]
+    assert [name for name, _ in solves] == ["solve"]
     assert np.array_equal(iso.u, iso256.u) and np.array_equal(iso.ut, iso256.ut)
 
 
@@ -369,10 +371,25 @@ def test_channel_evaluates_a_callable_coupling(cfg256, resp256, iso256):
 
 
 def test_channel_needs_a_cubic_coupling(resp256, cfg256):
-    for P in (None, quartic_coupling()):
+    live_quartic = NonlinearitySpec((0.0, 0.0, 0.0, 1.0, 0.5), z_cutoff)
+    for P in (None, quartic_coupling(), live_quartic):
         meta = dict(resp256.metadata, config=replace(cfg256, P=P))
         with pytest.raises(ValueError, match="cubic"):
             polarization_isolate(replace(resp256, metadata=meta))
+
+
+@pytest.mark.parametrize("a3", [None, 0.0], ids=["config-a3", "zero"])
+def test_channel_reads_the_highest_live_coefficient(a3, cfg256, resp256, iso256):
+    # P evaluates from its highest live coefficient, so a zero coefficient
+    # above the cubic changes neither P nor its channel
+    a3 = cfg256.P.coeffs[3] if a3 is None else a3
+    P = NonlinearitySpec((0.0, 0.0, 0.0, a3, 0.0), cfg256.P.cutoff)
+    meta = dict(resp256.metadata, config=replace(cfg256, P=P))
+    iso = polarization_isolate(replace(resp256, metadata=meta))
+    if a3 == 0.0:
+        assert not iso.u.any() and not iso.ut.any()
+    else:
+        assert np.array_equal(iso.u, iso256.u) and np.array_equal(iso.ut, iso256.ut)
 
 
 def test_channel_forcing_is_the_product_of_the_data_waves(cfg256):
@@ -636,8 +653,7 @@ def _traced_solves(monkeypatch):
 
         return wrapper
 
-    for name in ("solve", "solve_response"):
-        monkeypatch.setattr(interaction, name, traced(getattr(interaction, name)))
+    monkeypatch.setattr(interaction, "solve", traced(interaction.solve))
     return digests
 
 
@@ -652,7 +668,7 @@ def test_run_experiment_solves_each_input_once(monkeypatch, cfg256):
     # incoming-front fit reads the data itself
     assert len(solves) == 8
     assert len(set(solves)) == len(solves)
-    assert {name for name, _ in solves} == {"solve_response"}
+    assert {name for name, _ in solves} == {"solve"}
 
 
 def test_run_experiment_reproduces_the_claim(cfg256):

@@ -30,13 +30,13 @@ import numpy as np
 import cwlab
 from cwlab.interaction import DEFAULT_FRAME, ridge_radius
 from cwlab.profiles import PsiMollifier
-from cwlab.solver import SolverConfig, SpaceTimeField, cubic_nonlinearity, grid2d, solve_response
+from cwlab.solver import SolverConfig, SpaceTimeField, cubic_nonlinearity, grid2d, solve
 
 grid = grid2d(64, 3.0)  # spacing below pi/32, as ridge_radius's fit band needs
 x1, x2 = grid.nodes()
 u0 = np.exp(-(x1[:, None] ** 2 + x2[None, :] ** 2) / 0.05)
 cfg = SolverConfig(dt=0.02, t0=-1.2, t1=0.6, record_stride=90)
-resp = solve_response(u0, np.zeros(grid.shape), grid, cfg, P=cubic_nonlinearity(5.0))
+resp = solve(u0, np.zeros(grid.shape), grid, cfg, P=cubic_nonlinearity(5.0))
 assert resp.metadata["stats"]["kicks_applied"] > 0
 field = SpaceTimeField(grid, resp.times, resp.u, resp.ut, metadata={"frame": DEFAULT_FRAME})
 assert np.isfinite(ridge_radius(field, 0.6))

@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import CUT, lawson_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +17,10 @@ from cwlab.solver import (
     SolverConfig,
     SourceGate,
     cubic_nonlinearity,
-    duhamel_apply,
     energy,
     grid2d,
     linear_propagate,
     solve,
-    solve_response,
     z_cutoff,
 )
 from cwlab.spectral import bump_window
@@ -362,49 +362,42 @@ def test_free_flow_keeps_one_cached_propagator(P, entries):
     assert solver._propagator.cache_info().currsize <= entries
 
 
+def test_free_flow_writes_the_records_in_place():
+    # the data's free flow is written straight into the two record stacks:
+    # besides them a run holds the data's two spectra and one transform's
+    # scratch, not a second stack of every record
+    grid = grid2d(128, L)
+    u0 = _pulse(grid)
+    cfg = SolverConfig(dt=0.02, t0=-1.2, t1=-0.4, record_stride=10)
+    solve(u0, u0, grid, cfg)  # warm the caches
+    tracemalloc.start()
+    try:
+        out = solve(u0, u0, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.times.size == 5
+    assert peak - out.u.nbytes - out.ut.nbytes <= 4 * u0.nbytes
+    # zero data that are never kicked give one read-only zero, no memory
+    zero = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg)
+    assert zero.u.strides == (0, 0, 0) and not zero.u.flags.writeable
+    assert not zero.u.any() and not zero.ut.any()
+
+
 def _smooth_forcing(t, X1, X2):
     return np.cos(2.0 * t) * np.exp(-(X1**2 + 2.0 * X2**2)) * (1.0 + 0.5 * X1)
 
 
-# A coupling that does not read u: the solver carries w alone.
+# A coupling that does not read u: a kick transforms the source back only.
 _FORCING = NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0), z_cutoff)
 
-
-# The fraction of each axis's Nyquist frequency a kick keeps (the 2/3 rule).
-CUT = 2.0 / 3.0
-
-
-def lawson_reference(u0, ut0, grid, cfg, P, response):
-    """Records of a plain full-grid Strang/Lawson stepper: u_lin and w on the
-    whole rfft2 spectrum, every step kicked (the gate's own zeros stand in
-    for skipped kicks), no box, no block, no jumps."""
-    n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
-    dt = (cfg.t1 - cfg.t0) / n
-    g = grid.axes[0]
-    kx, ky = g.freqs()[:, None], np.abs(g.freqs()[None, : g.points // 2 + 1])
-    k = np.hypot(kx, ky)
-    mask = (np.abs(kx) <= CUT * g.nyquist) & (ky <= CUT * g.nyquist)
-    c, s = np.cos(0.5 * k * dt), np.sin(0.5 * k * dt)
-    sinc = np.where(k > 0, s / np.where(k > 0, k, 1.0), 0.5 * dt)
-    x1, x2 = meshes(grid)
-    lin = [np.fft.rfft2(u0), np.fft.rfft2(ut0)]
-    w = [np.zeros_like(lin[0]), np.zeros_like(lin[0])]
-
-    def half(f):
-        return [c * f[0] + sinc * f[1], c * f[1] - k * s * f[0]]
-
-    def record(i):
-        return [np.fft.irfft2(w[i] if response else lin[i] + w[i], s=grid.shape)]
-
-    us, uts = record(0), record(1)
-    for i in range(n):
-        lin, w = half(lin), half(w)
-        u = np.fft.irfft2(mask * (lin[0] + w[0]), s=grid.shape)
-        w[1] = w[1] + dt * mask * np.fft.rfft2(P(cfg.t0 + (i + 0.5) * dt, x1, x2, u))
-        lin, w = half(lin), half(w)
-        if (i + 1) % cfg.record_stride == 0:
-            us, uts = us + record(0), uts + record(1)
-    return np.array(us), np.array(uts)
+# Couplings that read u and have a source term, so that zero data respond:
+# gated, and with the same gate as a factor of ungated coefficients.
+_SOURCED = NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 5.0), z_cutoff)
+_OPAQUE_SOURCED = NonlinearitySpec(
+    (lambda t, X1, X2: z_cutoff(t, X1, X2) * _smooth_forcing(t, X1, X2), 0.0, 0.0,
+     _OPAQUE_GATE.coeffs[3])
+)
 
 
 # dt in units of h/pi; 1.35 is the default, 0.9 of the step bound
@@ -413,25 +406,27 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
     "points, margin", [(64, 0.9), (128, 0.9), (128, 1.35)], ids=["64", "128", "128-dt1.35"]
 )
 @pytest.mark.parametrize(
-    "case, P, stride, response",
+    "case, P, stride, data",
     [
-        ("gated response", cubic_nonlinearity(5.0), 10**6, True),
-        ("gate in the coefficient", _OPAQUE_GATE, 10**6, True),
-        ("solve, every step recorded", cubic_nonlinearity(5.0), 1, False),
-        ("forcing response", _FORCING, 10**6, True),
-        ("forcing solve, every step recorded", _FORCING, 1, False),
+        ("gated response", _SOURCED, 10**6, False),
+        ("gate in the coefficient", _OPAQUE_SOURCED, 10**6, False),
+        ("solve, every step recorded", cubic_nonlinearity(5.0), 1, True),
+        ("forcing response", _FORCING, 10**6, False),
+        ("forcing solve, every step recorded", _FORCING, 1, True),
     ],
 )
-def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, response):
+def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, data):
+    # a response is the solve of zero data; a solve of data carries their
+    # block in the loop and the rest of their spectrum as free flow
     grid = grid2d(points, L)
     h = grid.axes[0].spacing
-    u0 = _pulse(grid)
+    u0 = _pulse(grid) if data else np.zeros(grid.shape)
     ut0 = 0.5 * np.roll(u0, points // 16, axis=1)  # no mirror symmetry
     cfg = SolverConfig(dt=margin * h / np.pi, t0=-1.2, t1=0.6, record_stride=stride)
     n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     cfg = replace(cfg, dt=(cfg.t1 - cfg.t0) / n, record_stride=min(stride, n))
-    out = (solve_response if response else solve)(u0, ut0, grid, cfg, P=P)
-    ref_u, ref_ut = lawson_reference(u0, ut0, grid, cfg, P, response)
+    out = solve(u0, ut0, grid, cfg, P=P)
+    ref_u, ref_ut = lawson_reference(u0, ut0, grid, cfg, P, response=False)
     for got, ref in ((out.u, ref_u), (out.ut, ref_ut)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -441,10 +436,9 @@ def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, 
     cut = CUT * grid.axes[0].nyquist
     assert stats["block"] == (np.count_nonzero(np.abs(kx) <= cut), np.count_nonzero(ky <= cut))
     inside = np.count_nonzero(np.abs(grid.axes[0].nodes()) < z_cutoff.edge)
-    assert stats["box"] == ((points, points) if P is _OPAQUE_GATE else (inside, inside))
+    assert stats["box"] == ((points, points) if P.cutoff is None else (inside, inside))
     assert stats["dt_margin"] == pytest.approx(cfg.dt * DEALIAS * np.pi / h, rel=1e-12)
-    if not response:
-        assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
+    assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
 
 
 @pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
@@ -453,15 +447,14 @@ def test_stats_time_the_loop_phases(P):
     u0 = _pulse(grid)
     cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=8)
     start = time.perf_counter()
-    out = solve_response(u0, np.zeros(grid.shape), grid, cfg, P=P)
+    out = solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
     elapsed = time.perf_counter() - start
     wall = out.metadata["stats"]["wall_s"]
     assert set(wall) == {"kicks", "propagate", "records"}
     assert all(v >= 0.0 for v in wall.values())
     assert sum(wall.values()) <= elapsed
-    if P is None:  # a run that never kicks runs no loop and carries nothing
+    if P is None:  # a run that never kicks runs no loop
         assert all(v == 0.0 for v in wall.values())
-    assert out.metadata["stats"]["carries_free_flow"] is (P is not None)
 
 
 class _CountingFFT:
@@ -483,41 +476,42 @@ class _CountingFFT:
 
 def test_forcing_kick_carries_w_alone(monkeypatch):
     # a P that does not read u skips the kick's forward half (block to box):
-    # it transforms the source back only, 2 transforms against 4.  u_lin
-    # rides beside w only when P reads u and the data are nonzero; w alone
-    # still takes 4 transforms per kick
+    # it transforms the source back only, 2 transforms against 4, from data
+    # or from zero data
     grid = grid2d(64, L)
     u0 = _pulse(grid)
     counter = _CountingFFT(solver.sfft)
     monkeypatch.setattr(solver, "sfft", counter)
 
     def per_kick(P, data=u0):
-        counts, carried = [], set()
+        counts = []
         for t1 in (0.3, 0.6):  # 10 and 20 steps, every one kicked, one record
             counter.calls = 0
             cfg = SolverConfig(dt=0.03, t0=0.0, t1=t1, record_stride=10**6)
-            out = solve_response(data, 0.5 * data, grid, cfg, P=P)
+            solve(data, 0.5 * data, grid, cfg, P=P)
             counts.append(counter.calls)
-            carried.add(out.metadata["stats"]["carries_free_flow"])
-        return (counts[1] - counts[0]) / 10, carried
+        return (counts[1] - counts[0]) / 10
 
-    cubic = cubic_nonlinearity(5.0, cutoff=None)
-    assert per_kick(NonlinearitySpec((_smooth_forcing, 0.0, 0.0, 0.0))) == (2, {False})
-    assert per_kick(cubic) == (4, {True})
-    assert per_kick(cubic, np.zeros(grid.shape)) == (4, {False})
+    forcing, cubic = _smooth_forcing, cubic_nonlinearity(5.0, cutoff=None)
+    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0))) == 2
+    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0)), np.zeros(grid.shape)) == 2
+    assert per_kick(cubic) == 4
+    assert per_kick(cubic, np.zeros(grid.shape)) == 4
 
-    # so its response does not depend on the data; the forcing hands out one
-    # array at every kick, which the gate must not scale in place
+    # the forcing hands out one array at every kick, which the gate must
+    # not scale in place; the data add their free flow and nothing else
     held = {}
     forcing = NonlinearitySpec(
         (lambda t, X1, X2: held.setdefault("f", _smooth_forcing(0.0, X1, X2)), 0.0, 0.0, 0.0),
         z_cutoff,
     )
     cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=20)
-    zero = solve_response(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg, P=forcing)
-    data = solve_response(u0, 0.5 * u0, grid, cfg, P=forcing)
+    zero = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg, P=forcing)
+    data = solve(u0, 0.5 * u0, grid, cfg, P=forcing)
+    free = solve(u0, 0.5 * u0, grid, cfg, P=None)
     assert zero.metadata["stats"]["kicks_applied"] == 50
-    assert np.array_equal(data.u, zero.u) and np.array_equal(data.ut, zero.ut)
+    for got, ref in ((data.u - free.u, zero.u), (data.ut - free.ut, zero.ut)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(zero.u[-1])) > 0.0
     box = np.abs(grid.axes[0].nodes()) < z_cutoff.edge
     x1, x2 = meshes(grid)
@@ -527,10 +521,17 @@ def test_forcing_kick_carries_w_alone(monkeypatch):
 # ------------------------------------------------------------------ duhamel
 
 
+def duhamel(forcing, grid, cfg):
+    """The forward solution of forcing(t, X1, X2): the solve of zero data
+    under the ungated coupling that does not read u."""
+    zero = np.zeros(grid.shape)
+    return solve(zero, zero, grid, cfg, P=NonlinearitySpec((forcing, 0.0, 0.0, 0.0)))
+
+
 def test_duhamel_zero_forcing_is_zero():
     grid = grid2d(32, L)
     cfg = SolverConfig(dt=0.05, t0=-1.1, t1=0.3)
-    out = duhamel_apply(lambda t, X1, X2: np.zeros(grid.shape), grid, cfg)
+    out = duhamel(lambda t, X1, X2: np.zeros(grid.shape), grid, cfg)
     assert np.max(np.abs(out.u)) == 0.0
 
 
@@ -550,7 +551,7 @@ def test_duhamel_single_step_matches_mode_kernel():
             return mode
         return np.zeros(grid.shape)
 
-    out = duhamel_apply(forcing, grid, cfg)
+    out = duhamel(forcing, grid, cfg)
     kmag = np.hypot(*xi)
     # a one-step impulse is exact: only the kick touches the zero state and
     # afterwards the mode evolves by the exact multiplier
@@ -577,7 +578,7 @@ def test_small_amplitude_first_order_duhamel_matches_solve():
         return u
 
     forcing = lambda t, X1, X2: z_cutoff(t, X1, X2) * u_lin(t) ** 3
-    duh = duhamel_apply(forcing, grid, cfg)
+    duh = duhamel(forcing, grid, cfg)
 
     probe = np.unravel_index(np.argmax(np.abs(duh.u[-1])), grid.shape)
     assert abs(delta[probe] - duh.u[-1][probe]) < 0.05 * abs(duh.u[-1][probe])
