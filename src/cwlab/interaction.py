@@ -46,16 +46,17 @@ from .solver import (
 )
 from .spectral import (
     NOISE_FLOOR,
+    SUPERPOLYNOMIAL,
     DecayFit,
     Grid1D,
     GridND,
-    TooFewBins,
     decay_exponent,
     dft_forward,
     plateau_window,
     trig_modes,
     windowed_slice,
     _periodic_cubic_spline,
+    _unit,
     _wavenumbers,
 )
 
@@ -110,8 +111,8 @@ class ConeProbe:
     angle: float
 
     def __post_init__(self):
-        if not self.t_probe > 0:
-            raise ValueError("t_probe must be positive")
+        if not (self.t_probe > 0 and np.isfinite(self.angle)):
+            raise ValueError("a probe needs a positive t_probe and a finite angle")
 
     @property
     def direction(self) -> np.ndarray:
@@ -606,31 +607,21 @@ def _under_window_leakage(profile, band) -> bool:
 
 
 def _slice_fit(state: WaveState, center, direction, half_length) -> DecayFit:
-    """Power-law fit of state's windowed slice, flagging fits the data cannot
-    support.
+    """decay_exponent's fit of state's windowed slice in default_band of the
+    grid, the smooth bulk below the band removed first.
 
-    The slice runs through center along direction, half_length either side,
-    with the smooth bulk below the fit band, default_band of the grid,
-    removed first; its DFT is fitted in that band.  A fit left with too few
-    bins reads superpolynomial (slope -inf) only when the band shows nothing
-    above the instrument's floor: the bins sit at the roundoff floor, or, in
-    a band too short to fit, every bin lies within the window's leakage of
-    the content below the band.  Otherwise too few bins is no measurement
-    (slope NaN, flagged insufficient_bins).
+    The slice runs through center along direction, half_length either side.
+    A band too short to fit whose every bin lies within the window's leakage
+    of the content below it shows nothing above the instrument's floor, so
+    it reads superpolynomial, not insufficient_bins.
     """
     band = default_band(state.grid)
     profile = windowed_slice(high_pass(state.u, state.grid, band), state.grid, center=center,
                              direction=direction, half_length=half_length)
-    try:
-        return decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
-    except TooFewBins as err:
-        if err.noise_floor or _under_window_leakage(profile, err.band):
-            # Decay beat the instrument, which is itself evidence that
-            # nothing of finite order crossed the window.
-            slope, flags = -np.inf, {"superpolynomial", "noise_floor", "inconclusive"}
-        else:
-            slope, flags = np.nan, {"insufficient_bins", "inconclusive"}
-        return DecayFit(slope=slope, n_bins=0, band=err.band, flags=frozenset(flags))
+    fit = decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
+    if "insufficient_bins" in fit.flags and _under_window_leakage(profile, fit.band):
+        return replace(fit, slope=-np.inf, flags=SUPERPOLYNOMIAL)
+    return fit
 
 
 def cone_order_estimate(
@@ -665,9 +656,8 @@ def front_order_estimate(fld: SpaceTimeField, omega, t, half_length=None) -> Dec
     band wherever the bins fall, so a bin never has to sit on the band's
     edge to make up the count.
     """
+    w = _unit(omega)
     state = fld.state_at(t)
-    w = np.asarray(omega, dtype=float)
-    w = w / np.hypot(*w)
     if half_length is None:
         lo, hi = default_band(fld.grid)
         half_length = max(1.2, MIN_BINS * np.pi / (hi - lo))
@@ -696,11 +686,11 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     fraction of a band wavelength off it.
     """
     state = fld.state_at(t)
+    if not state.t > 0:
+        raise ValueError("the light circle has positive radius only for t > 0")
     grid = fld.grid
     g = _square_axis(grid)
     bp = np.abs(high_pass(state.u, grid, default_band(grid)))
-    if not state.t > 0:
-        raise ValueError("the light circle has positive radius only for t > 0")
     angles = np.linspace(0.0, 2.0 * np.pi, RIDGE_ANGLES, endpoint=False)
     angles = angles[_tangency_distance(angles, _recorded(fld, "frame")) >= RIDGE_EXCLUSION]
     lo, hi = RIDGE_SPAN
@@ -875,10 +865,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Full pipeline: nulls, cone slope and amplitude, scaling, recovery.
 
-    The cone slope is read from the plain nonlinear response, solved
-    directly in the interaction picture once: the scaling, recovery and
-    polarization controls extend that response, so no input is solved
-    twice.  polarization=True adds the cone slope of the trilinear channel
+    The cone slope is read from the plain nonlinear response, one solve of
+    zero data (nonlinear_response): the scaling, recovery and polarization
+    controls extend that response, so no input is solved twice.
+    polarization=True adds the cone slope of the trilinear channel
     (polarization_isolate: the first-Picard eps1 eps2 eps3 term, one linear
     solve, not the seven-subset sum, from which it differs by 3.8e-5 of the
     maximum at 256 points, an O(eps^2) remainder) to the notes as a

@@ -6,6 +6,24 @@ rebuilds: the angular wavenumbers of an rfftn spectrum (_wavenumbers), and
 the C-infinity smooth step behind plateau_window, which every filter, gate
 and slice window is built from.
 
+The decay fit
+-------------
+decay_exponent fits a power law to a spectrum's bins in a band, leaving
+out the bins at the noise floor, and returns a DecayFit for every valid
+band.  Its n_bins is always the count of usable bins.  There are three
+outcomes:
+
+- at least min_bins usable bins: the least-squares slope, flagged
+  noise_floor if the floor took any bin of the band, and superpolynomial
+  if the slope falls below _SUPERPOLY_SLOPE;
+- the noise floor took the bins (the band held min_bins or more, or every
+  bin it held sits at the floor): slope -inf, flagged SUPERPOLYNOMIAL;
+- the band is short (it holds no bin, or fewer than min_bins with some
+  above the floor): slope NaN, flagged INSUFFICIENT_BINS.
+
+A band outside (0, nyquist] and non-finite samples are refused with
+ValueError.
+
 Conventions
 -----------
 All transforms use the Riemann-sum normalization
@@ -180,20 +198,10 @@ class DecayFit:
         return "superpolynomial" in self.flags
 
 
-class TooFewBins(ValueError):
-    """A decay fit had fewer than min_bins bins to work with.
-
-    noise_floor tells the two causes apart.  It is True when the noise
-    floor took the bins: the band held min_bins or more, or every bin it
-    held sits at the floor, which is itself a measurement of fast decay.
-    It is False when the band is short: it holds fewer than min_bins bins
-    and some of them, or none at all, are above the floor.
-    """
-
-    def __init__(self, message: str, band: tuple[float, float], noise_floor: bool):
-        super().__init__(message)
-        self.band = band
-        self.noise_floor = noise_floor
+# The verdicts of a fit left with fewer than min_bins usable bins: the noise
+# floor took the bins (decay beat the instrument), or the band is short.
+SUPERPOLYNOMIAL = frozenset({"superpolynomial", "noise_floor", "inconclusive"})
+INSUFFICIENT_BINS = frozenset({"insufficient_bins", "inconclusive"})
 
 
 def decay_exponent(
@@ -204,43 +212,39 @@ def decay_exponent(
 ) -> DecayFit:
     """Fit log|spectrum| against log(eta) over the positive-frequency band.
 
-    Bins whose magnitude sits below NOISE_FLOOR * max|spectrum| are
-    treated as noise floor and excluded; if fewer than ``min_bins`` usable
-    bins remain the fit is rejected with TooFewBins, which says whether the
-    band or the noise floor was short.
+    Returns one of the module docstring's three verdicts, with n_bins the
+    usable-bin count; raises ValueError for an invalid band or non-finite
+    samples.
     """
-    spec = dft_forward(np.asarray(samples, dtype=float), grid)
-    eta = grid.freqs()
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError(f"invalid band {band}")
     if hi > grid.nyquist:
         raise ValueError("band exceeds grid Nyquist frequency")
+    samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("decay fit of non-finite samples")
+    spec = dft_forward(samples, grid)
+    eta = grid.freqs()
 
     amp = np.abs(spec)
     floor = NOISE_FLOOR * amp.max()
     sel = (eta >= lo) & (eta <= hi)
-    flags = set()
     usable = sel & (amp > floor)
     n_band, n_usable = int(np.count_nonzero(sel)), int(np.count_nonzero(usable))
-    if n_usable < n_band:
-        flags.add("noise_floor")
+    band = (float(lo), float(hi))
     if n_usable < min_bins:
-        short_band = n_band == 0 or (n_band < min_bins and n_usable > 0)
-        raise TooFewBins(
-            f"only {n_usable} usable of {n_band} bins in band {band}, "
-            f"need at least {min_bins}",
-            (float(lo), float(hi)),
-            noise_floor=not short_band,
-        )
+        if n_band == 0 or (n_band < min_bins and n_usable > 0):
+            return DecayFit(slope=np.nan, n_bins=n_usable, band=band, flags=INSUFFICIENT_BINS)
+        return DecayFit(slope=-np.inf, n_bins=n_usable, band=band, flags=SUPERPOLYNOMIAL)
 
     x = np.log(eta[usable])
     y = np.log(amp[usable])
     design = np.column_stack([x, np.ones_like(x)])
     slope = float(np.linalg.lstsq(design, y, rcond=None)[0][0])
+    flags = {"noise_floor"} if n_usable < n_band else set()
     if slope < _SUPERPOLY_SLOPE:
         flags.add("superpolynomial")
-    band = (float(lo), float(hi))
     return DecayFit(slope=slope, n_bins=n_usable, band=band, flags=frozenset(flags))
 
 
@@ -310,6 +314,15 @@ def _periodic_cubic_spline(values: np.ndarray, i1, i2) -> np.ndarray:
     return np.einsum("a...,b...,ab...->...", w1, w2, coef[j1[:, None], j2[None, :]])
 
 
+def _unit(direction) -> np.ndarray:
+    """direction scaled to unit length; refused unless finite and nonzero."""
+    direction = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"direction {tuple(direction)} is not finite and nonzero")
+    return direction / norm
+
+
 @dataclass
 class SliceProfile:
     """1D windowed restriction of a field along a ray."""
@@ -339,11 +352,10 @@ def windowed_slice(
     tails, slower to open, cost decades of usable dynamic range in the
     slope fit).
     """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit(direction)
     center = np.asarray(center, dtype=float)
-    if not half_length > 0:
-        raise ValueError("half_length must be positive")
+    if not (half_length > 0 and np.all(np.isfinite(center))):
+        raise ValueError("a slice needs a finite center and a positive half_length")
     for axis, g in enumerate(grid.axes):
         lo = min(center[axis] - half_length * abs(direction[axis]),
                  center[axis] + half_length * abs(direction[axis]))

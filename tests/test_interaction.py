@@ -536,6 +536,17 @@ def test_front_fit_with_too_few_bins_is_no_measurement(cfg256):
     assert not fit.superpolynomial
 
 
+@pytest.mark.parametrize("omega", [(0.0, 0.0), (np.nan, 1.0)])
+def test_front_fit_rejects_an_omega_with_no_geometry(cfg256, omega):
+    # unchecked, these read slope -inf, flagged superpolynomial, off a slice
+    # of NaN samples
+    t0 = cfg256.solver.t0
+    u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        front_order_estimate(data, omega, t=t0)
+
+
 def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
     # six bins 2.30 apart fill (16, 29.8) wherever they fall: half-length
     # 6 pi / 13.8 = 1.37 at 256; at 512 the band (16, 36) needs only 0.94,
@@ -692,6 +703,17 @@ def test_probe_inside_exclusion_rejected(cfg256):
     bad = ConeProbe(t_probe=3.8, angle=np.deg2rad(92.0))
     with pytest.raises(ValueError, match="exclusion"):
         replace(cfg256, probes=(bad,))
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf])
+def test_probe_with_a_non_finite_angle_rejected(angle):
+    with pytest.raises(ValueError, match="finite angle"):
+        ConeProbe(t_probe=3.8, angle=angle)
+
+
+def test_ridge_needs_a_positive_time(resp256, cfg256):
+    with pytest.raises(ValueError, match="positive radius"):
+        ridge_radius(resp256, cfg256.solver.t0)
 
 
 def test_config_without_a_probe_rejected(cfg256):

@@ -141,8 +141,29 @@ def test_band_validation():
         decay_exponent(f, g, band=(8.0, 2.0 * g.nyquist))
     with pytest.raises(ValueError):
         decay_exponent(f, g, band=(-1.0, 8.0))
-    # constant field: every bin above 8 is noise floor
-    with pytest.raises(ValueError):
+    # constant field: every bin above 8 is noise floor, which the fit reads
+    # as decay beating the instrument
+    fit = decay_exponent(f, g, band=(8.0, g.nyquist / 4.0))
+    assert fit.slope == -np.inf and fit.n_bins == 0
+    assert fit.flags == {"superpolynomial", "noise_floor", "inconclusive"}
+
+
+def test_short_band_is_no_measurement():
+    # bins sit pi/2 apart: (8, 12) holds 9.42 and 11.0, (8, 9) none
+    g = Grid1D(64, 4.0)
+    f = g.nodes()  # a sawtooth: every bin above the floor
+    for band, n_bins in (((8.0, 12.0), 2), ((8.0, 9.0), 0)):
+        fit = decay_exponent(f, g, band=band)
+        assert np.isnan(fit.slope) and fit.n_bins == n_bins
+        assert fit.flags == {"insufficient_bins", "inconclusive"}
+        assert not fit.superpolynomial
+
+
+def test_non_finite_samples_rejected():
+    g = Grid1D(64, 4.0)
+    f = g.nodes()
+    f[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
         decay_exponent(f, g, band=(8.0, g.nyquist / 4.0))
 
 
@@ -323,14 +344,25 @@ def test_slice_along_front_is_smooth():
     # offset from the singular line, directed along it
     sl = windowed_slice(vals, grid, (0.0, 0.7), (1.0, 0.0), half_length=10.0)
     windowed = sl.windowed + 1e-30  # fully constant slice would have no usable bins
-    try:
-        fit = decay_exponent(windowed, sl.grid, band=(8.0, 64.0), min_bins=4)
-        assert fit.superpolynomial or "noise_floor" in fit.flags
-    except ValueError:
-        pass  # every bin at noise floor: smooth as well
+    fit = decay_exponent(windowed, sl.grid, band=(8.0, 64.0), min_bins=4)
+    assert fit.superpolynomial or "noise_floor" in fit.flags
 
 
 def test_slice_rejects_segment_leaving_domain():
     grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
     with pytest.raises(ValueError):
         windowed_slice(vals, grid, (3.0, 0.0), (1.0, 0.0), half_length=2.0)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0)])
+def test_slice_rejects_a_direction_with_no_geometry(direction):
+    grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        windowed_slice(vals, grid, (0.0, 0.0), direction, half_length=1.0)
+
+
+@pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
+def test_slice_rejects_a_non_finite_center(center):
+    grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
+    with pytest.raises(ValueError, match="finite center"):
+        windowed_slice(vals, grid, center, (1.0, 0.0), half_length=1.0)

@@ -6,10 +6,12 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+BENCH = TOOLS.parent / "bench"
 
 SAMPLE = '''\
 """Module docstring,
@@ -29,12 +31,16 @@ class Sample:
 '''
 
 
-@pytest.fixture(scope="module")
-def code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def code_lines():
+    return _load("code_lines")
 
 
 def test_sample_counts_only_its_code_lines(code_lines):
@@ -60,3 +66,31 @@ def test_rss_phases_prints_a_positive_figure_for_every_phase():
     assert [row[0] for row in rows] == ["import", "setup", "op", "check", "traced"]
     assert [row[2] for row in rows] == ["MB"] * 4 + ["MiB"]
     assert all(float(row[1]) > 0.0 for row in rows)
+
+
+class _FailingWorkload:
+    """A workload whose one check fails, at no cost."""
+
+    def __init__(self, seed):
+        pass
+
+    def setup(self):
+        pass
+
+    def op(self):
+        return None
+
+    def check(self, out):
+        return [SimpleNamespace(name="stub_check", ok=False)], {}
+
+
+def test_rss_phases_exits_1_when_a_check_fails(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # undone with the tool's own entries
+    import run
+    import workloads
+
+    for var in run.THREAD_VARS:  # the tool sets them; restored on teardown
+        monkeypatch.setenv(var, run.THREADS)
+    monkeypatch.setitem(workloads.WORKLOADS, "failing_stub", _FailingWorkload)
+    assert _load("rss_phases").main(["rss_phases.py", "failing_stub"]) == 1
+    assert "failed checks: stub_check" in capsys.readouterr().err

@@ -10,7 +10,8 @@ ru_maxrss is a high-water mark of the whole heap, so where the allocator
 happens to place a block can move it by a megabyte or more on unchanged
 code.  The last line is a figure that placement cannot move: one more
 operation, run under tracemalloc, and the peak of the memory it traced
-(numpy reports its array buffers to tracemalloc), in MiB.
+(numpy reports its array buffers to tracemalloc), in MiB.  The exit status
+is 1 when a check of the operation's output fails, else 0.
 
     python tools/rss_phases.py response_512 --seed 21
     python tools/rss_phases.py experiment_256
@@ -65,7 +66,7 @@ def main(argv: list[str]) -> int:
     failed = [c.name for c in checks if not c.ok]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
