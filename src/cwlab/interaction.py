@@ -489,14 +489,31 @@ def _recorded(fld: SpaceTimeField, key: str):
 
 @lru_cache(maxsize=8)
 def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np.ndarray:
-    """The tube cone_amplitude describes, on grid at time t (read-only)."""
-    x1, x2 = grid.meshes()
+    """The tube cone_amplitude describes, on grid at time t (read-only).
+
+    The tube lies in the annular sector |r - t| <= 4h, angle within
+    PROBE_ARC of the probe, so it is evaluated on the index box of that
+    sector, padded by two nodes, and scattered into a grid-sized mask.
+    """
+    h = _square_axis(grid).spacing
+    radii = np.array([max(t - 4.0 * h, 0.0), t + 4.0 * h])
+    # r cos and r sin reach their extremes over the sector at its radii and
+    # at the arc's ends or the axis directions inside it.
+    lo, hi = probe.angle - PROBE_ARC, probe.angle + PROBE_ARC
+    quarters = 0.5 * np.pi * np.arange(np.ceil(lo / (0.5 * np.pi)), np.floor(hi / (0.5 * np.pi)) + 1)
+    angles = np.r_[lo, hi, quarters]
+    ends = np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))
+    keep = [(x >= e.min() - 2.0 * h) & (x <= e.max() + 2.0 * h) for x, e in zip(grid.nodes(), ends)]
+    x1, x2 = (x[k] for x, k in zip(grid.nodes(), keep))
+    x1, x2 = x1[:, None], x2[None, :]
     theta = np.arctan2(x2, x1)
-    mask = np.abs(np.hypot(x1, x2) - t) <= 4.0 * _square_axis(grid).spacing
-    mask &= _ang_dist(theta, probe.angle) <= PROBE_ARC
-    mask &= _tangency_distance(theta, frame) >= PROBE_EXCLUSION
-    if not np.any(mask):
+    tube = np.abs(np.hypot(x1, x2) - t) <= 4.0 * h
+    tube &= _ang_dist(theta, probe.angle) <= PROBE_ARC
+    tube &= _tangency_distance(theta, frame) >= PROBE_EXCLUSION
+    if not np.any(tube):
         raise ValueError("probe tube contains no grid points")
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[np.ix_(*keep)] = tube
     mask.flags.writeable = False
     return mask
 

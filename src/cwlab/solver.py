@@ -18,13 +18,17 @@ outside the block is free flow throughout, propagated exactly from record
 to record and written into the records in place, to which the loop adds
 the block (zero data skip it).  P is evaluated only on the box, the index
 box of the grid holding the gate's spatial support (the whole grid for an
-ungated coupling), so a kick transforms from the block onto the box and
-back, one axis at a time, and never over the whole grid; a forcing's kick
-transforms back only.
+ungated coupling), so a kick maps the block onto the box and back and
+never touches the whole grid; a forcing's kick maps back only.  A DFT
+with few inputs or outputs kept is cheaper as a direct product than as a
+full FFT (Sorensen & Burrus, IEEE Trans. Signal Process. 41, 1993), so
+each map is two matrix products, one per axis, with partial DFT matrices
+built once per solve (_kick_maps).
 
-Every transform is numpy.fft (pocketfft), the package's only FFT library.
-The module keeps it under the name sfft, which the benchmark's tracer
-replaces by name to count and time the solver's FFTs.
+Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
+data's spectra, their free flow and the records.  The module keeps it
+under the name sfft, which the benchmark's tracer replaces by name to
+count and time the solver's FFTs; the kick's products make none.
 """
 
 from __future__ import annotations
@@ -287,9 +291,11 @@ class _Block(NamedTuple):
     """The part of a grid's rfft2 spectrum the solver steps, in its layout.
 
     A spectrum in block layout is the rfft2 spectrum transposed, indexed
-    [ky, kx], so transforms along x1 run on contiguous data.  The block keeps
-    ky columns 0..cols-1 and kx rows 0..nlo-1 (kx >= 0) and n-nhi..n-1
-    (kx < 0), stored side by side: shape (cols, nlo + nhi).  k is |k| there.
+    [ky, kx], so the free flow's transforms along x1 run on contiguous data
+    and the kick's x1 maps are plain matrix products with it.  The block
+    keeps ky columns 0..cols-1 and kx rows 0..nlo-1 (kx >= 0) and
+    n-nhi..n-1 (kx < 0), stored side by side: shape (cols, nlo + nhi).
+    k is |k| there.
     """
 
     nlo: int
@@ -370,6 +376,62 @@ def _gate_box(gate: SourceGate | None, grid: GridND):
     x1, x2 = (x[b] for x, b in zip(nodes, box))
     x1, x2 = x1[:, None], x2[None, :]
     return box, x1, x2, None if gate is None else gate.space_factor(x1, x2)
+
+
+class _KickMaps(NamedTuple):
+    """The partial DFT matrices between a block and a box of one grid, and
+    the buffers their products write into; built once per solve.
+
+    to_x1 is exp(2 pi i kx x1 / n1) for the box's x1 rows and the block's
+    kx, from_x1 its conjugate.  Along x2 the maps are real and act on a
+    complex array viewed as (real, imaginary) pairs of floats: from_x2 is
+    the rfft along x2 of the box's x2 columns cut to the block's ky, and
+    to_x2 its inverse, which carries the Hermitian weights (1 at ky = 0,
+    else 2; the block holds no Nyquist column) and 1 / (n1 n2).
+    """
+
+    to_x1: np.ndarray  # (nb1, nlo + nhi) complex
+    from_x1: np.ndarray
+    to_x2: np.ndarray  # (2 cols, nb2)
+    from_x2: np.ndarray  # (nb2, 2 cols)
+    lines: np.ndarray  # (nb1, cols) complex: the ky spectra of the box's x1 rows
+    u: np.ndarray  # (nb1, nb2): a field on the box
+    spec: np.ndarray  # (cols, nlo + nhi) complex: a spectrum in block layout
+
+
+def _kick_maps(shape, block: _Block, box) -> _KickMaps:
+    """The maps between block (its nlo, nhi and cols) and the index box
+    (a slice per axis) of a grid of the given shape."""
+    (n1, n2), (b1, b2) = shape, box
+    kx = np.r_[0 : block.nlo, n1 - block.nhi : n1]
+    ky = np.arange(block.cols)
+    # Index products are reduced mod n while exact, so every exponent lies
+    # in [0, 2 pi) and every entry is as accurate as an FFT twiddle factor.
+    to_x1 = np.exp(2j * np.pi / n1 * (np.multiply.outer(np.arange(b1.start, b1.stop), kx) % n1))
+    e2 = np.exp(-2j * np.pi / n2 * (np.multiply.outer(np.arange(b2.start, b2.stop), ky) % n2))
+    from_x2 = e2.view(float)  # columns (cos, -sin) per ky
+    weights = np.repeat(np.where(ky == 0, 1.0, 2.0) / (n1 * n2), 2)
+    to_x2 = np.ascontiguousarray((from_x2 * weights).T)
+    return _KickMaps(
+        to_x1, to_x1.conj(), to_x2, from_x2,
+        lines=np.empty((to_x1.shape[0], block.cols), dtype=complex),
+        u=np.empty((to_x1.shape[0], from_x2.shape[0])),
+        spec=np.empty((block.cols, kx.size), dtype=complex),
+    )
+
+
+def _to_box(maps: _KickMaps, spec) -> np.ndarray:
+    """The field on the box whose rfft2 is spec (block layout, zero outside
+    the block), in maps.u."""
+    np.matmul(maps.to_x1, spec.T, out=maps.lines)
+    return np.matmul(maps.lines.view(float), maps.to_x2, out=maps.u)
+
+
+def _to_block(maps: _KickMaps, f) -> np.ndarray:
+    """The rfft2 of the field that is f on the box and zero elsewhere, cut to
+    the block, in block layout, in maps.spec."""
+    np.matmul(f, maps.from_x2, out=maps.lines.view(float))
+    return np.matmul(maps.lines.T, maps.from_x1, out=maps.spec)
 
 
 def _check_grid(grid: GridND, *fields):
@@ -461,14 +523,17 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     the index box of grid holding the gate's spatial support (the whole
     grid without a gate), with the gate's cached space factor.  A kick of a
     P that reads u (a live coefficient of a positive power of u; see
-    NonlinearitySpec.__call__) scatters the block onto x1 lines, transforms
-    along x1, keeps the box's x1 rows and transforms along x2 onto the box
-    only; a P that does not read u, a forcing, skips that forward half.  P
-    goes back by a real transform of the box rows along x2, cut to the
-    block's ky columns, and a transform along x1.  The t0 record is the
-    data.  A run that never kicks (P None, or a gate that never opens) is
-    the free flow of the whole spectrum, reached without time steps, and
-    from zero data it returns read-only zero records.
+    NonlinearitySpec.__call__) maps the block onto the box (_to_box): a
+    complex product along x1 onto the box's x1 rows, then a real one along
+    x2 onto its x2 columns.  A P that does not read u, a forcing, skips
+    that forward half.  P goes back to the block (_to_block) by a real
+    product along x2 onto the block's ky columns and the conjugate x1
+    product.  The maps are built for the solve and every product writes
+    into a buffer allocated with them (see _KickMaps); one path serves a
+    gated box and the whole grid alike.  The t0 record is the data.  A run
+    that never kicks (P None, or a gate that never opens) is the free flow
+    of the whole spectrum, reached without time steps, and from zero data
+    it returns read-only zero records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step
@@ -514,8 +579,10 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     specs = (_spectrum(u0), _spectrum(ut0)) if data else ()
 
     if kicks:
-        nlo, nhi, cols, _ = _block(grid, DEALIAS)
-        (b1, b2), x1, x2, space = _gate_box(gate, grid)
+        block = _block(grid, DEALIAS)
+        nlo, nhi, cols, _ = block
+        box, x1, x2, space = _gate_box(gate, grid)
+        maps = _kick_maps(grid.shape, block, box)
         uh = np.zeros((cols, nlo + nhi), dtype=complex)
         vh = np.zeros_like(uh)
         # The data's block moves into the loop and leaves zeros behind.
@@ -523,9 +590,6 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
             halves = (dst[:, :nlo], spec[:cols, :nlo]), (dst[:, nlo:], spec[:cols, n1 - nhi :])
             for part, src in halves:
                 part[...], src[...] = src, 0.0
-        lines = np.empty((cols, n1), dtype=complex)  # x1 lines of the block's ky
-        box_lines = np.empty((b1.stop - b1.start, cols), dtype=complex)
-        box_rows = np.zeros((b1.stop - b1.start, n2))  # x2 rows of the box's x1
 
     if data:
         # The rest of the data's spectrum, free flow at every record.
@@ -539,31 +603,15 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     def kick(t, gain):
         """Kick u_t by dt * P(t, u), with gain the gate's time factor at t;
         returns max |P|."""
-        u = None
-        if reads_u:
-            lines[:, :nlo] = uh[:, :nlo]
-            lines[:, nlo : n1 - nhi] = 0.0
-            lines[:, n1 - nhi :] = uh[:, nlo:]
-            # The x1 transforms run in place (numpy.fft's out=); the x2
-            # transform reads the box's x1 rows copied contiguous, as
-            # numpy.fft runs slower on a strided input and lays its output
-            # out like it.
-            sfft.ifft(lines, axis=-1, out=lines)
-            box_lines[...] = lines[:, b1].T
-            u = sfft.irfft(box_lines, n=n2, axis=-1)[:, b2]
+        u = _to_box(maps, uh) if reads_u else None
         cut = None if gate is None else gain * space
         with np.errstate(over="ignore", invalid="ignore"):
             p = P(t, x1, x2, u, cutoff_value=cut)
             peak = _abs_max(p)
         if not math.isfinite(peak):
             raise BlowupError(f"nonlinear term overflowed at t = {t:.6g}")
-        np.multiply(p, dt, out=box_rows[:, b2])
-        lines[:, : b1.start] = 0.0
-        lines[:, b1.stop :] = 0.0
-        lines[:, b1] = sfft.rfft(box_rows, axis=-1)[:, :cols].T
-        sfft.fft(lines, axis=-1, out=lines)
-        vh[:, :nlo] += lines[:, :nlo]
-        vh[:, nlo:] += lines[:, n1 - nhi :]
+        p *= dt  # P's value is a new array, the kick's own
+        np.add(vh, _to_block(maps, p), out=vh)
         return peak
 
     def record(j):
@@ -604,7 +652,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         "max_abs_p": p_max,
         "dt_margin": dt / bound,
         "block": (nlo + nhi, cols) if kicks else (0, 0),
-        "box": (b1.stop - b1.start, b2.stop - b2.start) if kicks else (0, 0),
+        "box": maps.u.shape if kicks else (0, 0),
         "wall_s": wall,
     }
     return SpaceTimeField(

@@ -468,6 +468,41 @@ def test_tangency_distance_vanishes_at_the_three_tangencies():
     assert np.allclose(got, [0.0, 0.0, 0.0, 67.5], atol=1e-9)
 
 
+def _full_grid_tube_mask(grid, t, probe, frame):
+    """The tube of cone_amplitude built on full-grid meshes: the reference."""
+    x1, x2 = grid.meshes()
+    theta = np.arctan2(x2, x1)
+    mask = np.abs(np.hypot(x1, x2) - t) <= 4.0 * grid.axes[0].spacing
+    mask &= interaction._ang_dist(theta, probe.angle) <= interaction.PROBE_ARC
+    mask &= interaction._tangency_distance(theta, frame) >= interaction.PROBE_EXCLUSION
+    return mask
+
+
+@pytest.mark.parametrize("points", [128, 256, 512, 1024])
+def test_tube_mask_built_on_its_box_is_the_full_grid_mask(points):
+    # arcs across the x1 and x2 axes and the angle wrap, and one cut by the
+    # exclusion around the 90 degree tangency
+    grid = grid2d(points, 13.5)
+    for angle in (0.0, 22.5, 60.0, 157.5, 180.0, -90.0):
+        for t in (2.0, 3.8):
+            probe = ConeProbe(t_probe=t, angle=np.deg2rad(angle))
+            got = interaction._tube_mask.__wrapped__(grid, t, probe, DEFAULT_FRAME)
+            assert np.array_equal(got, _full_grid_tube_mask(grid, t, probe, DEFAULT_FRAME))
+            assert got.any() and not got.flags.writeable
+
+
+def test_tube_mask_build_holds_at_most_one_field():
+    grid = grid2d(512, 13.5)
+    probe = ConeProbe(t_probe=3.8, angle=np.deg2rad(157.5))
+    tracemalloc.start()
+    try:
+        interaction._tube_mask.__wrapped__(grid, 3.8, probe, DEFAULT_FRAME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.axes[0].points ** 2  # one float field, 2 MiB
+
+
 def test_crossing_directions():
     got = {
         (i, j): np.rad2deg(crossing_angle(DEFAULT_FRAME, i, j)) % 360

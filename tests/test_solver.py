@@ -457,46 +457,40 @@ def test_stats_time_the_loop_phases(P):
         assert all(v == 0.0 for v in wall.values())
 
 
-class _CountingFFT:
-    """Stands in for the module solver.sfft names, counting the transforms
-    called through it."""
+def _counting(fn, calls, name):
+    """fn, counting its calls in calls[name]."""
 
-    def __init__(self, module):
-        self.module, self.calls = module, 0
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
 
-    def __getattr__(self, name):
-        fn = getattr(self.module, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return fn(*args, **kwargs)
-
-        return counted
+    return counted
 
 
 def test_forcing_kick_carries_w_alone(monkeypatch):
     # a P that does not read u skips the kick's forward half (block to box):
-    # it transforms the source back only, 2 transforms against 4, from data
-    # or from zero data
+    # it maps the source back only, 0 and 1 maps per kick against 1 and 1,
+    # from data or from zero data
     grid = grid2d(64, L)
     u0 = _pulse(grid)
-    counter = _CountingFFT(solver.sfft)
-    monkeypatch.setattr(solver, "sfft", counter)
+    calls = dict.fromkeys(("_to_box", "_to_block"), 0)
+    for name in calls:
+        monkeypatch.setattr(solver, name, _counting(getattr(solver, name), calls, name))
 
     def per_kick(P, data=u0):
         counts = []
         for t1 in (0.3, 0.6):  # 10 and 20 steps, every one kicked, one record
-            counter.calls = 0
+            calls.update(dict.fromkeys(calls, 0))
             cfg = SolverConfig(dt=0.03, t0=0.0, t1=t1, record_stride=10**6)
             solve(data, 0.5 * data, grid, cfg, P=P)
-            counts.append(counter.calls)
-        return (counts[1] - counts[0]) / 10
+            counts.append(np.array(list(calls.values())))
+        return tuple((counts[1] - counts[0]) / 10)
 
     forcing, cubic = _smooth_forcing, cubic_nonlinearity(5.0, cutoff=None)
-    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0))) == 2
-    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0)), np.zeros(grid.shape)) == 2
-    assert per_kick(cubic) == 4
-    assert per_kick(cubic, np.zeros(grid.shape)) == 4
+    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0))) == (0, 1)
+    assert per_kick(NonlinearitySpec((forcing, 0.0, 0.0, 0.0)), np.zeros(grid.shape)) == (0, 1)
+    assert per_kick(cubic) == (1, 1)
+    assert per_kick(cubic, np.zeros(grid.shape)) == (1, 1)
 
     # the forcing hands out one array at every kick, which the gate must
     # not scale in place; the data add their free flow and nothing else
@@ -516,6 +510,39 @@ def test_forcing_kick_carries_w_alone(monkeypatch):
     box = np.abs(grid.axes[0].nodes()) < z_cutoff.edge
     x1, x2 = meshes(grid)
     assert np.array_equal(held["f"], _smooth_forcing(0.0, x1[box], x2[:, box]))
+
+
+def _kick_case(name):
+    """(grid shape, block, box) of a kick map case."""
+    if name == "uncentred_96":  # Grid1D takes powers of two only; the maps do not
+        return (96, 96), solver._Block(33, 32, 33, None), (slice(7, 40), slice(50, 91))
+    grid = grid2d(256, 13.5)  # the experiments' grid at 256 points
+    gate = z_cutoff if name == "gated_256" else None
+    return grid.shape, solver._block(grid, DEALIAS), solver._gate_box(gate, grid)[0]
+
+
+@pytest.mark.parametrize("case", ["gated_256", "uncentred_96", "whole_grid_256"])
+def test_kick_maps_are_the_cut_numpy_transforms(case):
+    # block to box is irfft2 of the block spectrum cut to the box; box to
+    # block is rfft2 of the zero-padded box cut to the block
+    shape, block, box = _kick_case(case)
+    n1, nk = shape[0], block.nlo + block.nhi
+    rng = np.random.default_rng(3)
+    spec = rng.standard_normal((block.cols, nk)) + 1j * rng.standard_normal((block.cols, nk))
+    maps = solver._kick_maps(shape, block, box)
+    full = np.zeros((n1, shape[1] // 2 + 1), dtype=complex)
+    rows = np.r_[0 : block.nlo, n1 - block.nhi : n1]
+    full[rows, : block.cols] = spec.T
+    ref = np.fft.irfft2(full, s=shape)[box]
+    got = solver._to_box(maps, spec)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    f = rng.standard_normal(got.shape)
+    padded = np.zeros(shape)
+    padded[box] = f
+    ref = np.fft.rfft2(padded)[rows, : block.cols].T
+    got = solver._to_block(maps, f)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------------ duhamel

@@ -58,13 +58,24 @@ def test_main_prints_each_module_and_the_total(code_lines, tmp_path, capsys):
     assert rows == [["a", "1"], ["b", "5"], ["total", "6"]]
 
 
-def test_rss_phases_prints_a_positive_figure_for_every_phase():
+def test_rss_phases_prints_a_positive_figure_for_every_phase(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
     # the tool sets its own thread caps and path, so it runs in a process of its own
     run = subprocess.run([sys.executable, str(TOOLS / "rss_phases.py"), "experiment_256"],
                          capture_output=True, text=True, check=True)
     rows = [line.split() for line in run.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["import", "setup", "op", "check", "traced"]
-    assert [row[2] for row in rows] == ["MB"] * 4 + ["MiB"]
+    # the public interaction calls of the first operation print between its
+    # set-up and its end, and none prints once the functions are restored
+    calls = [row for row in rows if row[0].startswith("interaction.")]
+    phases = [row for row in rows if row not in calls]
+    assert [row[0] for row in phases] == ["import", "setup", "op", "check", "traced"]
+    assert [row[2] for row in phases] == ["MB"] * 4 + ["MiB"]
+    assert rows[2 : 2 + len(calls)] == calls
+    assert {row[0] for row in calls} <= {f"interaction.{fn}" for fn in tracing.INTERACTION_FUNCS}
+    assert calls[-1][0] == "interaction.run_experiment"
+    assert all(row[2] == "MB" for row in calls)
     assert all(float(row[1]) > 0.0 for row in rows)
 
 

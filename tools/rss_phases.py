@@ -3,8 +3,12 @@
 Runs one workload of bench/workloads.py in this process, as the benchmark's
 worker does (set-up, one operation, its check), and prints the process's
 peak resident set size (ru_maxrss, in the benchmark's MB of 2**20 bytes)
-after each phase: import, set-up, the first operation and the check.  BLAS
-and OpenMP thread counts are capped as bench/run.py caps them.
+after each phase: import, set-up, the first operation and the check.
+During the first operation it also prints the peak after each return of a
+public interaction function (those bench/tracing.py traces), wrapped by
+module attribute for that operation alone and restored after it, so a jump
+shows at the call that made it.  BLAS and OpenMP thread counts are capped
+as bench/run.py caps them.
 
 ru_maxrss is a high-water mark of the whole heap, so where the allocator
 happens to place a block can move it by a megabyte or more on unchanged
@@ -23,10 +27,12 @@ itself uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import resource
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +40,30 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+@contextmanager
+def rss_after_calls(module, names):
+    """Print the peak RSS after each return of the functions names of module,
+    called through the module's attributes, inside the with block."""
+    originals = {name: getattr(module, name) for name in names}
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            print(f"  {module.__name__.split('.')[-1]}.{name:<24} {peak_rss_mb():8.2f} MB")
+            return out
+
+        return call
+
+    for name, fn in originals.items():
+        setattr(module, name, wrap(name, fn))
+    try:
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(module, name, fn)
 
 
 def main(argv: list[str]) -> int:
@@ -48,13 +78,17 @@ def main(argv: list[str]) -> int:
 
     for var in THREAD_VARS:
         os.environ[var] = THREADS
+    from tracing import INTERACTION_FUNCS
     from workloads import WORKLOADS
+
+    from cwlab import interaction
 
     print(f"import  {peak_rss_mb():8.2f} MB")
     wl = WORKLOADS[args.workload](args.seed)
     wl.setup()
     print(f"setup   {peak_rss_mb():8.2f} MB")
-    out = wl.op()
+    with rss_after_calls(interaction, INTERACTION_FUNCS):
+        out = wl.op()
     print(f"op      {peak_rss_mb():8.2f} MB")
     checks, _ = wl.check(out)
     print(f"check   {peak_rss_mb():8.2f} MB")
