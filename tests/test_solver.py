@@ -515,7 +515,8 @@ def test_forcing_kick_carries_w_alone(monkeypatch):
 def _kick_case(name):
     """(grid shape, block, box) of a kick map case."""
     if name == "uncentred_96":  # Grid1D takes powers of two only; the maps do not
-        return (96, 96), solver._Block(33, 32, 33, None), (slice(7, 40), slice(50, 91))
+        # the 2/3 block of a 96 x 80 grid: |kx| <= 32, |ky| <= 26
+        return (96, 80), solver._Block(33, 32, 27, None), (slice(7, 40), slice(50, 77))
     grid = grid2d(256, 13.5)  # the experiments' grid at 256 points
     gate = z_cutoff if name == "gated_256" else None
     return grid.shape, solver._block(grid, DEALIAS), solver._gate_box(gate, grid)[0]
