@@ -11,12 +11,13 @@ solved from zero data gives the forward fundamental solution, and a
 response w = u - u_lin is the zero-data solve of a coupling that adds the
 free wave u_lin to u itself.
 
-The stepping loop touches only what a kick can read or write (FFT pruning).
-It holds one state, u on the dealiased block of the spectrum: every kick
-is cut to the block and reads u only through it, so the data's spectrum
-outside the block is free flow throughout, propagated exactly from record
-to record and written into the records in place, to which the loop adds
-the block (zero data skip it).  P is evaluated only on the box, the index
+Every spectrum is rfft2's own array, indexed [kx, ky].  The stepping loop
+touches only what a kick can read or write (FFT pruning).  It holds one
+state, u on the dealiased block of the spectrum, an index set of that
+array: every kick is cut to the block and reads u only through it, so the
+data's spectrum outside the block is free flow throughout, propagated
+exactly from record to record and written into the records in place, to
+which the loop adds the block (zero data skip it).  P is evaluated only on the box, the index
 box of the grid holding the gate's spatial support (the whole grid for an
 ungated coupling), so a kick maps the block onto the box and back and
 never touches the whole grid; a forcing's kick maps back only.  A DFT
@@ -219,8 +220,8 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise ValueError("need t0 < t1")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t0 < self.t1):
+            raise ValueError("need finite t0 < t1")
         if not 0.0 < self.dt <= (self.t1 - self.t0):
             raise ValueError("dt must be positive and at most the run length")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
@@ -288,18 +289,15 @@ class SpaceTimeField:
 
 
 class _Block(NamedTuple):
-    """The part of a grid's rfft2 spectrum the solver steps, in its layout.
+    """The part of a grid's rfft2 spectrum the solver steps.
 
-    A spectrum in block layout is the rfft2 spectrum transposed, indexed
-    [ky, kx], so the free flow's transforms along x1 run on contiguous data
-    and the kick's x1 maps are plain matrix products with it.  The block
-    keeps ky columns 0..cols-1 and kx rows 0..nlo-1 (kx >= 0) and
-    n-nhi..n-1 (kx < 0), stored side by side: shape (cols, nlo + nhi).
+    rows is the index array of the kept kx rows, ascending (kx >= 0 first,
+    then kx < 0), and the block keeps ky columns 0..cols-1 of them: a
+    spectrum spec holds it as spec[rows, :cols], shape (rows.size, cols).
     k is |k| there.
     """
 
-    nlo: int
-    nhi: int
+    rows: np.ndarray
     cols: int
     k: np.ndarray
 
@@ -316,31 +314,20 @@ DEALIAS = 2.0 / 3.0
 def _block(grid: GridND, fraction: float | None) -> _Block:
     """The dealiased block of grid's spectrum, |kx|, |ky| <= fraction * nyquist;
     the whole spectrum when fraction is None."""
-    kx, ky = (a.ravel() for a in _wavenumbers(grid))
-    n = kx.size
-    if fraction is None:
-        keep_x, keep_y = np.ones(n, bool), np.ones(ky.size, bool)
-    else:
-        gx, gy = grid.axes
-        keep_x = np.abs(kx) <= fraction * gx.nyquist
-        keep_y = np.abs(ky) <= fraction * gy.nyquist
-    # |kx| grows away from index 0 in both halves, so each kept part is a run.
-    nlo, nhi = int(keep_x[: n // 2].sum()), int(keep_x[n // 2 :].sum())
-    cols = int(keep_y.sum())
-    rows = np.r_[0:nlo, n - nhi : n]
-    return _Block(nlo, nhi, cols, np.hypot(ky[:cols, None], kx[None, rows]))
-
-
-def _spectrum(f):
-    """rfft2 of the real 2D field f, in block layout, C-contiguous (numpy.fft
-    lays its output out like its input, and _propagate views it as floats)."""
-    return sfft.fft(np.ascontiguousarray(sfft.rfft(f, axis=-1).T), axis=-1)
+    kx, ky = _wavenumbers(grid)
+    cut_x, cut_y = (math.inf if fraction is None else fraction * g.nyquist for g in grid.axes)
+    rows = np.flatnonzero(np.abs(kx[:, 0]) <= cut_x)
+    # ky >= 0 grows with the column index, so the kept columns are a run.
+    cols = int(np.count_nonzero(ky <= cut_y))
+    return _Block(rows, cols, np.hypot(kx[rows], ky[:, :cols]))
 
 
 def _field(spec, n2: int, out=None):
-    """The real field of n2 columns whose rfft2 is spec (block layout, with
-    any missing ky columns zero), written into out when given."""
-    return sfft.irfft(sfft.ifft(spec, axis=-1).T, n=n2, axis=-1, out=out)
+    """The real field of n2 columns whose rfft2 is spec (any missing ky
+    columns zero), written into out when given.  Two 1D transforms, since
+    numpy's irfft2 returns a new array and leaves its out argument unwritten
+    (numpy 2.4), and the solver writes its records in place."""
+    return sfft.irfft(sfft.ifft(spec, axis=0), n=n2, axis=-1, out=out)
 
 
 def _free_propagator(k, dt: float):
@@ -383,27 +370,26 @@ class _KickMaps(NamedTuple):
     the buffers their products write into; built once per solve.
 
     to_x1 is exp(2 pi i kx x1 / n1) for the box's x1 rows and the block's
-    kx, from_x1 its conjugate.  Along x2 the maps are real and act on a
-    complex array viewed as (real, imaginary) pairs of floats: from_x2 is
-    the rfft along x2 of the box's x2 columns cut to the block's ky, and
-    to_x2 its inverse, which carries the Hermitian weights (1 at ky = 0,
-    else 2; the block holds no Nyquist column) and 1 / (n1 n2).
+    kx rows, from_x1 its conjugate transpose.  Along x2 the maps are real
+    and act on a complex array viewed as (real, imaginary) pairs of floats:
+    from_x2 is the rfft along x2 of the box's x2 columns cut to the block's
+    ky, and to_x2 its inverse, which carries the Hermitian weights (1 at
+    ky = 0, else 2; the block holds no Nyquist column) and 1 / (n1 n2).
     """
 
-    to_x1: np.ndarray  # (nb1, nlo + nhi) complex
-    from_x1: np.ndarray
+    to_x1: np.ndarray  # (nb1, rows.size) complex
+    from_x1: np.ndarray  # (rows.size, nb1) complex
     to_x2: np.ndarray  # (2 cols, nb2)
     from_x2: np.ndarray  # (nb2, 2 cols)
     lines: np.ndarray  # (nb1, cols) complex: the ky spectra of the box's x1 rows
     u: np.ndarray  # (nb1, nb2): a field on the box
-    spec: np.ndarray  # (cols, nlo + nhi) complex: a spectrum in block layout
+    spec: np.ndarray  # (rows.size, cols) complex: a spectrum on the block
 
 
 def _kick_maps(shape, block: _Block, box) -> _KickMaps:
-    """The maps between block (its nlo, nhi and cols) and the index box
-    (a slice per axis) of a grid of the given shape."""
-    (n1, n2), (b1, b2) = shape, box
-    kx = np.r_[0 : block.nlo, n1 - block.nhi : n1]
+    """The maps between block (its rows and cols) and the index box (a
+    slice per axis) of a grid of the given shape."""
+    (n1, n2), (b1, b2), kx = shape, box, block.rows
     ky = np.arange(block.cols)
     # Index products are reduced mod n while exact, so every exponent lies
     # in [0, 2 pi) and every entry is as accurate as an FFT twiddle factor.
@@ -413,25 +399,25 @@ def _kick_maps(shape, block: _Block, box) -> _KickMaps:
     weights = np.repeat(np.where(ky == 0, 1.0, 2.0) / (n1 * n2), 2)
     to_x2 = np.ascontiguousarray((from_x2 * weights).T)
     return _KickMaps(
-        to_x1, to_x1.conj(), to_x2, from_x2,
+        to_x1, to_x1.conj().T, to_x2, from_x2,
         lines=np.empty((to_x1.shape[0], block.cols), dtype=complex),
         u=np.empty((to_x1.shape[0], from_x2.shape[0])),
-        spec=np.empty((block.cols, kx.size), dtype=complex),
+        spec=np.empty((kx.size, block.cols), dtype=complex),
     )
 
 
 def _to_box(maps: _KickMaps, spec) -> np.ndarray:
-    """The field on the box whose rfft2 is spec (block layout, zero outside
-    the block), in maps.u."""
-    np.matmul(maps.to_x1, spec.T, out=maps.lines)
+    """The field on the box whose rfft2 is spec on the block and zero
+    elsewhere, in maps.u."""
+    np.matmul(maps.to_x1, spec, out=maps.lines)
     return np.matmul(maps.lines.view(float), maps.to_x2, out=maps.u)
 
 
 def _to_block(maps: _KickMaps, f) -> np.ndarray:
     """The rfft2 of the field that is f on the box and zero elsewhere, cut to
-    the block, in block layout, in maps.spec."""
+    the block, in maps.spec."""
     np.matmul(f, maps.from_x2, out=maps.lines.view(float))
-    return np.matmul(maps.lines.T, maps.from_x1, out=maps.spec)
+    return np.matmul(maps.from_x1, maps.lines, out=maps.spec)
 
 
 def _check_grid(grid: GridND, *fields):
@@ -442,16 +428,18 @@ def _check_grid(grid: GridND, *fields):
             raise ValueError("field shape does not match grid")
 
 
-# Rows of a spectrum propagated at a time: the operands of a chunk of a
-# 512-point grid stay in a core's L2 cache.
-_CHUNK_ROWS = 32
+# kx rows of a spectrum propagated at a time: the operands of a chunk of a
+# 512-point grid, whose rows hold 171 (block) or 257 (whole spectrum) ky
+# columns, stay in a core's L2 cache.
+_CHUNK_ROWS = 64
 
 
 def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=True):
     """Advance spectra (uh, vh) on the block of grid for fraction, shaped
-    (..., cols, nlo + nhi), in place by free flow over dt.  Works a chunk of
-    rows at a time, so the operands stay in cache and the scratch stays
-    small; an uncached propagator is only ever built one chunk at a time."""
+    (..., rows.size, cols) and C-contiguous, in place by free flow over dt.
+    Works a chunk of kx rows at a time, so the operands stay in cache and
+    the scratch stays small; an uncached propagator is only ever built one
+    chunk at a time."""
     rows = _CHUNK_ROWS
     k = _block(grid, fraction).k
     full = _propagator(grid, fraction, float(dt)) if cached else None
@@ -474,8 +462,9 @@ def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=T
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
     _check_grid(grid, u, ut)
-    uh, vh = _spectrum(u), _spectrum(ut)
-    _propagate(uh, vh, grid, None, dt)
+    uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
+    # A one-off jump: its whole-spectrum propagator is not cached.
+    _propagate(uh, vh, grid, None, dt, cached=False)
     return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
 
 
@@ -514,12 +503,13 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     full step between consecutive kicks, one jump across each closed
     stretch.
 
-    The loop holds u on the dealiased block of the rfft2 spectrum alone
-    (see _block): at t0 the block holds the data's block part, zero for
-    zero data, and every kick is cut to the block and reads u only through
-    it.  The rest of the data's spectrum is therefore free flow throughout:
-    it is propagated exactly from record to record and written into the
-    records, to which the loop adds the block.  P is evaluated on its box,
+    The loop holds u on the dealiased block of the rfft2 spectrum alone,
+    spec[rows, :cols] for the block's kx rows and ky columns (see _block):
+    at t0 the block holds the data's block part, zero for zero data, and
+    every kick is cut to the block and reads u only through it.  The rest
+    of the data's spectrum is therefore free flow throughout: it is
+    propagated exactly from record to record and written into the records,
+    to which the loop adds the block.  P is evaluated on its box,
     the index box of grid holding the gate's spatial support (the whole
     grid without a gate), with the gate's cached space factor.  A kick of a
     P that reads u (a live coefficient of a positive power of u; see
@@ -576,20 +566,18 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         us, uts = np.zeros(shape), np.zeros(shape)
     else:
         us = uts = np.broadcast_to(0.0, shape)
-    specs = (_spectrum(u0), _spectrum(ut0)) if data else ()
+    specs = (sfft.rfft2(u0), sfft.rfft2(ut0)) if data else ()
 
     if kicks:
         block = _block(grid, DEALIAS)
-        nlo, nhi, cols, _ = block
+        rows, cols, _ = block
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
-        uh = np.zeros((cols, nlo + nhi), dtype=complex)
+        uh = np.zeros((rows.size, cols), dtype=complex)
         vh = np.zeros_like(uh)
         # The data's block moves into the loop and leaves zeros behind.
         for dst, spec in zip((uh, vh), specs):
-            halves = (dst[:, :nlo], spec[:cols, :nlo]), (dst[:, nlo:], spec[:cols, n1 - nhi :])
-            for part, src in halves:
-                part[...], src[...] = src, 0.0
+            dst[...], spec[rows, :cols] = spec[rows, :cols], 0.0
 
     if data:
         # The rest of the data's spectrum, free flow at every record.
@@ -618,9 +606,8 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         """Add the fields of the block into record j, which holds the data's
         free flow; zero data have none, and the fields are written there."""
         for stack, w in ((us, uh), (uts, vh)):
-            spec = np.zeros((n2 // 2 + 1, n1), complex)
-            spec[:cols, :nlo] = w[:, :nlo]
-            spec[:cols, n1 - nhi :] = w[:, nlo:]
+            spec = np.zeros((n1, n2 // 2 + 1), complex)
+            spec[rows, :cols] = w
             if data:
                 stack[j] += _field(spec, n2)
             else:
@@ -651,7 +638,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         "exact_jumps": jumps,
         "max_abs_p": p_max,
         "dt_margin": dt / bound,
-        "block": (nlo + nhi, cols) if kicks else (0, 0),
+        "block": (rows.size, cols) if kicks else (0, 0),
         "box": maps.u.shape if kicks else (0, 0),
         "wall_s": wall,
     }

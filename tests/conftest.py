@@ -66,10 +66,10 @@ def lawson_reference(u0, ut0, grid, cfg, P, response):
     records hold w = u - u_lin, else u."""
     n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     dt = (cfg.t1 - cfg.t0) / n
-    g = grid.axes[0]
-    kx, ky = g.freqs()[:, None], np.abs(g.freqs()[None, : g.points // 2 + 1])
+    g1, g2 = grid.axes
+    kx, ky = g1.freqs()[:, None], np.abs(g2.freqs()[None, : g2.points // 2 + 1])
     k = np.hypot(kx, ky)
-    mask = (np.abs(kx) <= CUT * g.nyquist) & (ky <= CUT * g.nyquist)
+    mask = (np.abs(kx) <= CUT * g1.nyquist) & (ky <= CUT * g2.nyquist)
     c, s = np.cos(0.5 * k * dt), np.sin(0.5 * k * dt)
     sinc = np.where(k > 0, s / np.where(k > 0, k, 1.0), 0.5 * dt)
     x1, x2 = grid.nodes()

@@ -23,7 +23,7 @@ from cwlab.solver import (
     solve,
     z_cutoff,
 )
-from cwlab.spectral import bump_window
+from cwlab.spectral import Grid1D, GridND, bump_window
 
 L = 8.0
 
@@ -362,6 +362,16 @@ def test_free_flow_keeps_one_cached_propagator(P, entries):
     assert solver._propagator.cache_info().currsize <= entries
 
 
+def test_linear_propagate_caches_no_propagator():
+    # each dt of linear_propagate is a one-off jump over the whole spectrum
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    solver._propagator.cache_clear()
+    for dt in (0.1, 0.2, 0.3):
+        linear_propagate(u0, u0, grid, dt)
+    assert solver._propagator.cache_info().currsize == 0
+
+
 def test_free_flow_writes_the_records_in_place():
     # the data's free flow is written straight into the two record stacks:
     # besides them a run holds the data's two spectra and one transform's
@@ -400,10 +410,19 @@ _OPAQUE_SOURCED = NonlinearitySpec(
 )
 
 
-# dt in units of h/pi; 1.35 is the default, 0.9 of the step bound
-# h/(DEALIAS pi).  Pruning is exact at any dt.
+# dt in units of h/pi, h the finer spacing; 1.35 is the default, 0.9 of the
+# step bound h/(DEALIAS pi).  Pruning is exact at any dt.  Only a non-square
+# grid tells the block's kx rows from its ky columns.
 @pytest.mark.parametrize(
-    "points, margin", [(64, 0.9), (128, 0.9), (128, 1.35)], ids=["64", "128", "128-dt1.35"]
+    "shape, extents, margin",
+    [
+        ((64, 64), (L, L), 0.9),
+        ((128, 128), (L, L), 0.9),
+        ((128, 128), (L, L), 1.35),
+        ((64, 128), (8.0, 10.0), 0.9),
+        ((128, 64), (10.0, 6.0), 0.9),
+    ],
+    ids=["64", "128", "128-dt1.35", "64x128", "128x64"],
 )
 @pytest.mark.parametrize(
     "case, P, stride, data",
@@ -415,13 +434,13 @@ _OPAQUE_SOURCED = NonlinearitySpec(
         ("forcing solve, every step recorded", _FORCING, 1, True),
     ],
 )
-def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, data):
+def test_pruned_loop_matches_full_grid_stepper(shape, extents, margin, case, P, stride, data):
     # a response is the solve of zero data; a solve of data carries their
     # block in the loop and the rest of their spectrum as free flow
-    grid = grid2d(points, L)
-    h = grid.axes[0].spacing
+    grid = GridND(tuple(Grid1D(n, e) for n, e in zip(shape, extents)))
+    h = min(g.spacing for g in grid.axes)
     u0 = _pulse(grid) if data else np.zeros(grid.shape)
-    ut0 = 0.5 * np.roll(u0, points // 16, axis=1)  # no mirror symmetry
+    ut0 = 0.5 * np.roll(u0, shape[1] // 16, axis=1)  # no mirror symmetry
     cfg = SolverConfig(dt=margin * h / np.pi, t0=-1.2, t1=0.6, record_stride=stride)
     n = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     cfg = replace(cfg, dt=(cfg.t1 - cfg.t0) / n, record_stride=min(stride, n))
@@ -432,11 +451,13 @@ def test_pruned_loop_matches_full_grid_stepper(points, margin, case, P, stride, 
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     stats = out.metadata["stats"]
-    kx, ky = grid.axes[0].freqs(), 2.0 * np.pi * np.fft.rfftfreq(points, d=h)
-    cut = CUT * grid.axes[0].nyquist
-    assert stats["block"] == (np.count_nonzero(np.abs(kx) <= cut), np.count_nonzero(ky <= cut))
-    inside = np.count_nonzero(np.abs(grid.axes[0].nodes()) < z_cutoff.edge)
-    assert stats["box"] == ((points, points) if P.cutoff is None else (inside, inside))
+    g1, g2 = grid.axes
+    kx, ky = g1.freqs(), 2.0 * np.pi * np.fft.rfftfreq(g2.points, d=g2.spacing)
+    assert stats["block"] == (
+        np.count_nonzero(np.abs(kx) <= CUT * g1.nyquist), np.count_nonzero(ky <= CUT * g2.nyquist)
+    )
+    inside = tuple(np.count_nonzero(np.abs(g.nodes()) < z_cutoff.edge) for g in grid.axes)
+    assert stats["box"] == (shape if P.cutoff is None else inside)
     assert stats["dt_margin"] == pytest.approx(cfg.dt * DEALIAS * np.pi / h, rel=1e-12)
     assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
 
@@ -516,7 +537,7 @@ def _kick_case(name):
     """(grid shape, block, box) of a kick map case."""
     if name == "uncentred_96":  # Grid1D takes powers of two only; the maps do not
         # the 2/3 block of a 96 x 80 grid: |kx| <= 32, |ky| <= 26
-        return (96, 80), solver._Block(33, 32, 27, None), (slice(7, 40), slice(50, 77))
+        return (96, 80), solver._Block(np.r_[0:33, 64:96], 27, None), (slice(7, 40), slice(50, 77))
     grid = grid2d(256, 13.5)  # the experiments' grid at 256 points
     gate = z_cutoff if name == "gated_256" else None
     return grid.shape, solver._block(grid, DEALIAS), solver._gate_box(gate, grid)[0]
@@ -527,13 +548,12 @@ def test_kick_maps_are_the_cut_numpy_transforms(case):
     # block to box is irfft2 of the block spectrum cut to the box; box to
     # block is rfft2 of the zero-padded box cut to the block
     shape, block, box = _kick_case(case)
-    n1, nk = shape[0], block.nlo + block.nhi
+    rows, cols = block.rows, block.cols
     rng = np.random.default_rng(3)
-    spec = rng.standard_normal((block.cols, nk)) + 1j * rng.standard_normal((block.cols, nk))
+    spec = rng.standard_normal((rows.size, cols)) + 1j * rng.standard_normal((rows.size, cols))
     maps = solver._kick_maps(shape, block, box)
-    full = np.zeros((n1, shape[1] // 2 + 1), dtype=complex)
-    rows = np.r_[0 : block.nlo, n1 - block.nhi : n1]
-    full[rows, : block.cols] = spec.T
+    full = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    full[rows, :cols] = spec
     ref = np.fft.irfft2(full, s=shape)[box]
     got = solver._to_box(maps, spec)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -541,7 +561,7 @@ def test_kick_maps_are_the_cut_numpy_transforms(case):
     f = rng.standard_normal(got.shape)
     padded = np.zeros(shape)
     padded[box] = f
-    ref = np.fft.rfft2(padded)[rows, : block.cols].T
+    ref = np.fft.rfft2(padded)[rows, :cols]
     got = solver._to_block(maps, f)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -635,9 +655,9 @@ def test_config_validation():
     late = SolverConfig(dt=0.05, t0=-0.5, t1=0.5)  # t0 must precede the gate
     with pytest.raises(ValueError, match="gate"):
         solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, late, P=cubic_nonlinearity())
-    for t0 in (0.5, 0.6):
+    for t0, t1 in ((0.5, 0.5), (0.6, 0.5), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ValueError, match="t0 < t1"):
-            SolverConfig(dt=0.1, t0=t0, t1=0.5)
+            SolverConfig(dt=0.1, t0=t0, t1=t1)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1, t0=-1.2, t1=0.5)
     with pytest.raises(ValueError):
