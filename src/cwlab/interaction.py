@@ -16,13 +16,13 @@ time t is one line of N values, one FFT of its profile's coefficients,
 read on any index box through a strided view.  The data, the free wave
 u_lin that a response's coupling reads on the gate's box at each kick, and
 the trilinear forcing of the polarization channel read the waves by that
-one rule (_waves), and no wave is tabulated or cached on the grid.
+one rule (_waves), from lines each of them builds once (_wave_lines), and
+no wave is tabulated or cached on the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -207,10 +207,10 @@ CONE_BAND = (16.0, 36.0)
 MIN_BINS = 6
 
 
-@lru_cache(maxsize=16)
 def _wave_lines(frame: CharFrame, m: float, grid: GridND):
     """(pq, eta, coef, shift): the spectra of the three waves' lines, row j
-    of each (3, N) array (of shift, (3, 1)) for wave j.
+    of each (3, N) array (of shift, (3, 1)) for wave j.  Whoever reads the
+    waves builds these once and hands them to _waves.
 
     pq[j] = (p, q) is the wave's integer direction.  Its profile lives on
     its own 1D grid gprof, of the grid's point count, whose extent is the
@@ -255,13 +255,14 @@ def _lattice_view(line, p: int, q: int, box) -> np.ndarray:
     return view
 
 
-def _waves(frame, m, grid, box, t, eps, order=0) -> list:
+def _waves(lines, box, t, eps, order=0) -> list:
     """The waves eps_j v_j with nonzero eps_j at time t (their t-derivatives
-    for order 1) on the index box of grid, each a lattice view of its line
-    (_lattice_view): entry k of a line is the wave's value at the nodes with
-    p i + q j = k mod N.  The lines are one exp and one length-N FFT of the
-    stacked coefficients carried to t."""
-    pq, eta, coef, shift = _wave_lines(frame, float(m), grid)
+    for order 1) on the index box of the grid of lines, the _wave_lines of
+    the waves, each a lattice view of its line (_lattice_view): entry k of a
+    line is the wave's value at the nodes with p i + q j = k mod N.  The
+    lines are one exp and one length-N FFT of the stacked coefficients
+    carried to t."""
+    pq, eta, coef, shift = lines
     live = [j for j, e in enumerate(eps) if e != 0.0]
     c = coef[live] * np.exp(1j * eta[live] * (t + shift[live]))
     lines = np.real(np.fft.fft(c if order == 0 else 1j * eta[live] * c))
@@ -276,15 +277,16 @@ def make_three_wave_data(frame, m, eps, grid, t0):
     (or half its grid's Nyquist frequency, if lower) and loses its modes
     below PROFILE_TRIM.  Each wave is its line at t0 scaled by its eps,
     laid onto the grid as a lattice view (_waves) and added in: the build
-    holds no 2D array but u and ut, and caches none.  Whether the
+    holds no 2D array but u and ut.  Whether the
     source gate is still closed at t0 is the solver's check (solve
     rejects a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
     whole = tuple(slice(0, n) for n in grid.shape)
+    lines = _wave_lines(frame, m, grid)
     u, ut = np.zeros(grid.shape), np.zeros(grid.shape)
     for out, order in ((u, 0), (ut, 1)):
-        for wave in _waves(frame, m, grid, whole, t0, eps, order):
+        for wave in _waves(lines, whole, t0, eps, order):
             out += wave
     return u, ut
 
@@ -294,24 +296,31 @@ class _ShiftedCoupling(NonlinearitySpec):
     """P(t, x, u_lin + w), for the P of coeffs and cutoff: the coupling of
     the response w to the three-wave data of frame, m and per-wave eps on
     grid, whose free flow u_lin = sum_j eps_j v_j it reads at each kick on
-    P's box by the data's rule (_waves).
+    P's box by the data's rule (_waves).  The waves' lines and P's box are
+    built once, with the coupling.
 
     Solved from zero data by solve, it gives the data's response, with the
     loop's block holding w alone.  P is evaluated by
     NonlinearitySpec.__call__, looked up at call time, so whatever wraps
-    that sees every kick; the repr names every field, so two problems never
-    read alike.
+    that sees every kick; the repr names every field but the lines and the
+    box, which those fields determine, so two problems never read alike.
     """
 
     frame: CharFrame
     m: float
     grid: GridND
     eps: tuple
+    lines: tuple = field(init=False, repr=False, compare=False)
+    box: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "lines", _wave_lines(self.frame, self.m, self.grid))
+        object.__setattr__(self, "box", _gate_box(self.cutoff, self.grid)[0])
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         if u is not None:  # P reads u
-            box = _gate_box(self.cutoff, self.grid)[0]
-            u = sum(_waves(self.frame, self.m, self.grid, box, t, self.eps), u)
+            u = sum(_waves(self.lines, self.box, t, self.eps), u)
         return NonlinearitySpec.__call__(self, t, x1, x2, u, cutoff_value)
 
 
@@ -373,12 +382,12 @@ def _triple_forcing(config: ExperimentConfig, eps):
     laid onto that box as lattice views, so a kick builds no table.
     """
     P, grid = config.P, config.grid
-    box = _gate_box(P.cutoff, grid)[0]
+    box, lines = _gate_box(P.cutoff, grid)[0], _wave_lines(config.frame, config.m, grid)
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
 
     def forcing(t, x1, x2):
         f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for v in _waves(config.frame, config.m, grid, box, t, (1.0, 1.0, 1.0)):
+        for v in _waves(lines, box, t, (1.0, 1.0, 1.0)):
             f = f * v
         return f
 
@@ -487,9 +496,8 @@ def _recorded(fld: SpaceTimeField, key: str):
     return value
 
 
-@lru_cache(maxsize=8)
 def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np.ndarray:
-    """The tube cone_amplitude describes, on grid at time t (read-only).
+    """The tube cone_amplitude describes, on grid at time t.
 
     The tube lies in the annular sector |r - t| <= 4h, angle within
     PROBE_ARC of the probe, so it is evaluated on the index box of that
@@ -514,7 +522,6 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np
         raise ValueError("probe tube contains no grid points")
     mask = np.zeros(grid.shape, dtype=bool)
     mask[np.ix_(*keep)] = tube
-    mask.flags.writeable = False
     return mask
 
 
@@ -700,13 +707,16 @@ def ridge_radius(fld: SpaceTimeField, t: float) -> float:
     RIDGE_SPAN * t and the median over rays is returned.
     High-passing keeps all resolved frequencies above the bulk, so the peak
     tightens onto the layer as the grid refines instead of sitting a fixed
-    fraction of a band wavelength off it.
+    fraction of a band wavelength off it.  A t whose rays would leave the
+    box, where the spline reads the periodic image, is refused.
     """
     state = fld.state_at(t)
     if not state.t > 0:
         raise ValueError("the light circle has positive radius only for t > 0")
     grid = fld.grid
     g = _square_axis(grid)
+    if RIDGE_SPAN[1] * state.t > min(-g.start, g.start + g.extent) + 1e-12:
+        raise ValueError(f"rays to radius {RIDGE_SPAN[1] * state.t:g} leave the box")
     bp = np.abs(high_pass(state.u, grid, default_band(grid)))
     angles = np.linspace(0.0, 2.0 * np.pi, RIDGE_ANGLES, endpoint=False)
     angles = angles[_tangency_distance(angles, _recorded(fld, "frame")) >= RIDGE_EXCLUSION]

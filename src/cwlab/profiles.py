@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -358,7 +357,6 @@ def mollifier_polynomial(r: int) -> MollifierFamily:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-@lru_cache(maxsize=1)
 def _bump_mass() -> float:
     """Integral of bump_window over [-1, 1] by the 64-point Gauss rule on 8
     equal panels; the bump is flat to all orders at +-1, so the rule
@@ -366,6 +364,9 @@ def _bump_mass() -> float:
     edges = np.linspace(-1.0, 1.0, 9)
     half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
     return float(np.sum(half * _GAUSS_WEIGHTS * bump_window(mid + half * _GAUSS_NODES)))
+
+
+_BUMP_MASS = _bump_mass()
 
 
 def chi_window(s) -> np.ndarray:
@@ -379,7 +380,7 @@ def chi_window(s) -> np.ndarray:
     plateau = plateau_window(s, 1.0, 2.0)
     lobe = bump_window(4.0 * (np.abs(s) - 1.5))
     # integral of plateau is exactly 3; each side lobe integrates to bump_mass/4
-    lobe_mass = 0.5 * _bump_mass()
+    lobe_mass = 0.5 * _BUMP_MASS
     return plateau - (2.0 / lobe_mass) * lobe
 
 

@@ -3,13 +3,13 @@
 Linear propagation is exact per Fourier mode (unitary in the wave energy),
 so the only time-discretization error comes from the nonlinear kick, applied
 by Strang splitting with 2/3-rule dealiasing of the powers.  P is gated by
-a SourceGate, a separable space-time bump whose space factor is cached per
-grid; steps whose midpoint lies outside its time support are not kicked,
-and each closed stretch is crossed in one exact propagation.  One loop,
-solve, integrates every problem: a forcing, a P that does not read u,
-solved from zero data gives the forward fundamental solution, and a
-response w = u - u_lin is the zero-data solve of a coupling that adds the
-free wave u_lin to u itself.
+a SourceGate, a separable space-time bump whose space factor a solve
+evaluates once on the gate's box; steps whose midpoint lies outside its
+time support are not kicked, and each closed stretch is crossed in one
+exact propagation.  One loop, solve, integrates every problem: a forcing,
+a P that does not read u, solved from zero data gives the forward
+fundamental solution, and a response w = u - u_lin is the zero-data solve
+of a coupling that adds the free wave u_lin to u itself.
 
 Every spectrum is rfft2's own array, indexed [kx, ky].  The stepping loop
 touches only what a kick can read or write (FFT pruning).  It holds one
@@ -24,7 +24,9 @@ never touches the whole grid; a forcing's kick maps back only.  A DFT
 with few inputs or outputs kept is cheaper as a direct product than as a
 full FFT (Sorensen & Burrus, IEEE Trans. Signal Process. 41, 1993), so
 each map is two matrix products, one per axis, with partial DFT matrices
-built once per solve (_kick_maps).
+(_kick_maps).  The block, the box and the maps are built once per solve;
+the module's one cache holds the free-flow tables (_propagator), which
+every solve on a grid reuses.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -109,9 +111,9 @@ class SourceGate:
 
     Equal to 1 on {|t| < flat, |x| < flat} and 0 once |t| >= edge or
     |x| >= edge.  The time factor is one scalar per time, the space factor
-    depends on the grid alone and is cached per grid, and the gate vanishes
-    identically outside the open time interval ``support``, so a solver can
-    skip the source there without changing the solution.
+    depends on the grid alone, so a solve evaluates it once, and the gate
+    vanishes identically outside the open time interval ``support``, so a
+    solver can skip the source there without changing the solution.
     """
 
     flat: float
@@ -167,7 +169,7 @@ class NonlinearitySpec:
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         """P at time t for u sampled on the meshes (x1, x2); cutoff_value,
         when given, is the cutoff already evaluated there (the solver passes
-        its cached gate).
+        the gate it evaluated once for the solve).
 
         Horner's rule runs from the highest live coefficient, one that is
         callable or nonzero.  A P whose only live coefficient is the constant
@@ -310,7 +312,6 @@ class _Block(NamedTuple):
 DEALIAS = 2.0 / 3.0
 
 
-@lru_cache(maxsize=32)
 def _block(grid: GridND, fraction: float | None) -> _Block:
     """The dealiased block of grid's spectrum, |kx|, |ky| <= fraction * nyquist;
     the whole spectrum when fraction is None."""
@@ -348,7 +349,6 @@ def _propagator(grid: GridND, fraction: float | None, dt: float):
     return _free_propagator(_block(grid, fraction).k, dt)
 
 
-@lru_cache(maxsize=8)
 def _gate_box(gate: SourceGate | None, grid: GridND):
     """(box, x1, x2, space): the index box of grid holding the gate's spatial
     support (|x| < edge), its meshes x1[:, None] and x2[None, :], and the
@@ -434,21 +434,21 @@ def _check_grid(grid: GridND, *fields):
 _CHUNK_ROWS = 64
 
 
-def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, cached=True):
+def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, k=None):
     """Advance spectra (uh, vh) on the block of grid for fraction, shaped
     (..., rows.size, cols) and C-contiguous, in place by free flow over dt.
+    Given k, the block's |k|, the jump is a one-off: its propagator is built
+    from k chunk by chunk and never cached; otherwise it is _propagator's.
     Works a chunk of kx rows at a time, so the operands stay in cache and
-    the scratch stays small; an uncached propagator is only ever built one
-    chunk at a time."""
+    the scratch stays small."""
     rows = _CHUNK_ROWS
-    k = _block(grid, fraction).k
-    full = _propagator(grid, fraction, float(dt)) if cached else None
+    full = _propagator(grid, fraction, float(dt)) if k is None else None
     uf, vf = uh.view(uh.real.dtype), vh.view(vh.real.dtype)
     a = np.empty(uf.shape[:-2] + (min(rows, uf.shape[-2]),) + uf.shape[-1:], dtype=uf.dtype)
     b = np.empty_like(a)
     for r in range(0, uf.shape[-2], rows):
         c = slice(r, r + rows)
-        cos, sinc, ksin = (f[c] for f in full) if cached else _free_propagator(k[c], dt)
+        cos, sinc, ksin = _free_propagator(k[c], dt) if full is None else (f[c] for f in full)
         u, v = uf[..., c, :], vf[..., c, :]
         sa, sb = a[..., : u.shape[-2], :], b[..., : u.shape[-2], :]
         np.multiply(sinc, v, out=sa)
@@ -464,7 +464,7 @@ def linear_propagate(u, ut, grid: GridND, dt: float):
     _check_grid(grid, u, ut)
     uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
     # A one-off jump: its whole-spectrum propagator is not cached.
-    _propagate(uh, vh, grid, None, dt, cached=False)
+    _propagate(uh, vh, grid, None, dt, k=_block(grid, None).k)
     return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
 
 
@@ -501,7 +501,8 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     closed at t0.  Free flow is exact for any length, so the state is
     propagated once per gap between events (kicks and record times): one
     full step between consecutive kicks, one jump across each closed
-    stretch.
+    stretch.  Zero data stay zero until the first kick, so that gap is not
+    propagated.
 
     The loop holds u on the dealiased block of the rfft2 spectrum alone,
     spec[rows, :cols] for the block's kx rows and ky columns (see _block):
@@ -509,11 +510,11 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     every kick is cut to the block and reads u only through it.  The rest
     of the data's spectrum is therefore free flow throughout: it is
     propagated exactly from record to record and written into the records,
-    to which the loop adds the block.  P is evaluated on its box,
-    the index box of grid holding the gate's spatial support (the whole
-    grid without a gate), with the gate's cached space factor.  A kick of a
-    P that reads u (a live coefficient of a positive power of u; see
-    NonlinearitySpec.__call__) maps the block onto the box (_to_box): a
+    to which the loop adds the block.  P is evaluated on its box, the
+    index box of grid holding the gate's spatial support (the whole grid
+    without a gate), with the gate's space factor evaluated there once.  A
+    kick of a P that reads u (a live coefficient of a positive power of u;
+    see NonlinearitySpec.__call__) maps the block onto the box (_to_box): a
     complex product along x1 onto the box's x1 rows, then a real one along
     x2 onto its x2 columns.  A P that does not read u, a forcing, skips
     that forward half.  P goes back to the block (_to_block) by a real
@@ -569,8 +570,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     specs = (sfft.rfft2(u0), sfft.rfft2(ut0)) if data else ()
 
     if kicks:
-        block = _block(grid, DEALIAS)
-        rows, cols, _ = block
+        rows, cols, k = block = _block(grid, DEALIAS)
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
         uh = np.zeros((rows.size, cols), dtype=complex)
@@ -582,9 +582,10 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     if data:
         # The rest of the data's spectrum, free flow at every record.
         us[0], uts[0] = u0, ut0
+        # One record interval is a one-off jump: its propagator is not cached.
+        whole = _block(grid, None).k if len(records) == 2 else None
         for j in range(1, len(records)):
-            # One record interval is a one-off jump: its propagator is not cached.
-            _propagate(*specs, grid, None, stride * dt, cached=len(records) > 2)
+            _propagate(*specs, grid, None, stride * dt, k=whole)
             _field(specs[0], n2, out=us[j])
             _field(specs[1], n2, out=uts[j])
 
@@ -613,19 +614,22 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
             else:
                 _field(spec, n2, out=stack[j])
 
-    pos, jumps, p_max = 0, 0, 0.0
+    # The block stays zero, and free flow leaves it so, until the data or a
+    # kick fills it.
+    pos, jumps, p_max, live = 0, 0, 0.0, data
     wall = dict.fromkeys(("kicks", "propagate", "records"), 0.0)
     for event in sorted(kicks + records[1:]) if kicks else []:
         gap = event - pos
         start = time.perf_counter()
-        _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, cached=gap <= 2)
+        if live:
+            _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, k=None if gap <= 2 else k)
         propagated = time.perf_counter()
         wall["propagate"] += propagated - start
         jumps += gap > 2
         pos = event
         if event % 2:
             p_max = max(p_max, kick(mids[event // 2], gains.get(event)))
-            phase = "kicks"
+            live, phase = True, "kicks"
         else:
             record(event // (2 * stride))
             phase = "records"

@@ -42,7 +42,6 @@ Grids are centered at zero unless an explicit start is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -122,16 +121,12 @@ def grid3d(points: int, extent: float) -> GridND:
     return GridND((g, g, g))
 
 
-@lru_cache(maxsize=32)
 def _wavenumbers(grid: GridND) -> tuple[np.ndarray, ...]:
-    """Angular wavenumbers of grid's rfftn spectrum, one read-only array per
-    axis shaped to broadcast against it: the FFT layout on the leading axes,
-    the half layout of rfft on the last."""
+    """Angular wavenumbers of grid's rfftn spectrum, one array per axis
+    shaped to broadcast against it: the FFT layout on the leading axes, the
+    half layout of rfft on the last."""
     *lead, g = grid.axes
-    ks = np.ix_(*(a.freqs() for a in lead), 2.0 * np.pi * np.fft.rfftfreq(g.points, g.spacing))
-    for k in ks:
-        k.flags.writeable = False
-    return ks
+    return np.ix_(*(a.freqs() for a in lead), 2.0 * np.pi * np.fft.rfftfreq(g.points, g.spacing))
 
 
 def dft_forward(samples: np.ndarray, grid: Grid1D) -> np.ndarray:

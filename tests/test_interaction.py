@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import lawson_reference
 
-from cwlab import interaction
+from cwlab import interaction, solver
 from cwlab.interaction import (
     DEFAULT_FRAME,
     ConeProbe,
@@ -147,11 +147,9 @@ def test_data_match_the_phase_table_rule(cfg256):
 
 
 def test_cold_data_build_holds_only_its_result():
-    # nothing 2D is built beside u and ut, and nothing 2D is cached: the
-    # build keeps only its 1D line spectra (_wave_lines, 3 N complex and
-    # 3 N real numbers) besides the result
+    # nothing 2D is built beside u and ut, and nothing is cached: the build
+    # keeps nothing besides the result
     grid = grid2d(512, 13.5)
-    interaction._wave_lines.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -226,6 +224,37 @@ def test_default_response_kicks_only_while_gate_open(resp256):
     assert stats["kicks_skipped"] == 217 - 79
     assert stats["exact_jumps"] == 2
     assert 0.0 < stats["max_abs_p"] < np.inf
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call through the attribute is counted."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_zero_data_are_not_propagated_before_the_first_kick(cfg256, monkeypatch):
+    # a response solves zero data: the 78 gaps between its 79 kicks and the
+    # gap to t1 are propagated, the jump to the first kick is not, though it
+    # still counts as an exact jump
+    calls = _count_calls(monkeypatch, solver, "_propagate")
+    stats = nonlinear_response(cfg256).metadata["stats"]
+    assert len(calls) == stats["kicks_applied"] == 79
+    assert stats["exact_jumps"] == 2
+
+
+def test_response_builds_its_wave_lines_and_gate_box_once(cfg256, monkeypatch):
+    # the coupling builds what its kicks read when it is made, not per kick
+    lines = _count_calls(monkeypatch, interaction, "_wave_lines")
+    boxes = _count_calls(monkeypatch, interaction, "_gate_box")
+    resp = nonlinear_response(cfg256)
+    assert resp.metadata["stats"]["kicks_applied"] == 79
+    assert len(lines) == len(boxes) == 1
 
 
 def test_default_step_is_converged_under_halving(cfg256, resp256, iso256):
@@ -420,7 +449,8 @@ def test_free_wave_of_a_response_is_the_data_on_the_box(cfg256):
         coupling = interaction._ShiftedCoupling((0.0, 1.0, 0.0, 0.0), z_cutoff, frame=frame,
                                                 m=cfg256.m, grid=cfg256.grid, eps=eps)
         ref = make_three_wave_data(frame, cfg256.m, eps, cfg256.grid, t)[0][box]
-        waves = sum(interaction._waves(frame, cfg256.m, cfg256.grid, box, t, eps))
+        lines = interaction._wave_lines(frame, cfg256.m, cfg256.grid)
+        waves = sum(interaction._waves(lines, box, t, eps))
         for got in (waves, coupling(t, x1, x2, zero, cutoff_value=1.0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert "eps=(0.05, -0.03, 0.07)" in repr(coupling)
@@ -486,9 +516,22 @@ def test_tube_mask_built_on_its_box_is_the_full_grid_mask(points):
     for angle in (0.0, 22.5, 60.0, 157.5, 180.0, -90.0):
         for t in (2.0, 3.8):
             probe = ConeProbe(t_probe=t, angle=np.deg2rad(angle))
-            got = interaction._tube_mask.__wrapped__(grid, t, probe, DEFAULT_FRAME)
+            got = interaction._tube_mask(grid, t, probe, DEFAULT_FRAME)
             assert np.array_equal(got, _full_grid_tube_mask(grid, t, probe, DEFAULT_FRAME))
-            assert got.any() and not got.flags.writeable
+            assert got.any()
+
+
+def test_cone_amplitude_holds_no_tube_mask(resp256):
+    # the tube mask is built per call and dropped with it
+    probe = ConeProbe(t_probe=3.8, angle=np.deg2rad(148.25))  # an angle no other test reads
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cone_amplitude(resp256, probe) > 0.0
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 4096
 
 
 def test_tube_mask_build_holds_at_most_one_field():
@@ -496,7 +539,7 @@ def test_tube_mask_build_holds_at_most_one_field():
     probe = ConeProbe(t_probe=3.8, angle=np.deg2rad(157.5))
     tracemalloc.start()
     try:
-        interaction._tube_mask.__wrapped__(grid, 3.8, probe, DEFAULT_FRAME)
+        interaction._tube_mask(grid, 3.8, probe, DEFAULT_FRAME)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,6 +792,16 @@ def test_probe_with_a_non_finite_angle_rejected(angle):
 def test_ridge_needs_a_positive_time(resp256, cfg256):
     with pytest.raises(ValueError, match="positive radius"):
         ridge_radius(resp256, cfg256.solver.t0)
+
+
+def test_ridge_rays_stay_inside_the_box():
+    # at t = 4.5 the rays reach 1.6 t = 7.2, past the box's half extent 6.75,
+    # where the spline would read the periodic image
+    grid = grid2d(256, 13.5)
+    zero = np.zeros((1,) + grid.shape)
+    fld = SpaceTimeField(grid, np.array([4.5]), zero, zero, metadata={"frame": DEFAULT_FRAME})
+    with pytest.raises(ValueError, match="leave the box"):
+        ridge_radius(fld, 4.5)
 
 
 def test_config_without_a_probe_rejected(cfg256):

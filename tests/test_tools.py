@@ -1,8 +1,11 @@
 """The repository's tools: tools/code_lines.py, which every code-line figure
-in CHANGES.md comes from, and tools/rss_phases.py, which every memory figure
-by phase comes from."""
+in CHANGES.md comes from, tools/rss_phases.py, which every memory figure
+by phase comes from, and tools/physics_record.py, whose committed record
+every physics figure is compared with."""
 
 import importlib.util
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +108,63 @@ def test_rss_phases_exits_1_when_a_check_fails(monkeypatch, capsys):
     monkeypatch.setitem(workloads.WORKLOADS, "failing_stub", _FailingWorkload)
     assert _load("rss_phases").main(["rss_phases.py", "failing_stub"]) == 1
     assert "failed checks: stub_check" in capsys.readouterr().err
+
+
+# How far a recomputed physics field may sit from tests/physics_record.json,
+# relative to the recorded value (ROADMAP item 6).  Fitted slopes and gaps
+# get 1e-10: the cone fit amplifies data roundoff about a thousandfold.  The
+# counts, the seeded inputs and the fields of no BLAS product are compared
+# bitwise, and the rest get 1e-12.  A field that passes through a BLAS or
+# LAPACK product (the kick maps, evaluate_trig, lstsq) may round differently
+# on another machine's BLAS: summing each such product in another order
+# (its inner sum split into even and odd terms, lstsq's rows reversed), at
+# seeds 1, 3 and 7, moved each field by at most the figure after its bound.
+FITTED, REST = 1e-10, 1e-12
+TOLERANCES = {
+    "cone_slope": FITTED,  # 6.7e-13
+    "order_gap": FITTED,  # 9.9e-13
+    "polarization_slope": FITTED,  # 1.0e-13
+    "eps_exponent": FITTED,  # 1.2e-15
+    "incoming_slope": 1e-13,  # 2.7e-15
+    "front_slope": 1e-13,  # 1.0e-15
+    "ridge_radius": 1e-12,  # 0: a median of the rays' sample radii
+    "incoming_bins": 0.0,
+    "front_bins": 0.0,
+    "a3": 0.0,
+    "a3_trials": 0.0,
+    "p_zero_peak": 0.0,
+    "axis": 0.0,
+    "algebra_ratios": 0.0,
+}
+# The growth exponents are lstsq slopes near 0 (growth_smooth is -1.3e-12),
+# so their bound is absolute: 1e-13, against 8.1e-15 moved.
+GROWTH_ABS = 1e-13
+
+
+def _within(got, want, rel, abs_=0.0):
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_within(g, w, rel, abs_) for g, w in zip(got, want)))
+    return got == want or (math.isfinite(want) and abs(got - want) <= rel * abs(want) + abs_)
+
+
+def test_physics_record_matches_the_committed_file(tmp_path):
+    recorded = json.loads((TOOLS.parent / "tests" / "physics_record.json").read_text())
+    out = tmp_path / "record.json"
+    # the tool sets its own thread caps and path, so it runs in a process of its own
+    subprocess.run([sys.executable, str(TOOLS / "physics_record.py"),
+                    "--seed", str(recorded["seed"]), "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    got = json.loads(out.read_text())
+    assert got["seed"] == recorded["seed"]
+    assert got["workloads"].keys() == recorded["workloads"].keys()
+    moved = []
+    for name, fields in recorded["workloads"].items():
+        assert got["workloads"][name].keys() == fields.keys()
+        for key, want in fields.items():
+            value = got["workloads"][name][key]
+            ok = (_within(value, want, 0.0, GROWTH_ABS) if key.startswith("growth_")
+                  else _within(value, want, TOLERANCES.get(key, REST)))
+            if not ok:
+                moved.append(f"{name}.{key}: {want!r} -> {value!r}")
+    assert not moved, "physics moved: " + "; ".join(moved)
