@@ -501,8 +501,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     closed at t0.  Free flow is exact for any length, so the state is
     propagated once per gap between events (kicks and record times): one
     full step between consecutive kicks, one jump across each closed
-    stretch.  Zero data stay zero until the first kick, so that gap is not
-    propagated.
+    stretch.
 
     The loop holds u on the dealiased block of the rfft2 spectrum alone,
     spec[rows, :cols] for the block's kx rows and ky columns (see _block):
@@ -614,22 +613,19 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
             else:
                 _field(spec, n2, out=stack[j])
 
-    # The block stays zero, and free flow leaves it so, until the data or a
-    # kick fills it.
-    pos, jumps, p_max, live = 0, 0, 0.0, data
+    pos, jumps, p_max = 0, 0, 0.0
     wall = dict.fromkeys(("kicks", "propagate", "records"), 0.0)
     for event in sorted(kicks + records[1:]) if kicks else []:
         gap = event - pos
         start = time.perf_counter()
-        if live:
-            _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, k=None if gap <= 2 else k)
+        _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, k=None if gap <= 2 else k)
         propagated = time.perf_counter()
         wall["propagate"] += propagated - start
         jumps += gap > 2
         pos = event
         if event % 2:
             p_max = max(p_max, kick(mids[event // 2], gains.get(event)))
-            live, phase = True, "kicks"
+            phase = "kicks"
         else:
             record(event // (2 * stride))
             phase = "records"

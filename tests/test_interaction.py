@@ -238,16 +238,6 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_zero_data_are_not_propagated_before_the_first_kick(cfg256, monkeypatch):
-    # a response solves zero data: the 78 gaps between its 79 kicks and the
-    # gap to t1 are propagated, the jump to the first kick is not, though it
-    # still counts as an exact jump
-    calls = _count_calls(monkeypatch, solver, "_propagate")
-    stats = nonlinear_response(cfg256).metadata["stats"]
-    assert len(calls) == stats["kicks_applied"] == 79
-    assert stats["exact_jumps"] == 2
-
-
 def test_response_builds_its_wave_lines_and_gate_box_once(cfg256, monkeypatch):
     # the coupling builds what its kicks read when it is made, not per kick
     lines = _count_calls(monkeypatch, interaction, "_wave_lines")

@@ -8,8 +8,8 @@ physics fields its check returns, the ones bench/run.py prints after
     {"seed": 7, "workloads": {"experiment_256": {...}, "response_512": {...},
                               "calculus_3d": {...}}}
 
-    python tools/physics_record.py                      # tests/physics_record.json
-    python tools/physics_record.py --seed 3 --out record.json
+    python tools/physics_record.py                  # tests/physics_record.json
+    python tools/physics_record.py --out record.json
 
 tests/test_tools.py recomputes the record and compares it with the committed
 tests/physics_record.json, so a change that moves a physics number on
@@ -35,7 +35,6 @@ SEED = 7
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=SEED)
     ap.add_argument("--out", type=Path, default=RECORD)
     args = ap.parse_args(argv[1:])
 
@@ -48,11 +47,11 @@ def main(argv: list[str]) -> int:
 
     record, failed = {}, []
     for name in WORKLOADS:
-        wl = CLASSES[name](args.seed)
+        wl = CLASSES[name](SEED)
         wl.setup()
         checks, record[name] = wl.check(wl.op())
         failed += [f"{name}.{c.name}" for c in checks if not c.ok]
-    args.out.write_text(json.dumps({"seed": args.seed, "workloads": record}, indent=2) + "\n")
+    args.out.write_text(json.dumps({"seed": SEED, "workloads": record}, indent=2) + "\n")
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
