@@ -12,21 +12,21 @@ fundamental solution, and a response w = u - u_lin is the zero-data solve
 of a coupling that adds the free wave u_lin to u itself.
 
 Every spectrum is rfft2's own array, indexed [kx, ky].  The stepping loop
-touches only what a kick can read or write (FFT pruning).  It holds one
-state, u on the dealiased block of the spectrum, an index set of that
-array: every kick is cut to the block and reads u only through it, so the
-data's spectrum outside the block is free flow throughout, propagated
-exactly from record to record and written into the records in place, to
-which the loop adds the block (zero data skip it).  P is evaluated only on the box, the index
-box of the grid holding the gate's spatial support (the whole grid for an
-ungated coupling), so a kick maps the block onto the box and back and
-never touches the whole grid; a forcing's kick maps back only.  A DFT
-with few inputs or outputs kept is cheaper as a direct product than as a
-full FFT (Sorensen & Burrus, IEEE Trans. Signal Process. 41, 1993), so
-each map is two matrix products, one per axis, with partial DFT matrices
-(_kick_maps).  The block, the box and the maps are built once per solve;
-the module's one cache holds the free-flow tables (_propagator), which
-every solve on a grid reuses.
+touches only what a kick can read or write (FFT pruning): the dealiased
+block of the spectrum, an index set of that array.  Every kick is cut to
+the block and reads u only through it, so the data's spectrum outside the
+block is free flow throughout, propagated exactly from record to record
+and written into the records in place, to which the loop adds the block
+(zero data skip it).  P is evaluated only on the box, the index box of the
+grid holding the gate's spatial support (the whole grid for an ungated
+coupling), so a kick maps the block onto the box and back and never
+touches the whole grid; a forcing's kick maps back only.  Each map is a
+matrix product per axis with partial DFT matrices, and the loop holds the
+block folded about the centre of P's box, which makes the maps along x1
+real and half their height; the module _kick holds the fold and the maps.
+The block, the box and the maps are built once per solve; the module's one
+cache holds the free-flow tables (_propagator), which every solve on a grid
+reuses.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy import fft as sfft
 
+from ._kick import _fold, _kick_macs, _kick_maps, _to_block, _to_box, _unfold
 from .spectral import Grid1D, GridND, _wavenumbers, plateau_window
 
 __all__ = [
@@ -293,13 +294,13 @@ class SpaceTimeField:
 class _Block(NamedTuple):
     """The part of a grid's rfft2 spectrum the solver steps.
 
-    rows is the index array of the kept kx rows, ascending (kx >= 0 first,
-    then kx < 0), and the block keeps ky columns 0..cols-1 of them: a
-    spectrum spec holds it as spec[rows, :cols], shape (rows.size, cols).
-    k is |k| there.
+    The block keeps kx rows -K..K, which rfft2's layout holds at rows 0..K
+    and n1-K..n1-1 (the Nyquist row lies outside it), and ky columns
+    0..cols-1: in that layout it is (2K+1, cols).  The loop holds it folded
+    (see _fold), (2, K+1, cols), and k is |k| on the folded rows, kx = 0..K.
     """
 
-    rows: np.ndarray
+    K: int
     cols: int
     k: np.ndarray
 
@@ -312,15 +313,16 @@ class _Block(NamedTuple):
 DEALIAS = 2.0 / 3.0
 
 
-def _block(grid: GridND, fraction: float | None) -> _Block:
-    """The dealiased block of grid's spectrum, |kx|, |ky| <= fraction * nyquist;
-    the whole spectrum when fraction is None."""
+def _block(grid: GridND) -> _Block:
+    """The dealiased block of grid's spectrum, |kx|, |ky| <= DEALIAS * nyquist."""
     kx, ky = _wavenumbers(grid)
-    cut_x, cut_y = (math.inf if fraction is None else fraction * g.nyquist for g in grid.axes)
-    rows = np.flatnonzero(np.abs(kx[:, 0]) <= cut_x)
-    # ky >= 0 grows with the column index, so the kept columns are a run.
+    cut_x, cut_y = (DEALIAS * g.nyquist for g in grid.axes)
+    # kx >= 0 grows from row 0, and fftfreq's kx < 0 rows are their exact
+    # negatives, so the kept rows are kx = -K..K; ky >= 0 grows with the
+    # column index, so the kept columns are a run.
+    K = int(np.count_nonzero((kx[:, 0] > 0) & (kx[:, 0] <= cut_x)))
     cols = int(np.count_nonzero(ky <= cut_y))
-    return _Block(rows, cols, np.hypot(kx[rows], ky[:, :cols]))
+    return _Block(K, cols, np.hypot(kx[: K + 1], ky[:, :cols]))
 
 
 def _field(spec, n2: int, out=None):
@@ -341,12 +343,13 @@ def _free_propagator(k, dt: float):
 
 
 @lru_cache(maxsize=64)
-def _propagator(grid: GridND, fraction: float | None, dt: float):
-    """The loop's step and half-step propagators on the block, and the free
-    flow's record spacing on the whole spectrum, are reused; a jump across a
-    closed stretch of the gate is computed chunk by chunk for that jump and
-    never cached."""
-    return _free_propagator(_block(grid, fraction).k, dt)
+def _propagator(grid: GridND, block: bool, dt: float):
+    """The free-flow tables over dt on the folded block (block True) or the
+    whole spectrum.  The loop's step and half-step on the block, and the
+    free flow's record spacing on the whole spectrum, are reused; a jump
+    across a closed stretch of the gate is computed chunk by chunk for that
+    jump and never cached."""
+    return _free_propagator(_block(grid).k if block else np.hypot(*_wavenumbers(grid)), dt)
 
 
 def _gate_box(gate: SourceGate | None, grid: GridND):
@@ -365,61 +368,6 @@ def _gate_box(gate: SourceGate | None, grid: GridND):
     return box, x1, x2, None if gate is None else gate.space_factor(x1, x2)
 
 
-class _KickMaps(NamedTuple):
-    """The partial DFT matrices between a block and a box of one grid, and
-    the buffers their products write into; built once per solve.
-
-    to_x1 is exp(2 pi i kx x1 / n1) for the box's x1 rows and the block's
-    kx rows, from_x1 its conjugate transpose.  Along x2 the maps are real
-    and act on a complex array viewed as (real, imaginary) pairs of floats:
-    from_x2 is the rfft along x2 of the box's x2 columns cut to the block's
-    ky, and to_x2 its inverse, which carries the Hermitian weights (1 at
-    ky = 0, else 2; the block holds no Nyquist column) and 1 / (n1 n2).
-    """
-
-    to_x1: np.ndarray  # (nb1, rows.size) complex
-    from_x1: np.ndarray  # (rows.size, nb1) complex
-    to_x2: np.ndarray  # (2 cols, nb2)
-    from_x2: np.ndarray  # (nb2, 2 cols)
-    lines: np.ndarray  # (nb1, cols) complex: the ky spectra of the box's x1 rows
-    u: np.ndarray  # (nb1, nb2): a field on the box
-    spec: np.ndarray  # (rows.size, cols) complex: a spectrum on the block
-
-
-def _kick_maps(shape, block: _Block, box) -> _KickMaps:
-    """The maps between block (its rows and cols) and the index box (a
-    slice per axis) of a grid of the given shape."""
-    (n1, n2), (b1, b2), kx = shape, box, block.rows
-    ky = np.arange(block.cols)
-    # Index products are reduced mod n while exact, so every exponent lies
-    # in [0, 2 pi) and every entry is as accurate as an FFT twiddle factor.
-    to_x1 = np.exp(2j * np.pi / n1 * (np.multiply.outer(np.arange(b1.start, b1.stop), kx) % n1))
-    e2 = np.exp(-2j * np.pi / n2 * (np.multiply.outer(np.arange(b2.start, b2.stop), ky) % n2))
-    from_x2 = e2.view(float)  # columns (cos, -sin) per ky
-    weights = np.repeat(np.where(ky == 0, 1.0, 2.0) / (n1 * n2), 2)
-    to_x2 = np.ascontiguousarray((from_x2 * weights).T)
-    return _KickMaps(
-        to_x1, to_x1.conj().T, to_x2, from_x2,
-        lines=np.empty((to_x1.shape[0], block.cols), dtype=complex),
-        u=np.empty((to_x1.shape[0], from_x2.shape[0])),
-        spec=np.empty((kx.size, block.cols), dtype=complex),
-    )
-
-
-def _to_box(maps: _KickMaps, spec) -> np.ndarray:
-    """The field on the box whose rfft2 is spec on the block and zero
-    elsewhere, in maps.u."""
-    np.matmul(maps.to_x1, spec, out=maps.lines)
-    return np.matmul(maps.lines.view(float), maps.to_x2, out=maps.u)
-
-
-def _to_block(maps: _KickMaps, f) -> np.ndarray:
-    """The rfft2 of the field that is f on the box and zero elsewhere, cut to
-    the block, in maps.spec."""
-    np.matmul(f, maps.from_x2, out=maps.lines.view(float))
-    return np.matmul(maps.from_x1, maps.lines, out=maps.spec)
-
-
 def _check_grid(grid: GridND, *fields):
     if grid.ndim != 2:
         raise ValueError("solver grids are 2D")
@@ -428,21 +376,23 @@ def _check_grid(grid: GridND, *fields):
             raise ValueError("field shape does not match grid")
 
 
-# kx rows of a spectrum propagated at a time: the operands of a chunk of a
-# 512-point grid, whose rows hold 171 (block) or 257 (whole spectrum) ky
-# columns, stay in a core's L2 cache.
+# Rows of spectra propagated at a time, counted over the folded block's E
+# and W together: the operands of a chunk of a 512-point grid, whose rows
+# hold 171 (block) or 257 (whole spectrum) ky columns, stay in a core's L2
+# cache.
 _CHUNK_ROWS = 64
 
 
-def _propagate(uh, vh, grid: GridND, fraction: float | None, dt: float, k=None):
-    """Advance spectra (uh, vh) on the block of grid for fraction, shaped
-    (..., rows.size, cols) and C-contiguous, in place by free flow over dt.
-    Given k, the block's |k|, the jump is a one-off: its propagator is built
-    from k chunk by chunk and never cached; otherwise it is _propagator's.
-    Works a chunk of kx rows at a time, so the operands stay in cache and
-    the scratch stays small."""
-    rows = _CHUNK_ROWS
-    full = _propagator(grid, fraction, float(dt)) if k is None else None
+def _propagate(uh, vh, grid: GridND, block: bool, dt: float, k=None):
+    """Advance spectra (uh, vh) of grid in place by free flow over dt: the
+    folded block, E and W alike, shaped (2, K+1, cols), when block, else
+    whole rfft2 spectra; C-contiguous.  Given k, |k| on their rows and
+    columns, the jump is a one-off: its propagator is built from k chunk by
+    chunk and never cached; otherwise it is _propagator's.  Works a chunk
+    of kx rows at a time, so the operands stay in cache and the scratch
+    stays small."""
+    rows = max(1, _CHUNK_ROWS // math.prod(uh.shape[:-2]))
+    full = _propagator(grid, block, float(dt)) if k is None else None
     uf, vf = uh.view(uh.real.dtype), vh.view(vh.real.dtype)
     a = np.empty(uf.shape[:-2] + (min(rows, uf.shape[-2]),) + uf.shape[-1:], dtype=uf.dtype)
     b = np.empty_like(a)
@@ -464,7 +414,7 @@ def linear_propagate(u, ut, grid: GridND, dt: float):
     _check_grid(grid, u, ut)
     uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
     # A one-off jump: its whole-spectrum propagator is not cached.
-    _propagate(uh, vh, grid, None, dt, k=_block(grid, None).k)
+    _propagate(uh, vh, grid, False, dt, k=np.hypot(*_wavenumbers(grid)))
     return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
 
 
@@ -503,34 +453,42 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     full step between consecutive kicks, one jump across each closed
     stretch.
 
-    The loop holds u on the dealiased block of the rfft2 spectrum alone,
-    spec[rows, :cols] for the block's kx rows and ky columns (see _block):
-    at t0 the block holds the data's block part, zero for zero data, and
-    every kick is cut to the block and reads u only through it.  The rest
-    of the data's spectrum is therefore free flow throughout: it is
-    propagated exactly from record to record and written into the records,
-    to which the loop adds the block.  P is evaluated on its box, the
-    index box of grid holding the gate's spatial support (the whole grid
-    without a gate), with the gate's space factor evaluated there once.  A
-    kick of a P that reads u (a live coefficient of a positive power of u;
-    see NonlinearitySpec.__call__) maps the block onto the box (_to_box): a
-    complex product along x1 onto the box's x1 rows, then a real one along
-    x2 onto its x2 columns.  A P that does not read u, a forcing, skips
-    that forward half.  P goes back to the block (_to_block) by a real
-    product along x2 onto the block's ky columns and the conjugate x1
-    product.  The maps are built for the solve and every product writes
+    The loop holds u and u_t on the dealiased block of the rfft2 spectrum
+    alone, kx rows -K..K and ky columns 0..cols-1 (see _block), and holds
+    it folded about the centre c of P's box: the state of each is
+    (E, W), E = s[kappa] + s[-kappa] and W = i (s[kappa] - s[-kappa]) for
+    kappa = 0..K, with s the block shifted by exp(2 pi i kappa c / n1).
+    The fold is exact because the block's kx rows and the box's x1 rows
+    are both symmetric, about 0 and about c; it is applied once, when the
+    data's block enters the loop at t0 (zero for zero data), and undone
+    once per record.  Every kick is cut to the block and reads u only
+    through it.  The rest of the data's spectrum is therefore free flow
+    throughout: it is propagated exactly from record to record and written
+    into the records, to which the loop adds the unfolded block.  P is
+    evaluated on its box, the index box of grid holding the gate's spatial
+    support (the whole grid without a gate), with the gate's space factor
+    evaluated there once.  A kick of a P that reads u (a live coefficient
+    of a positive power of u; see NonlinearitySpec.__call__) maps the
+    folded block onto the box (_to_box): real cosine and sine products
+    along x1 onto the box's rows at c +- d, then a real one along x2 onto
+    its x2 columns.  A P that does not read u, a forcing, skips that
+    forward half.  P goes back to the folded block (_to_block) by a real
+    product along x2 onto the block's ky columns and the transposed x1
+    products.  The maps are built for the solve and every product writes
     into a buffer allocated with them (see _KickMaps); one path serves a
-    gated box and the whole grid alike.  The t0 record is the data.  A run
-    that never kicks (P None, or a gate that never opens) is the free flow
-    of the whole spectrum, reached without time steps, and from zero data
-    it returns read-only zero records.
+    gated box, an off-centre box and the whole grid alike.  The t0 record
+    is the data.  A run that never kicks (P None, or a gate that never
+    opens) is the free flow of the whole spectrum, reached without time
+    steps, and from zero data it returns read-only zero records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step
     bound h / (DEALIAS pi)), the shapes of the spectral block the loop
-    carried and of the box P was evaluated on ((0, 0) each when no step was
-    kicked), and wall_s, the wall time in seconds of the loop's kicks,
-    propagations and records.
+    carried, (2K+1, cols) in rfft2's layout, and of the box P was evaluated
+    on ((0, 0) each when no step was kicked), kick_macs, the real
+    multiply-adds of one kick's products (0 when no step was kicked), and
+    wall_s, the wall time in seconds of the loop's kicks, propagations and
+    records.
     """
     u0, ut0 = (np.asarray(f, dtype=float) for f in (u0, ut0))
     _check_grid(grid, u0, ut0)
@@ -569,22 +527,24 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     specs = (sfft.rfft2(u0), sfft.rfft2(ut0)) if data else ()
 
     if kicks:
-        rows, cols, k = block = _block(grid, DEALIAS)
+        K, cols, k = block = _block(grid)
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
-        uh = np.zeros((rows.size, cols), dtype=complex)
-        vh = np.zeros_like(uh)
-        # The data's block moves into the loop and leaves zeros behind.
-        for dst, spec in zip((uh, vh), specs):
-            dst[...], spec[rows, :cols] = spec[rows, :cols], 0.0
+        if data:
+            uh, vh = (_fold(maps, spec) for spec in specs)
+        else:
+            uh, vh = np.zeros((2,) + maps.spec.shape, complex)
+        # The data's block has moved into the loop and leaves zeros behind.
+        for spec in specs:
+            spec[: K + 1, :cols] = spec[n1 - K :, :cols] = 0.0
 
     if data:
         # The rest of the data's spectrum, free flow at every record.
         us[0], uts[0] = u0, ut0
         # One record interval is a one-off jump: its propagator is not cached.
-        whole = _block(grid, None).k if len(records) == 2 else None
+        whole = np.hypot(*_wavenumbers(grid)) if len(records) == 2 else None
         for j in range(1, len(records)):
-            _propagate(*specs, grid, None, stride * dt, k=whole)
+            _propagate(*specs, grid, False, stride * dt, k=whole)
             _field(specs[0], n2, out=us[j])
             _field(specs[1], n2, out=uts[j])
 
@@ -603,11 +563,12 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         return peak
 
     def record(j):
-        """Add the fields of the block into record j, which holds the data's
-        free flow; zero data have none, and the fields are written there."""
+        """Add the fields of the unfolded block into record j, which holds
+        the data's free flow; zero data have none, and the fields are
+        written there."""
         for stack, w in ((us, uh), (uts, vh)):
             spec = np.zeros((n1, n2 // 2 + 1), complex)
-            spec[rows, :cols] = w
+            _unfold(maps, w, spec)
             if data:
                 stack[j] += _field(spec, n2)
             else:
@@ -618,7 +579,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     for event in sorted(kicks + records[1:]) if kicks else []:
         gap = event - pos
         start = time.perf_counter()
-        _propagate(uh, vh, grid, DEALIAS, 0.5 * gap * dt, k=None if gap <= 2 else k)
+        _propagate(uh, vh, grid, True, 0.5 * gap * dt, k=None if gap <= 2 else k)
         propagated = time.perf_counter()
         wall["propagate"] += propagated - start
         jumps += gap > 2
@@ -638,8 +599,9 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         "exact_jumps": jumps,
         "max_abs_p": p_max,
         "dt_margin": dt / bound,
-        "block": (rows.size, cols) if kicks else (0, 0),
+        "block": (2 * K + 1, cols) if kicks else (0, 0),
         "box": maps.u.shape if kicks else (0, 0),
+        "kick_macs": _kick_macs(maps, reads_u) if kicks else 0,
         "wall_s": wall,
     }
     return SpaceTimeField(

@@ -13,13 +13,16 @@ out the bins at the noise floor, and returns a DecayFit for every valid
 band.  Its n_bins is always the count of usable bins.  There are three
 outcomes:
 
-- at least min_bins usable bins: the least-squares slope, flagged
-  noise_floor if the floor took any bin of the band, and superpolynomial
-  if the slope falls below _SUPERPOLY_SLOPE;
+- at least min_bins usable bins: the least-squares slope, with its
+  standard error slope_stderr, flagged noise_floor if the floor took any
+  bin of the band, and superpolynomial if the slope falls below
+  _SUPERPOLY_SLOPE;
 - the noise floor took the bins (the band held min_bins or more, or every
   bin it held sits at the floor): slope -inf, flagged SUPERPOLYNOMIAL;
 - the band is short (it holds no bin, or fewer than min_bins with some
   above the floor): slope NaN, flagged INSUFFICIENT_BINS.
+
+The last two fit nothing, so their slope_stderr is NaN.
 
 A band outside (0, nyquist] and non-finite samples are refused with
 ValueError.
@@ -181,12 +184,14 @@ def plateau_window(s, inner: float, outer: float) -> np.ndarray:
 
 @dataclass
 class DecayFit:
-    """Least-squares power-law fit of a spectrum's high-frequency tail."""
+    """Least-squares power-law fit of a spectrum's high-frequency tail;
+    slope_stderr is the slope's standard error, NaN when nothing was fitted."""
 
     slope: float
     n_bins: int
     band: tuple[float, float]
     flags: frozenset[str] = field(default_factory=frozenset)
+    slope_stderr: float = np.nan
 
     @property
     def superpolynomial(self) -> bool:
@@ -236,11 +241,17 @@ def decay_exponent(
     x = np.log(eta[usable])
     y = np.log(amp[usable])
     design = np.column_stack([x, np.ones_like(x)])
-    slope = float(np.linalg.lstsq(design, y, rcond=None)[0][0])
+    (slope, _), rss, *_ = np.linalg.lstsq(design, y, rcond=None)
+    # The residual variance over n - 2 degrees of freedom times the slope's
+    # entry of (design^T design)^-1, which is 1 / sum (x - mean x)^2; two
+    # bins leave no residual to measure.
+    sxx = np.sum((x - x.mean()) ** 2)
+    stderr = np.sqrt(rss[0] / (n_usable - 2) / sxx) if n_usable > 2 else np.nan
     flags = {"noise_floor"} if n_usable < n_band else set()
     if slope < _SUPERPOLY_SLOPE:
         flags.add("superpolynomial")
-    return DecayFit(slope=slope, n_bins=n_usable, band=band, flags=frozenset(flags))
+    return DecayFit(slope=float(slope), n_bins=n_usable, band=band, flags=frozenset(flags),
+                    slope_stderr=float(stderr))
 
 
 def trig_modes(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from conftest import CUT, lawson_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwlab import solver
+from cwlab import _kick, solver
 from cwlab.solver import (
     DEALIAS,
     BlowupError,
@@ -537,33 +537,74 @@ def _kick_case(name):
     """(grid shape, block, box) of a kick map case."""
     if name == "uncentred_96":  # Grid1D takes powers of two only; the maps do not
         # the 2/3 block of a 96 x 80 grid: |kx| <= 32, |ky| <= 26
-        return (96, 80), solver._Block(np.r_[0:33, 64:96], 27, None), (slice(7, 40), slice(50, 77))
+        return (96, 80), solver._Block(32, 27, None), (slice(7, 40), slice(50, 77))
+    if name == "offcentre_even_64":  # 12 rows about c = 10.5: a complex centre phase
+        grid = grid2d(64, L)
+        return grid.shape, solver._block(grid), (slice(5, 17), slice(3, 40))
+    if name.startswith("rows_"):
+        # boxes of 0, 1 and 2 x1 rows: nodes at +-h/2 (shifted) or at 0, and
+        # a gate edge under 1.5 h; the x2 axis keeps its node at 0
+        edge, shift = {"rows_0": (0.4, 0.5), "rows_1": (0.6, 0.0), "rows_2": (1.2, 0.5)}[name]
+        h = 8.0 / 64
+        grid = GridND((Grid1D(64, 8.0, start=-4.0 + shift * h), Grid1D(64, 8.0)))
+        gate = SourceGate(flat=0.5 * edge * h, edge=edge * h)
+        return grid.shape, solver._block(grid), solver._gate_box(gate, grid)[0]
     grid = grid2d(256, 13.5)  # the experiments' grid at 256 points
     gate = z_cutoff if name == "gated_256" else None
-    return grid.shape, solver._block(grid, DEALIAS), solver._gate_box(gate, grid)[0]
+    return grid.shape, solver._block(grid), solver._gate_box(gate, grid)[0]
 
 
-@pytest.mark.parametrize("case", ["gated_256", "uncentred_96", "whole_grid_256"])
+def _close(got, ref):
+    """got equals ref to 1e-12 of ref's largest entry (an empty box has none)."""
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["gated_256", "uncentred_96", "whole_grid_256", "offcentre_even_64",
+     "rows_0", "rows_1", "rows_2"],
+)
 def test_kick_maps_are_the_cut_numpy_transforms(case):
     # block to box is irfft2 of the block spectrum cut to the box; box to
-    # block is rfft2 of the zero-padded box cut to the block
+    # block is rfft2 of the zero-padded box cut to the block.  The maps act
+    # on the block folded about the box's centre, so the forward map takes
+    # the fold of a spectrum, and the back map's output is unfolded.
     shape, block, box = _kick_case(case)
-    rows, cols = block.rows, block.cols
+    K, cols = block.K, block.cols
+    rows = np.r_[0 : K + 1, shape[0] - K : shape[0]]
     rng = np.random.default_rng(3)
-    spec = rng.standard_normal((rows.size, cols)) + 1j * rng.standard_normal((rows.size, cols))
-    maps = solver._kick_maps(shape, block, box)
     full = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
-    full[rows, :cols] = spec
+    kept = (rows.size, cols)
+    full[rows, :cols] = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+    maps = _kick._kick_maps(shape, block, box)
+    if case.startswith("rows_"):
+        assert maps.u.shape[0] == int(case[-1])
     ref = np.fft.irfft2(full, s=shape)[box]
-    got = solver._to_box(maps, spec)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    got = _kick._to_box(maps, _kick._fold(maps, full))
+    assert _close(got, ref)
 
     f = rng.standard_normal(got.shape)
     padded = np.zeros(shape)
     padded[box] = f
     ref = np.fft.rfft2(padded)[rows, :cols]
-    got = solver._to_block(maps, f)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    back = np.zeros_like(full)
+    _kick._unfold(maps, _kick._to_block(maps, f), back)
+    assert _close(back[rows, :cols], ref)
+
+
+@pytest.mark.parametrize("P, macs", [(cubic_nonlinearity(), 1_486_424), (_FORCING, 743_212)])
+def test_stats_count_the_kick_multiply_adds(P, macs):
+    # the experiments' gated case at 256 points: a 35 x 35 box, kx rows
+    # -85..85 folded to 86 of them, 86 ky columns; a P that does not read u
+    # runs the back half alone
+    grid = grid2d(256, 13.5)
+    cfg = SolverConfig(dt=0.02, t0=-1.0, t1=-0.8)
+    stats = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg, P=P).metadata["stats"]
+    assert stats["box"] == (35, 35) and stats["block"] == (171, 86)
+    assert stats["kick_macs"] == macs
+    free = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg, P=None)
+    assert free.metadata["stats"]["kick_macs"] == 0
 
 
 # ------------------------------------------------------------------ duhamel

@@ -132,6 +132,15 @@ def test_white_noise_slope_near_zero():
     f = rng.standard_normal(g.points)
     fit = decay_exponent(f, g, band=(8.0, g.nyquist / 4.0))
     assert abs(fit.slope) < 0.2
+    # no bin sits at the floor, so the fitted bins are the band's; the
+    # slope's standard error is polyfit's, whose residual has n - 2 degrees
+    # of freedom
+    eta, amp = g.freqs(), np.abs(dft_forward(f, g))
+    sel = (eta >= 8.0) & (eta <= g.nyquist / 4.0)
+    assert fit.n_bins == np.count_nonzero(sel) and "noise_floor" not in fit.flags
+    (slope, _), cov = np.polyfit(np.log(eta[sel]), np.log(amp[sel]), 1, cov=True)
+    assert fit.slope == pytest.approx(slope, rel=1e-9)
+    assert fit.slope_stderr == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-9)
 
 
 def test_band_validation():
@@ -144,7 +153,7 @@ def test_band_validation():
     # constant field: every bin above 8 is noise floor, which the fit reads
     # as decay beating the instrument
     fit = decay_exponent(f, g, band=(8.0, g.nyquist / 4.0))
-    assert fit.slope == -np.inf and fit.n_bins == 0
+    assert fit.slope == -np.inf and fit.n_bins == 0 and np.isnan(fit.slope_stderr)
     assert fit.flags == {"superpolynomial", "noise_floor", "inconclusive"}
 
 
@@ -154,7 +163,7 @@ def test_short_band_is_no_measurement():
     f = g.nodes()  # a sawtooth: every bin above the floor
     for band, n_bins in (((8.0, 12.0), 2), ((8.0, 9.0), 0)):
         fit = decay_exponent(f, g, band=band)
-        assert np.isnan(fit.slope) and fit.n_bins == n_bins
+        assert np.isnan(fit.slope) and fit.n_bins == n_bins and np.isnan(fit.slope_stderr)
         assert fit.flags == {"insufficient_bins", "inconclusive"}
         assert not fit.superpolynomial
 
