@@ -13,8 +13,14 @@ spectrum times exp(2 pi i kappa c / n1), its state is
 E = s[kappa] + s[-kappa] and W = i (s[kappa] - s[-kappa]) for kappa >= 0,
 and the x1 maps are real cosine and sine matrices of half the height, which
 the fold makes exact, not approximate.  Free flow depends on |k| alone, the
-same at +-kappa, so it steps E and W alike.  The fold is applied once, when
-the data enter the loop, and undone once per record (_unfold).
+same at +-kappa, so the loop holds E and W each as its half-wave pair
+Y+- = (u -+ i u_t / |k|) / 2 and turns both by one phase table
+exp(+-i |k| tau) (cwlab._halfwave); the mean, at |k| = 0, has no phase and
+is carried apart.  A kick maps the folded u = Y+ + Y- onto the box, and P
+back, which adds -+ i dt P / 2|k| to Y+- and dt P's mean to u_t's.  The
+fold is applied once, when the data enter the loop, and undone once per
+record (_unfold).  The interaction's tube reads map a band's block of a
+slice onto the tube's box by the same maps.
 """
 
 from __future__ import annotations

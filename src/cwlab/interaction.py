@@ -16,8 +16,8 @@ time t is one line of N values, one FFT of its profile's coefficients,
 read on any index box through a strided view.  The data, the free wave
 u_lin that a response's coupling reads on the gate's box at each kick, and
 the trilinear forcing of the polarization channel read the waves by that
-one rule (_waves), from lines each of them builds once (_wave_lines), and
-no wave is tabulated or cached on the grid.
+one rule (_waves), from lines and views each of them builds once for its
+box (_wave_lines), and no wave is tabulated or cached on the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from math import gcd
 
 import numpy as np
 
+from ._kick import _fold, _kick_maps, _to_box
 from .profiles import SymbolSpec, synthesize_profile
 from .solver import (
     BlowupError,
@@ -40,6 +41,7 @@ from .solver import (
     energy,  # unused here; bench/tracing.py wraps interaction.energy by name
     grid2d,
     solve,
+    _block,
     _gate_box,
     _live_top,
     _time_index,
@@ -50,14 +52,17 @@ from .spectral import (
     DecayFit,
     Grid1D,
     GridND,
+    band_pass,
     decay_exponent,
     dft_forward,
+    high_pass,
     plateau_window,
     trig_modes,
     windowed_slice,
+    _band_gain,
+    _high_spectrum,
     _periodic_cubic_spline,
     _unit,
-    _wavenumbers,
 )
 
 # Directions must lie on rational lattice lines so that plane translates
@@ -207,20 +212,22 @@ CONE_BAND = (16.0, 36.0)
 MIN_BINS = 6
 
 
-def _wave_lines(frame: CharFrame, m: float, grid: GridND):
-    """(pq, eta, coef, shift): the spectra of the three waves' lines, row j
-    of each (3, N) array (of shift, (3, 1)) for wave j.  Whoever reads the
-    waves builds these once and hands them to _waves.
+def _wave_lines(frame: CharFrame, m: float, grid: GridND, box):
+    """(eta, coef, views): the spectra of the three waves' lines, row j of
+    each (3, N) array for wave j, and where each line is read on the index
+    box of grid.  Whoever reads the waves on a box builds these once and
+    hands them to _waves.
 
-    pq[j] = (p, q) is the wave's integer direction.  Its profile lives on
-    its own 1D grid gprof, of the grid's point count, whose extent is the
-    period of x . omega on the box, so the wave is exactly periodic; eta is
-    gprof's frequencies and coef the trig_modes coefficients of the profile,
-    cut off at DATA_CUTOFF (or half gprof's Nyquist frequency, if lower) and
-    without its modes below PROFILE_TRIM.  The values -x . omega at the grid's nodes
-    are gprof's nodes plus one constant: node (i, j) sits at
+    A wave of integer direction (p, q) has its profile on its own 1D grid
+    gprof, of the grid's point count, whose extent is the period of
+    x . omega on the box, so the wave is exactly periodic; eta is gprof's
+    frequencies and coef the trig_modes coefficients of the profile, cut off
+    at DATA_CUTOFF (or half gprof's Nyquist frequency, if lower), without
+    its modes below PROFILE_TRIM.  The values -x . omega at the grid's nodes
+    are gprof's nodes plus one constant shift: node (i, j) sits at
     gprof.start + shift - k h' with k = p i + q j and h' gprof's spacing, so
-    the wave reads its line at k mod N (see _waves).
+    coef carries exp(i eta shift) and the wave reads its line at k mod N,
+    through the view views[j] (_lattice_geometry).
     """
     g = _square_axis(grid)
     lines = []
@@ -232,41 +239,48 @@ def _wave_lines(frame: CharFrame, m: float, grid: GridND):
         eta = gprof.freqs()
         coef = trig_modes(prof.values) * (1.0 - plateau_window(eta, *PROFILE_TRIM))
         shift = -g.start * (omega[0] + omega[1]) - gprof.start
-        lines.append(((p, q), eta, coef, [shift]))
-    pq, *stacked = zip(*lines)
-    return (pq, *map(np.array, stacked))
+        lines.append((eta, coef * np.exp(1j * eta * shift), _lattice_geometry(p, q, g.points, box)))
+    eta, coef, views = zip(*lines)
+    return np.array(eta), np.array(coef), views
 
 
-def _lattice_view(line, p: int, q: int, box) -> np.ndarray:
-    """line on the index box of the grid: node (i, j) reads
-    line[(p i + q j) mod N], as a read-only strided view of line repeated
-    over the span of p i + q j the box needs."""
+def _lattice_geometry(p: int, q: int, n: int, box):
+    """(copies, offset, shape, (p, q)): the view of a line of n values on the
+    index box of the grid in which node (i, j) reads line[(p i + q j) mod n],
+    a view of that many copies of the line laid end to end (_lattice_view)."""
     rows, cols = box
-    n = line.size
     corners = [p * i + q * j for i in (rows.start, rows.stop - 1)
                for j in (cols.start, cols.stop - 1)]
-    base = min(corners) // n * n  # span[k - base] = line[k mod n]
-    span = np.concatenate((line,) * ((max(corners) - base) // n + 1))
+    base = min(corners) // n * n  # the view's span[k - base] = line[k mod n]
+    return ((max(corners) - base) // n + 1, p * rows.start + q * cols.start - base,
+            (rows.stop - rows.start, cols.stop - cols.start), (p, q))
+
+
+def _lattice_view(line, geometry) -> np.ndarray:
+    """line on a box, as a read-only strided view of its copies laid end to
+    end; geometry is the box's _lattice_geometry."""
+    copies, offset, shape, (p, q) = geometry
+    span = np.concatenate((line,) * copies)
     item = span.itemsize
-    view = np.ndarray((rows.stop - rows.start, cols.stop - cols.start), span.dtype, span,
-                      offset=(p * rows.start + q * cols.start - base) * item,
+    view = np.ndarray(shape, span.dtype, span, offset=offset * item,
                       strides=(p * item, q * item))
     view.flags.writeable = False
     return view
 
 
-def _waves(lines, box, t, eps, order=0) -> list:
+def _waves(lines, t, eps, order=0) -> list:
     """The waves eps_j v_j with nonzero eps_j at time t (their t-derivatives
-    for order 1) on the index box of the grid of lines, the _wave_lines of
-    the waves, each a lattice view of its line (_lattice_view): entry k of a
-    line is the wave's value at the nodes with p i + q j = k mod N.  The
-    lines are one exp and one length-N FFT of the stacked coefficients
-    carried to t."""
-    pq, eta, coef, shift = lines
+    for order 1) on the box of lines, the waves' _wave_lines, each a lattice
+    view of its line (_lattice_view): entry k of a line is the wave's value
+    at the nodes with p i + q j = k mod N.  The lines are one exp and one
+    length-N FFT of the stacked coefficients carried to t."""
+    eta, coef, views = lines
     live = [j for j, e in enumerate(eps) if e != 0.0]
-    c = coef[live] * np.exp(1j * eta[live] * (t + shift[live]))
-    lines = np.real(np.fft.fft(c if order == 0 else 1j * eta[live] * c))
-    return [_lattice_view(eps[j] * line, *pq[j], box) for j, line in zip(live, lines)]
+    if len(live) < len(eps):  # with every wave live, no row is copied out
+        eta, coef = eta[live], coef[live]
+    c = coef * np.exp(1j * eta * t)
+    lines = np.real(np.fft.fft(c if order == 0 else 1j * eta * c))
+    return [_lattice_view(eps[j] * line, views[j]) for j, line in zip(live, lines)]
 
 
 def make_three_wave_data(frame, m, eps, grid, t0):
@@ -282,11 +296,10 @@ def make_three_wave_data(frame, m, eps, grid, t0):
     rejects a later t0).
     """
     eps = tuple(float(e) for e in np.broadcast_to(eps, (3,)))
-    whole = tuple(slice(0, n) for n in grid.shape)
-    lines = _wave_lines(frame, m, grid)
+    lines = _wave_lines(frame, m, grid, tuple(slice(0, n) for n in grid.shape))
     u, ut = np.zeros(grid.shape), np.zeros(grid.shape)
     for out, order in ((u, 0), (ut, 1)):
-        for wave in _waves(lines, whole, t0, eps, order):
+        for wave in _waves(lines, t0, eps, order):
             out += wave
     return u, ut
 
@@ -296,14 +309,14 @@ class _ShiftedCoupling(NonlinearitySpec):
     """P(t, x, u_lin + w), for the P of coeffs and cutoff: the coupling of
     the response w to the three-wave data of frame, m and per-wave eps on
     grid, whose free flow u_lin = sum_j eps_j v_j it reads at each kick on
-    P's box by the data's rule (_waves).  The waves' lines and P's box are
+    P's box by the data's rule (_waves).  The waves' lines on P's box are
     built once, with the coupling.
 
     Solved from zero data by solve, it gives the data's response, with the
     loop's block holding w alone.  P is evaluated by
     NonlinearitySpec.__call__, looked up at call time, so whatever wraps
-    that sees every kick; the repr names every field but the lines and the
-    box, which those fields determine, so two problems never read alike.
+    that sees every kick; the repr names every field but the lines, which
+    those fields determine, so two problems never read alike.
     """
 
     frame: CharFrame
@@ -311,16 +324,15 @@ class _ShiftedCoupling(NonlinearitySpec):
     grid: GridND
     eps: tuple
     lines: tuple = field(init=False, repr=False, compare=False)
-    box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "lines", _wave_lines(self.frame, self.m, self.grid))
-        object.__setattr__(self, "box", _gate_box(self.cutoff, self.grid)[0])
+        box = _gate_box(self.cutoff, self.grid)[0]
+        object.__setattr__(self, "lines", _wave_lines(self.frame, self.m, self.grid, box))
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         if u is not None:  # P reads u
-            u = sum(_waves(self.lines, self.box, t, self.eps), u)
+            u = sum(_waves(self.lines, t, self.eps), u)
         return NonlinearitySpec.__call__(self, t, x1, x2, u, cutoff_value)
 
 
@@ -382,12 +394,12 @@ def _triple_forcing(config: ExperimentConfig, eps):
     laid onto that box as lattice views, so a kick builds no table.
     """
     P, grid = config.P, config.grid
-    box, lines = _gate_box(P.cutoff, grid)[0], _wave_lines(config.frame, config.m, grid)
+    lines = _wave_lines(config.frame, config.m, grid, _gate_box(P.cutoff, grid)[0])
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
 
     def forcing(t, x1, x2):
         f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for v in _waves(lines, box, t, (1.0, 1.0, 1.0)):
+        for v in _waves(lines, t, (1.0, 1.0, 1.0)):
             f = f * v
         return f
 
@@ -457,37 +469,6 @@ def amplitude_band(grid: GridND) -> tuple[float, float]:
     return _band(grid, 8.0, np.inf, 0.25)
 
 
-def _radial_filter(values, grid: GridND, gain) -> np.ndarray:
-    """A real 2D field with its spectrum multiplied by gain(|k|)."""
-    kx, ky = _wavenumbers(grid)
-    spec = np.fft.rfft2(np.asarray(values, dtype=float))
-    spec *= gain(np.hypot(kx, ky))
-    return np.fft.irfft2(spec, s=grid.shape)
-
-
-def band_pass(values, grid: GridND, band) -> np.ndarray:
-    """Smooth radial frequency band-pass of a 2D field."""
-    lo, hi = band
-    if not 0 < lo < hi:
-        raise ValueError(f"invalid band {band}")
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return _radial_filter(values, grid, lambda rho: plateau_window(rho - mid, 0.75 * half, half))
-
-
-def high_pass(values, grid: GridND, band) -> np.ndarray:
-    """Remove the low-frequency bulk below the fit band: zero below
-    0.375 * band[0], flat from 0.75 * band[0] up.
-
-    Slice windows have oscillating spectral tails; the field's O(1) bulk
-    leaking through them would bury a power law several decades down.
-    Removing the bulk first leaves the slope band untouched (the mask is
-    identically 1 there) and makes windowed slope fits clean.
-    """
-    lo_in, lo_out = 0.375 * band[0], 0.75 * band[0]
-    return _radial_filter(values, grid, lambda rho: 1.0 - plateau_window(rho, lo_in, lo_out))
-
-
 def _recorded(fld: SpaceTimeField, key: str):
     """fld.metadata[key], which the diagnostics need the field to carry."""
     value = fld.metadata.get(key)
@@ -496,12 +477,13 @@ def _recorded(fld: SpaceTimeField, key: str):
     return value
 
 
-def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np.ndarray:
-    """The tube cone_amplitude describes, on grid at time t.
+def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame):
+    """(box, mask): the tube cone_amplitude describes, on grid at time t, as
+    a mask on its index box.
 
     The tube lies in the annular sector |r - t| <= 4h, angle within
-    PROBE_ARC of the probe, so it is evaluated on the index box of that
-    sector, padded by two nodes, and scattered into a grid-sized mask.
+    PROBE_ARC of the probe, so its box is the index box of that sector,
+    padded by two nodes.
     """
     h = _square_axis(grid).spacing
     radii = np.array([max(t - 4.0 * h, 0.0), t + 4.0 * h])
@@ -511,8 +493,10 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np
     quarters = 0.5 * np.pi * np.arange(np.ceil(lo / (0.5 * np.pi)), np.floor(hi / (0.5 * np.pi)) + 1)
     angles = np.r_[lo, hi, quarters]
     ends = np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))
-    keep = [(x >= e.min() - 2.0 * h) & (x <= e.max() + 2.0 * h) for x, e in zip(grid.nodes(), ends)]
-    x1, x2 = (x[k] for x, k in zip(grid.nodes(), keep))
+    box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0) for i in (
+        np.flatnonzero((x >= e.min() - 2.0 * h) & (x <= e.max() + 2.0 * h))
+        for x, e in zip(grid.nodes(), ends)))
+    x1, x2 = (x[b] for x, b in zip(grid.nodes(), box))
     x1, x2 = x1[:, None], x2[None, :]
     theta = np.arctan2(x2, x1)
     tube = np.abs(np.hypot(x1, x2) - t) <= 4.0 * h
@@ -520,17 +504,26 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame) -> np
     tube &= _tangency_distance(theta, frame) >= PROBE_EXCLUSION
     if not np.any(tube):
         raise ValueError("probe tube contains no grid points")
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[np.ix_(*keep)] = tube
-    return mask
+    return box, tube
 
 
 def _tube(fld: SpaceTimeField, probe: ConeProbe):
-    """(field band-passed to amplitude_band, tube mask) on the slice at the
-    probe time."""
-    state = fld.state_at(probe.t_probe)
-    mask = _tube_mask(fld.grid, float(state.t), probe, _recorded(fld, "frame"))
-    return band_pass(state.u, fld.grid, amplitude_band(fld.grid)), mask
+    """(u band-passed to amplitude_band on the tube's box, tube mask on that
+    box) on the slice at the probe time.
+
+    The band's gain vanishes from |k| = band[1] up, so only the block
+    |kx|, |ky| <= band[1] of the slice's spectrum is band-passed and mapped
+    onto the box, by the kick's maps (cwlab._kick): no grid-sized field is
+    built.
+    """
+    state, grid = fld.state_at(probe.t_probe), fld.grid
+    box, mask = _tube_mask(grid, float(state.t), probe, _recorded(fld, "frame"))
+    band = amplitude_band(grid)
+    block = _block(grid, band[1])
+    maps = _kick_maps(grid.shape, block, box)
+    folded = _fold(maps, np.fft.rfft2(state.u))
+    folded *= _band_gain(band)(block.k)
+    return _to_box(maps, folded), mask
 
 
 def crossing_angle(frame: CharFrame, i: int, j: int) -> float:
@@ -640,8 +633,9 @@ def _slice_fit(state: WaveState, center, direction, half_length) -> DecayFit:
     it reads superpolynomial, not insufficient_bins.
     """
     band = default_band(state.grid)
-    profile = windowed_slice(high_pass(state.u, state.grid, band), state.grid, center=center,
-                             direction=direction, half_length=half_length)
+    # the high-passed spectrum is sampled as it stands, with no field between
+    profile = windowed_slice(_high_spectrum(state.u, state.grid, band), state.grid,
+                             center=center, direction=direction, half_length=half_length)
     fit = decay_exponent(profile.windowed, profile.grid, band=band, min_bins=MIN_BINS)
     if "insufficient_bins" in fit.flags and _under_window_leakage(profile, fit.band):
         return replace(fit, slope=-np.inf, flags=SUPERPOLYNOMIAL)
@@ -814,7 +808,9 @@ def coefficient_recovery(resp: SpaceTimeField, trials):
     cubic coefficient relative to the baseline's, the common propagation
     factor cancelling; the signed correlation over the probe tube
     distinguishes a flipped coefficient from a rescaled one.  A baseline
-    amplitude at the noise floor is rejected.
+    amplitude at the noise floor of the whole band-passed slice, its largest
+    value anywhere, is rejected: the tube's box alone could not tell a
+    baseline that is roundoff beside the response elsewhere.
     """
     config, eps = _recorded(resp, "config"), resp.metadata["eps"]
     probe = config.probes[0]
@@ -822,9 +818,9 @@ def coefficient_recovery(resp: SpaceTimeField, trials):
     bp0, mask = _tube(resp, probe)
     a = bp0[mask]
     amp0 = float(np.max(np.abs(a)))
-    if amp0 <= NOISE_FLOOR * float(np.max(np.abs(bp0))):
+    peak = np.max(np.abs(band_pass(resp.state_at(probe.t_probe).u, config.grid, band)))
+    if amp0 <= NOISE_FLOOR * float(peak):
         raise ValueError("baseline cone amplitude is at the noise floor")
-    del bp0  # only tube values are kept across the trials' solves
     out = []
     for trial in trials:
         b = _tube(nonlinear_response(replace(config, P=trial), eps), probe)[0][mask]

@@ -11,7 +11,13 @@ a P that does not read u, solved from zero data gives the forward
 fundamental solution, and a response w = u - u_lin is the zero-data solve
 of a coupling that adds the free wave u_lin to u itself.
 
-Every spectrum is rfft2's own array, indexed [kx, ky].  The stepping loop
+Every spectrum is rfft2's own array, indexed [kx, ky], and every spectrum
+the solver propagates is held as its half-wave pair: Y+- = (uh -+ i vh/|k|)/2
+of u's and u_t's spectra uh and vh, the amplitudes on the two characteristic
+sheets, which free flow over tau only multiplies by exp(+-i |k| tau), so a
+free step is one complex multiply by a phase table (module _halfwave).  The
+mean, |k| = 0, has no phase and no 1/|k|, so it is carried apart as
+(uh0, vh0), and free flow shears it: uh0 += tau vh0.  The stepping loop
 touches only what a kick can read or write (FFT pruning): the dealiased
 block of the spectrum, an index set of that array.  Every kick is cut to
 the block and reads u only through it, so the data's spectrum outside the
@@ -19,14 +25,15 @@ block is free flow throughout, propagated exactly from record to record
 and written into the records in place, to which the loop adds the block
 (zero data skip it).  P is evaluated only on the box, the index box of the
 grid holding the gate's spatial support (the whole grid for an ungated
-coupling), so a kick maps the block onto the box and back and never
-touches the whole grid; a forcing's kick maps back only.  Each map is a
-matrix product per axis with partial DFT matrices, and the loop holds the
-block folded about the centre of P's box, which makes the maps along x1
-real and half their height; the module _kick holds the fold and the maps.
-The block, the box and the maps are built once per solve; the module's one
-cache holds the free-flow tables (_propagator), which every solve on a grid
-reuses.
+coupling), so a kick maps the block's u = Y+ + Y- onto the box and P back,
+and never touches the whole grid; a forcing's kick maps back only, and the
+kick adds dt P to u_t, that is -+ i dt P / 2|k| to Y+- and dt P to vh0.
+Each map is a matrix product per axis with partial DFT matrices, and the
+loop holds the block folded about the centre of P's box, which makes the
+maps along x1 real and half their height; the module _kick holds the fold
+and the maps.  The block, the box and the maps are built once per solve;
+the module's one cache holds the phase tables (_propagator), which every
+solve on a grid reuses.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -45,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy import fft as sfft
 
+from ._halfwave import _HalfWaves, _phases
 from ._kick import _fold, _kick_macs, _kick_maps, _to_block, _to_box, _unfold
 from .spectral import Grid1D, GridND, _wavenumbers, plateau_window
 
@@ -297,7 +305,8 @@ class _Block(NamedTuple):
     The block keeps kx rows -K..K, which rfft2's layout holds at rows 0..K
     and n1-K..n1-1 (the Nyquist row lies outside it), and ky columns
     0..cols-1: in that layout it is (2K+1, cols).  The loop holds it folded
-    (see _fold), (2, K+1, cols), and k is |k| on the folded rows, kx = 0..K.
+    (see _fold), (2, K+1, cols), and k is |k| on the folded rows, kx = 0..K,
+    shaped (1, K+1, cols) to broadcast against them.
     """
 
     K: int
@@ -313,43 +322,35 @@ class _Block(NamedTuple):
 DEALIAS = 2.0 / 3.0
 
 
-def _block(grid: GridND) -> _Block:
-    """The dealiased block of grid's spectrum, |kx|, |ky| <= DEALIAS * nyquist."""
+def _block(grid: GridND, cut=None) -> _Block:
+    """The block |kx|, |ky| <= cut of grid's spectrum, by default the
+    dealiased one, cut at DEALIAS * nyquist per axis."""
     kx, ky = _wavenumbers(grid)
-    cut_x, cut_y = (DEALIAS * g.nyquist for g in grid.axes)
+    cut_x, cut_y = (DEALIAS * g.nyquist for g in grid.axes) if cut is None else (cut, cut)
     # kx >= 0 grows from row 0, and fftfreq's kx < 0 rows are their exact
     # negatives, so the kept rows are kx = -K..K; ky >= 0 grows with the
     # column index, so the kept columns are a run.
     K = int(np.count_nonzero((kx[:, 0] > 0) & (kx[:, 0] <= cut_x)))
     cols = int(np.count_nonzero(ky <= cut_y))
-    return _Block(K, cols, np.hypot(kx[: K + 1], ky[:, :cols]))
+    return _Block(K, cols, np.hypot(kx[: K + 1], ky[:, :cols])[None])
 
 
 def _field(spec, n2: int, out=None):
     """The real field of n2 columns whose rfft2 is spec (any missing ky
-    columns zero), written into out when given.  Two 1D transforms, since
-    numpy's irfft2 returns a new array and leaves its out argument unwritten
-    (numpy 2.4), and the solver writes its records in place."""
-    return sfft.irfft(sfft.ifft(spec, axis=0), n=n2, axis=-1, out=out)
-
-
-def _free_propagator(k, dt: float):
-    """(cos, sinc, ksin) of |k| dt, each value twice in a row: they act on a
-    complex spectrum viewed as (real, imaginary) pairs of floats."""
-    cos = np.cos(k * dt)
-    sinc = dt * np.sinc(k * dt / np.pi)  # sin(k dt)/k with the k=0 limit dt
-    ksin = k * np.sin(k * dt)
-    return tuple(np.repeat(f, 2, axis=-1) for f in (cos, sinc, ksin))
+    columns zero), written into out when given; spec is overwritten.  Two
+    1D transforms, the first in place, since numpy's irfft2 returns a new
+    array and leaves its out argument unwritten (numpy 2.4), and the solver
+    writes its records in place."""
+    return sfft.irfft(sfft.ifft(spec, axis=0, out=spec), n=n2, axis=-1, out=out)
 
 
 @lru_cache(maxsize=64)
 def _propagator(grid: GridND, block: bool, dt: float):
-    """The free-flow tables over dt on the folded block (block True) or the
-    whole spectrum.  The loop's step and half-step on the block, and the
-    free flow's record spacing on the whole spectrum, are reused; a jump
-    across a closed stretch of the gate is computed chunk by chunk for that
-    jump and never cached."""
-    return _free_propagator(_block(grid).k if block else np.hypot(*_wavenumbers(grid)), dt)
+    """The phase table of free flow over dt on the folded block (block True)
+    or the whole spectrum.  The loop's step and half-step on the block, and
+    the free flow's record spacing on the whole spectrum, are reused; a
+    one-off jump builds its phases for itself (_HalfWaves.jump)."""
+    return _phases(_block(grid).k if block else np.hypot(*_wavenumbers(grid)), dt)
 
 
 def _gate_box(gate: SourceGate | None, grid: GridND):
@@ -376,46 +377,13 @@ def _check_grid(grid: GridND, *fields):
             raise ValueError("field shape does not match grid")
 
 
-# Rows of spectra propagated at a time, counted over the folded block's E
-# and W together: the operands of a chunk of a 512-point grid, whose rows
-# hold 171 (block) or 257 (whole spectrum) ky columns, stay in a core's L2
-# cache.
-_CHUNK_ROWS = 64
-
-
-def _propagate(uh, vh, grid: GridND, block: bool, dt: float, k=None):
-    """Advance spectra (uh, vh) of grid in place by free flow over dt: the
-    folded block, E and W alike, shaped (2, K+1, cols), when block, else
-    whole rfft2 spectra; C-contiguous.  Given k, |k| on their rows and
-    columns, the jump is a one-off: its propagator is built from k chunk by
-    chunk and never cached; otherwise it is _propagator's.  Works a chunk
-    of kx rows at a time, so the operands stay in cache and the scratch
-    stays small."""
-    rows = max(1, _CHUNK_ROWS // math.prod(uh.shape[:-2]))
-    full = _propagator(grid, block, float(dt)) if k is None else None
-    uf, vf = uh.view(uh.real.dtype), vh.view(vh.real.dtype)
-    a = np.empty(uf.shape[:-2] + (min(rows, uf.shape[-2]),) + uf.shape[-1:], dtype=uf.dtype)
-    b = np.empty_like(a)
-    for r in range(0, uf.shape[-2], rows):
-        c = slice(r, r + rows)
-        cos, sinc, ksin = _free_propagator(k[c], dt) if full is None else (f[c] for f in full)
-        u, v = uf[..., c, :], vf[..., c, :]
-        sa, sb = a[..., : u.shape[-2], :], b[..., : u.shape[-2], :]
-        np.multiply(sinc, v, out=sa)
-        np.multiply(ksin, u, out=sb)
-        u *= cos
-        u += sa
-        v *= cos
-        v -= sb
-
-
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
     _check_grid(grid, u, ut)
-    uh, vh = sfft.rfft2(u), sfft.rfft2(ut)
-    # A one-off jump: its whole-spectrum propagator is not cached.
-    _propagate(uh, vh, grid, False, dt, k=np.hypot(*_wavenumbers(grid)))
-    return _field(uh, grid.shape[1]), _field(vh, grid.shape[1])
+    k = np.hypot(*_wavenumbers(grid))
+    free = _HalfWaves(np.stack((sfft.rfft2(u), sfft.rfft2(ut))), k)
+    free.jump(dt)  # a one-off: its phases are not cached
+    return _field(free.u(), grid.shape[1]), _field(free.ut(), grid.shape[1])
 
 
 def _abs_max(a) -> float:
@@ -461,10 +429,18 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     The fold is exact because the block's kx rows and the box's x1 rows
     are both symmetric, about 0 and about c; it is applied once, when the
     data's block enters the loop at t0 (zero for zero data), and undone
-    once per record.  Every kick is cut to the block and reads u only
-    through it.  The rest of the data's spectrum is therefore free flow
-    throughout: it is propagated exactly from record to record and written
-    into the records, to which the loop adds the unfolded block.  P is
+    once per record.  The loop holds the folded (E, W) of u and u_t as
+    their half-wave pair Y+- = (u -+ i u_t / |k|) / 2, stacked
+    (2, 2, K+1, cols) (see _HalfWaves): free flow depends on |k| alone,
+    the same at +-kappa, so a free step multiplies the whole pair once by
+    the cached phase table exp(+-i |k| tau), and a jump turns each half by
+    phases built for it.  The mean, |k| = 0, has no phase and no 1/|k|: it
+    is carried apart as (u0, v0), which free flow shears, u0 += tau v0,
+    and a kick adds dt P's mean to v0.  Every kick is cut to the block and
+    reads u = Y+ + Y- only through it.  The rest of the data's spectrum is
+    therefore free flow throughout: it is held as its half-wave pair too,
+    turned exactly from record to record and written into the records, to
+    which the loop adds the unfolded block.  P is
     evaluated on its box, the index box of grid holding the gate's spatial
     support (the whole grid without a gate), with the gate's space factor
     evaluated there once.  A kick of a P that reads u (a live coefficient
@@ -474,7 +450,8 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     its x2 columns.  A P that does not read u, a forcing, skips that
     forward half.  P goes back to the folded block (_to_block) by a real
     product along x2 onto the block's ky columns and the transposed x1
-    products.  The maps are built for the solve and every product writes
+    products, and the kick adds dt P to u_t: -+ i dt P / 2|k| to Y+-.
+    The maps are built for the solve and every product writes
     into a buffer allocated with them (see _KickMaps); one path serves a
     gated box, an off-centre box and the whole grid alike.  The t0 record
     is the data.  A run that never kicks (P None, or a gate that never
@@ -524,34 +501,40 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         us, uts = np.zeros(shape), np.zeros(shape)
     else:
         us = uts = np.broadcast_to(0.0, shape)
-    specs = (sfft.rfft2(u0), sfft.rfft2(ut0)) if data else ()
+    if data:
+        specs = np.empty((2, n1, n2 // 2 + 1), complex)
+        for spec, f in zip(specs, (u0, ut0)):
+            sfft.rfft2(f, out=spec)
 
     if kicks:
         K, cols, k = block = _block(grid)
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
         if data:
-            uh, vh = (_fold(maps, spec) for spec in specs)
+            loop = _HalfWaves(np.stack([_fold(maps, spec) for spec in specs]), k)
+            # The data's block has moved into the loop and leaves zeros behind.
+            specs[:, : K + 1, :cols] = specs[:, n1 - K :, :cols] = 0.0
         else:
-            uh, vh = np.zeros((2,) + maps.spec.shape, complex)
-        # The data's block has moved into the loop and leaves zeros behind.
-        for spec in specs:
-            spec[: K + 1, :cols] = spec[n1 - K :, :cols] = 0.0
+            loop = _HalfWaves(np.zeros((2,) + maps.spec.shape, complex), k)
 
     if data:
         # The rest of the data's spectrum, free flow at every record.
         us[0], uts[0] = u0, ut0
-        # One record interval is a one-off jump: its propagator is not cached.
-        whole = np.hypot(*_wavenumbers(grid)) if len(records) == 2 else None
+        whole = np.hypot(*_wavenumbers(grid))
+        free, tau = _HalfWaves(specs, whole), stride * dt
         for j in range(1, len(records)):
-            _propagate(*specs, grid, False, stride * dt, k=whole)
-            _field(specs[0], n2, out=us[j])
-            _field(specs[1], n2, out=uts[j])
+            if len(records) == 2:  # one record interval: a one-off jump
+                free.jump(tau)
+            else:
+                free.flow(_propagator(grid, False, tau), tau)
+            _field(free.u(), n2, out=us[j])
+            _field(free.ut(), n2, out=uts[j])
 
     def kick(t, gain):
         """Kick u_t by dt * P(t, u), with gain the gate's time factor at t;
-        returns max |P|."""
-        u = _to_box(maps, uh) if reads_u else None
+        returns max |P|.  u is summed into maps.spec, which the back map
+        then overwrites."""
+        u = _to_box(maps, loop.u(out=maps.spec)) if reads_u else None
         cut = None if gate is None else gain * space
         with np.errstate(over="ignore", invalid="ignore"):
             p = P(t, x1, x2, u, cutoff_value=cut)
@@ -559,16 +542,16 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         if not math.isfinite(peak):
             raise BlowupError(f"nonlinear term overflowed at t = {t:.6g}")
         p *= dt  # P's value is a new array, the kick's own
-        np.add(vh, _to_block(maps, p), out=vh)
+        loop.kick(_to_block(maps, p))
         return peak
 
     def record(j):
         """Add the fields of the unfolded block into record j, which holds
         the data's free flow; zero data have none, and the fields are
-        written there."""
-        for stack, w in ((us, uh), (uts, vh)):
+        written there.  The block's u and u_t pass through maps.spec."""
+        for stack, w in ((us, loop.u), (uts, loop.ut)):
             spec = np.zeros((n1, n2 // 2 + 1), complex)
-            _unfold(maps, w, spec)
+            _unfold(maps, w(out=maps.spec), spec)
             if data:
                 stack[j] += _field(spec, n2)
             else:
@@ -579,7 +562,11 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     for event in sorted(kicks + records[1:]) if kicks else []:
         gap = event - pos
         start = time.perf_counter()
-        _propagate(uh, vh, grid, True, 0.5 * gap * dt, k=None if gap <= 2 else k)
+        tau = 0.5 * gap * dt
+        if gap <= 2:
+            loop.flow(_propagator(grid, True, tau), tau)
+        else:  # across a closed stretch of the gate: a one-off jump
+            loop.jump(tau)
         propagated = time.perf_counter()
         wall["propagate"] += propagated - start
         jumps += gap > 2

@@ -105,7 +105,7 @@ def test_lattice_view_reads_the_line_at_p_i_plus_q_j(p, q):
              (slice(40, 41), slice(3, 50)), (slice(9, 10), slice(33, 34))]
     for box in boxes:
         rows, cols = (np.arange(b.start, b.stop) for b in box)
-        view = interaction._lattice_view(line, p, q, box)
+        view = interaction._lattice_view(line, interaction._lattice_geometry(p, q, n, box))
         assert np.array_equal(view, line[np.add.outer(p * rows, q * cols) % n])
         assert not view.flags.writeable
 
@@ -439,8 +439,8 @@ def test_free_wave_of_a_response_is_the_data_on_the_box(cfg256):
         coupling = interaction._ShiftedCoupling((0.0, 1.0, 0.0, 0.0), z_cutoff, frame=frame,
                                                 m=cfg256.m, grid=cfg256.grid, eps=eps)
         ref = make_three_wave_data(frame, cfg256.m, eps, cfg256.grid, t)[0][box]
-        lines = interaction._wave_lines(frame, cfg256.m, cfg256.grid)
-        waves = sum(interaction._waves(lines, box, t, eps))
+        lines = interaction._wave_lines(frame, cfg256.m, cfg256.grid, box)
+        waves = sum(interaction._waves(lines, t, eps))
         for got in (waves, coupling(t, x1, x2, zero, cutoff_value=1.0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert "eps=(0.05, -0.03, 0.07)" in repr(coupling)
@@ -506,9 +506,17 @@ def test_tube_mask_built_on_its_box_is_the_full_grid_mask(points):
     for angle in (0.0, 22.5, 60.0, 157.5, 180.0, -90.0):
         for t in (2.0, 3.8):
             probe = ConeProbe(t_probe=t, angle=np.deg2rad(angle))
-            got = interaction._tube_mask(grid, t, probe, DEFAULT_FRAME)
+            box, tube = interaction._tube_mask(grid, t, probe, DEFAULT_FRAME)
+            got = np.zeros(grid.shape, dtype=bool)
+            got[box] = tube
             assert np.array_equal(got, _full_grid_tube_mask(grid, t, probe, DEFAULT_FRAME))
             assert got.any()
+
+
+def test_tube_off_the_grid_is_refused():
+    probe = ConeProbe(t_probe=30.0, angle=np.deg2rad(157.5))
+    with pytest.raises(ValueError, match="no grid points"):
+        interaction._tube_mask(grid2d(64, 13.5), 30.0, probe, DEFAULT_FRAME)
 
 
 def test_cone_amplitude_holds_no_tube_mask(resp256):
@@ -522,6 +530,55 @@ def test_cone_amplitude_holds_no_tube_mask(resp256):
     finally:
         tracemalloc.stop()
     assert held <= 4096
+
+
+def test_tube_reads_the_band_passed_slice_on_its_box(cfg256, resp256):
+    # the amplitude band's block of the slice's spectrum, mapped onto the
+    # tube's box alone, is the whole band-passed slice cut to that box
+    probe, grid = cfg256.probes[0], cfg256.grid
+    got, tube = interaction._tube(resp256, probe)
+    box, ref_tube = interaction._tube_mask(grid, probe.t_probe, probe, cfg256.frame)
+    ref = band_pass(resp256.state_at(probe.t_probe).u, grid, amplitude_band(grid))[box]
+    assert np.array_equal(tube, ref_tube) and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_recovery_floor_is_the_whole_band_passed_slice(cfg256):
+    # The baseline's floor is the largest band-passed value on the whole
+    # slice, not on the tube's box.  far is a wave packet's content in lattice
+    # modes where the amplitude band's gain is exactly 1, projected to vanish
+    # on the box's nodes: O(1) off the box and roundoff on it.  A tube
+    # reading 1e-14 of it is roundoff beside it, though it is the largest
+    # value on the box, and the baseline is refused; alone it is not.
+    t, grid = 0.5, cfg256.grid  # an early probe: a small box
+    probe = ConeProbe(t_probe=t, angle=np.deg2rad(157.5))
+    cfg = replace(cfg256, solver=replace(cfg256.solver, t1=t), probes=(probe,))
+    box, _ = interaction._tube_mask(grid, t, probe, cfg.frame)
+    h, (x1, x2) = grid.axes[0].spacing, grid.meshes()
+    kx, ky = (2.0 * np.pi * f(256, h) for f in (np.fft.fftfreq, np.fft.rfftfreq))
+    i, j = np.nonzero((np.abs(np.hypot(kx[:, None], ky) - 11.5) < 2.5) & (ky > 0))
+    a, b = (np.arange(s.start, s.stop) for s in box)
+    phase = 2.0 * np.pi * (np.multiply.outer(a, i)[:, None] + np.multiply.outer(b, j)) / 256
+    nodes = np.concatenate([np.cos(phase), -np.sin(phase)], axis=-1).reshape(-1, 2 * i.size)
+    packet = np.exp(-((x1 - 4.0) ** 2 + (x2 + 4.0) ** 2) / 0.5) * np.cos(8.1 * (x1 + x2))
+    coef = np.fft.rfft2(packet)[i, j]
+    coef = np.r_[coef.real, coef.imag]
+    for _ in range(2):  # the second pass takes off the first one's roundoff
+        coef -= np.linalg.lstsq(nodes, nodes @ coef, rcond=None)[0]
+    spec = np.zeros((256, 129), complex)
+    spec[i, j] = coef[: i.size] + 1j * coef[i.size :]
+    far = np.fft.irfft2(spec, s=grid.shape)
+    assert np.abs(far[box]).max() <= 1e-14 * np.abs(far).max()
+    c = t * probe.direction
+    tube = np.exp(-((x1 - c[0]) ** 2 + (x2 - c[1]) ** 2) / 0.18) * np.cos(12.0 * x1)
+    for u, refused in ((tube, False), (1e-14 * np.abs(far).max() * tube + far, True)):
+        fld = SpaceTimeField(grid, np.array([t]), u[None], u[None],
+                             metadata={"config": cfg, "frame": cfg.frame, "eps": (EPS,) * 3})
+        if refused:
+            with pytest.raises(ValueError, match="noise floor"):
+                coefficient_recovery(fld, ())
+        else:
+            assert coefficient_recovery(fld, ()) == []
 
 
 def test_tube_mask_build_holds_at_most_one_field():

@@ -74,8 +74,7 @@ def test_bump_mass_matches_adaptive_quadrature():
 
 @pytest.mark.parametrize("shape", [(32, 32), (16, 64)])
 def test_spectrum_is_contiguous_and_inverts(shape):
-    # the solver's spectra are rfft2's own arrays, which _propagate views as
-    # floats; _field inverts them
+    # the solver's spectra are rfft2's own arrays, which _field inverts
     f = np.random.default_rng(7).standard_normal(shape)
     spec = np.fft.rfft2(f)
     assert spec.flags.c_contiguous

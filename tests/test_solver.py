@@ -607,6 +607,34 @@ def test_stats_count_the_kick_multiply_adds(P, macs):
     assert free.metadata["stats"]["kick_macs"] == 0
 
 
+def test_half_waves_give_back_the_spectra():
+    # (uh, vh) -> (Y+, Y-) -> (uh, vh) on a random folded block; the mean
+    # (|k| = 0) is carried apart, and W vanishes on the kappa = 0 row
+    block = solver._block(grid2d(64, L))
+    rng = np.random.default_rng(11)
+    shape = (2, 2, block.K + 1, block.cols)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y[:, 1, 0] = 0.0
+    uh, vh = y.copy()
+    pair = solver._HalfWaves(y, block.k)
+    for got, ref in ((pair.u(), uh), (pair.ut(), vh)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_constant_forcing_drives_the_mean_exactly():
+    # the mean has no phase: free flow shears it, u0 += tau v0, so an
+    # ungated constant forcing from zero data gives u = F (t - t0)^2 / 2 and
+    # u_t = F (t - t0) at every record, the kicks' midpoint rule being exact
+    grid, F = grid2d(64, L), 0.7
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=5)
+    zero = np.zeros(grid.shape)
+    out = solve(zero, zero, grid, cfg, P=NonlinearitySpec((F, 0.0, 0.0, 0.0)))
+    s = (out.times - cfg.t0)[:, None, None]
+    assert out.times.size == 13
+    assert np.abs(out.u - 0.5 * F * s**2).max() <= 1e-13 * 0.5 * F * s[-1] ** 2
+    assert np.abs(out.ut - F * s).max() <= 1e-13 * F * s[-1]
+
+
 # ------------------------------------------------------------------ duhamel
 
 

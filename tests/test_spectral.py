@@ -266,8 +266,10 @@ def test_one_wavenumber_rule_for_every_rfftn_spectrum(grid):
         eta = 2.0 * np.pi * freq(g.points, g.spacing)
         assert k.shape == tuple(eta.size if a == axis else 1 for a in range(grid.ndim))
         assert np.array_equal(k.ravel(), eta)
-    for module in (solver, interaction, beals):
+    # interaction's radial filters are spectral's own, so it reads none itself
+    for module in (solver, beals):
         assert module._wavenumbers is spectral._wavenumbers
+    assert interaction.band_pass is spectral.band_pass
 
 
 def _plane_wave_field(n=256, ext=8.0, m=-2.6, direction=(0.0, 1.0)):
@@ -287,6 +289,15 @@ def test_trig_evaluation_exact_on_nodes():
     pts = np.column_stack([x.ravel()[::13], y.ravel()[::13]])
     out = evaluate_trig(vals, grid, pts)
     assert np.max(np.abs(out - vals.ravel()[::13])) < 1e-9
+
+
+def test_trig_evaluation_reads_a_spectrum_as_its_field():
+    # a complex array is the field's rfft2 spectrum, evaluated as it stands
+    grid, vals, _ = _plane_wave_field(n=64)
+    pts = np.random.default_rng(2).uniform(-4.0, 4.0, (50, 2))
+    spec = np.fft.rfft2(vals)
+    assert np.array_equal(evaluate_trig(spec, grid, pts), evaluate_trig(vals, grid, pts))
+    assert np.array_equal(spec, np.fft.rfft2(vals))  # left as it was
 
 
 @given(
