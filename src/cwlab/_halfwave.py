@@ -14,8 +14,9 @@ jump turns each half by its phase in turn (_HalfWaves.jump).  A kick that
 adds p to vh adds -+ i p / 2k to Y+-.  The mean, the mode with k = 0, has
 no phase and no 1/k: it is carried apart as (uh0, vh0), which free flow
 shears, uh0 += tau vh0.  The solver holds its loop's folded block, the
-data's free flow from record to record and linear_propagate's jump by this
-one rule (_HalfWaves).
+data's free part, which each record turns by one jump of the record
+spacing, and linear_propagate's jump by this one rule (_HalfWaves); only
+the loop's step and half step are tables that solves reuse.
 """
 
 from __future__ import annotations

@@ -18,9 +18,12 @@ Y+- = (u -+ i u_t / |k|) / 2 and turns both by one phase table
 exp(+-i |k| tau) (cwlab._halfwave); the mean, at |k| = 0, has no phase and
 is carried apart.  A kick maps the folded u = Y+ + Y- onto the box, and P
 back, which adds -+ i dt P / 2|k| to Y+- and dt P's mean to u_t's.  The
-fold is applied once, when the data enter the loop, and undone once per
-record (_unfold).  The interaction's tube reads map a band's block of a
-slice onto the tube's box by the same maps.
+fold is applied once, when the data enter the loop, and takes the block out
+of the data's spectrum, which keeps only its free part; the unfold writes
+the block back into its rows once per record (_unfold).  This module is the
+only one that names the block's rows and columns of an rfft2 spectrum.  The
+interaction's tube reads map a band's block of a slice onto the tube's box
+by the same maps.
 """
 
 from __future__ import annotations
@@ -102,10 +105,12 @@ def _kick_macs(maps: _KickMaps, reads_u: bool) -> int:
 
 def _fold(maps: _KickMaps, spec) -> np.ndarray:
     """The folded block, (2, K+1, cols): E and W of the block of spec, an
-    rfft2 spectrum, shifted by maps.phase; see the module docstring."""
+    rfft2 spectrum, shifted by maps.phase; see the module docstring.  The
+    block is taken out of spec: its rows and columns there are zeroed."""
     K, cols = maps.spec.shape[1] - 1, maps.spec.shape[2]
     pos = spec[: K + 1, :cols] * maps.phase
     neg = spec[spec.shape[0] - K :, :cols][::-1] * maps.phase[1:].conj()  # kx = -1..-K
+    spec[: K + 1, :cols] = spec[spec.shape[0] - K :, :cols] = 0.0
     folded = np.zeros((2, K + 1, cols), dtype=complex)
     folded[0] = pos
     folded[0, 1:] += neg

@@ -43,6 +43,7 @@ from .solver import (
     solve,
     _block,
     _gate_box,
+    _index_box,
     _live_top,
     _time_index,
 )
@@ -493,11 +494,9 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame):
     quarters = 0.5 * np.pi * np.arange(np.ceil(lo / (0.5 * np.pi)), np.floor(hi / (0.5 * np.pi)) + 1)
     angles = np.r_[lo, hi, quarters]
     ends = np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))
-    box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0) for i in (
-        np.flatnonzero((x >= e.min() - 2.0 * h) & (x <= e.max() + 2.0 * h))
-        for x, e in zip(grid.nodes(), ends)))
-    x1, x2 = (x[b] for x, b in zip(grid.nodes(), box))
-    x1, x2 = x1[:, None], x2[None, :]
+    nodes = grid.nodes()
+    box, x1, x2 = _index_box(nodes, ((x >= e.min() - 2.0 * h) & (x <= e.max() + 2.0 * h)
+                                     for x, e in zip(nodes, ends)))
     theta = np.arctan2(x2, x1)
     tube = np.abs(np.hypot(x1, x2) - t) <= 4.0 * h
     tube &= _ang_dist(theta, probe.angle) <= PROBE_ARC

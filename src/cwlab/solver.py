@@ -21,19 +21,20 @@ mean, |k| = 0, has no phase and no 1/|k|, so it is carried apart as
 touches only what a kick can read or write (FFT pruning): the dealiased
 block of the spectrum, an index set of that array.  Every kick is cut to
 the block and reads u only through it, so the data's spectrum outside the
-block is free flow throughout, propagated exactly from record to record
-and written into the records in place, to which the loop adds the block
-(zero data skip it).  P is evaluated only on the box, the index box of the
-grid holding the gate's spatial support (the whole grid for an ungated
-coupling), so a kick maps the block's u = Y+ + Y- onto the box and P back,
-and never touches the whole grid; a forcing's kick maps back only, and the
-kick adds dt P to u_t, that is -+ i dt P / 2|k| to Y+- and dt P to vh0.
+block, its free part, is free flow throughout: each record turns it by one
+exact jump, writes the loop's block into its rows and makes each field by
+one inverse transform (zero data have no free part).  P is evaluated only
+on the box, the index box of the grid holding the gate's spatial support
+(the whole grid for an ungated coupling), so a kick maps the block's
+u = Y+ + Y- onto the box and P back, and never touches the whole grid; a
+forcing's kick maps back only, and the kick adds dt P to u_t, that is
+-+ i dt P / 2|k| to Y+- and dt P to vh0.
 Each map is a matrix product per axis with partial DFT matrices, and the
 loop holds the block folded about the centre of P's box, which makes the
 maps along x1 real and half their height; the module _kick holds the fold
 and the maps.  The block, the box and the maps are built once per solve;
-the module's one cache holds the phase tables (_propagator), which every
-solve on a grid reuses.
+the module's one cache holds the loop's phase tables (_propagator), which
+every solve on a grid reuses.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -129,8 +130,8 @@ class SourceGate:
     edge: float
 
     def __post_init__(self):
-        if not 0.0 < self.flat < self.edge:
-            raise ValueError("need 0 < flat < edge")
+        if not 0.0 < self.flat < self.edge < math.inf:
+            raise ValueError("need finite 0 < flat < edge")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -235,7 +236,8 @@ class SolverConfig:
             raise ValueError("need finite t0 < t1")
         if not 0.0 < self.dt <= (self.t1 - self.t0):
             raise ValueError("dt must be positive and at most the run length")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
+        stride = self.record_stride
+        if not (math.isfinite(stride) and stride >= 1 and int(stride) == stride):
             raise ValueError("record_stride must be a positive integer")
 
     def lattice(self) -> tuple[int, int, float]:
@@ -345,12 +347,22 @@ def _field(spec, n2: int, out=None):
 
 
 @lru_cache(maxsize=64)
-def _propagator(grid: GridND, block: bool, dt: float):
-    """The phase table of free flow over dt on the folded block (block True)
-    or the whole spectrum.  The loop's step and half-step on the block, and
-    the free flow's record spacing on the whole spectrum, are reused; a
-    one-off jump builds its phases for itself (_HalfWaves.jump)."""
-    return _phases(_block(grid).k if block else np.hypot(*_wavenumbers(grid)), dt)
+def _propagator(grid: GridND, dt: float):
+    """The phase table of free flow over dt on grid's folded block: the
+    loop's step and half step, which every solve on the grid reuses.  Every
+    other free flow is a one-off jump, which builds its phases for itself
+    (_HalfWaves.jump)."""
+    return _phases(_block(grid).k, dt)
+
+
+def _index_box(nodes, masks):
+    """(box, x1, x2): the index box, a slice per axis, from the first to the
+    last of the nodes each mask keeps (empty if it keeps none), and its
+    meshes x1[:, None] and x2[None, :]."""
+    box = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
+                for i in map(np.flatnonzero, masks))
+    x1, x2 = (x[b] for x, b in zip(nodes, box))
+    return box, x1[:, None], x2[None, :]
 
 
 def _gate_box(gate: SourceGate | None, grid: GridND):
@@ -360,12 +372,7 @@ def _gate_box(gate: SourceGate | None, grid: GridND):
     space is None."""
     edge = math.inf if gate is None else gate.edge
     nodes = grid.nodes()
-    box = tuple(
-        slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-        for idx in (np.flatnonzero(np.abs(x) < edge) for x in nodes)
-    )
-    x1, x2 = (x[b] for x, b in zip(nodes, box))
-    x1, x2 = x1[:, None], x2[None, :]
+    box, x1, x2 = _index_box(nodes, (np.abs(x) < edge for x in nodes))
     return box, x1, x2, None if gate is None else gate.space_factor(x1, x2)
 
 
@@ -428,22 +435,25 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     kappa = 0..K, with s the block shifted by exp(2 pi i kappa c / n1).
     The fold is exact because the block's kx rows and the box's x1 rows
     are both symmetric, about 0 and about c; it is applied once, when the
-    data's block enters the loop at t0 (zero for zero data), and undone
-    once per record.  The loop holds the folded (E, W) of u and u_t as
-    their half-wave pair Y+- = (u -+ i u_t / |k|) / 2, stacked
-    (2, 2, K+1, cols) (see _HalfWaves): free flow depends on |k| alone,
-    the same at +-kappa, so a free step multiplies the whole pair once by
-    the cached phase table exp(+-i |k| tau), and a jump turns each half by
-    phases built for it.  The mean, |k| = 0, has no phase and no 1/|k|: it
-    is carried apart as (u0, v0), which free flow shears, u0 += tau v0,
-    and a kick adds dt P's mean to v0.  Every kick is cut to the block and
-    reads u = Y+ + Y- only through it.  The rest of the data's spectrum is
-    therefore free flow throughout: it is held as its half-wave pair too,
-    turned exactly from record to record and written into the records, to
-    which the loop adds the unfolded block.  P is
-    evaluated on its box, the index box of grid holding the gate's spatial
-    support (the whole grid without a gate), with the gate's space factor
-    evaluated there once.  A kick of a P that reads u (a live coefficient
+    data's block moves into the loop at t0 and leaves zeros in the data's
+    spectrum (zero for zero data), and undone once per record.  The loop
+    holds the folded (E, W) of u and u_t as their half-wave pair
+    Y+- = (u -+ i u_t / |k|) / 2, stacked (2, 2, K+1, cols) (see
+    _HalfWaves): free flow depends on |k| alone, the same at +-kappa, so a
+    free step multiplies the whole pair once by the cached phase table
+    exp(+-i |k| tau), and a jump turns each half by phases built for it.
+    The mean, |k| = 0, has no phase and no 1/|k|: it is carried apart as
+    (u0, v0), which free flow shears, u0 += tau v0, and a kick adds dt P's
+    mean to v0.  Every kick is cut to the block and reads u = Y+ + Y- only
+    through it.  The rest of the data's spectrum, its free part, is
+    therefore free flow throughout, held as its half-wave pair too.  A record has one rule: it turns the free part from
+    the last record by one jump of the record spacing, takes its u and u_t
+    spectra (zeros for zero data), writes the unfolded block into their
+    block rows, where the free part holds zeros, and makes each field by
+    one inverse transform straight into the record.  P is evaluated on its
+    box, the index box of grid holding the gate's spatial support (the
+    whole grid without a gate), with the gate's space factor evaluated
+    there once.  A kick of a P that reads u (a live coefficient
     of a positive power of u; see NonlinearitySpec.__call__) maps the
     folded block onto the box (_to_box): real cosine and sine products
     along x1 onto the box's rows at c +- d, then a real one along x2 onto
@@ -455,8 +465,9 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     into a buffer allocated with them (see _KickMaps); one path serves a
     gated box, an off-centre box and the whole grid alike.  The t0 record
     is the data.  A run that never kicks (P None, or a gate that never
-    opens) is the free flow of the whole spectrum, reached without time
-    steps, and from zero data it returns read-only zero records.
+    opens) takes no time steps: the same record rule writes the free flow
+    of the whole spectrum, and from zero data it returns read-only zero
+    records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step
@@ -510,25 +521,15 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         K, cols, k = block = _block(grid)
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
-        if data:
+        if data:  # the data's block moves into the loop, leaving zeros behind
             loop = _HalfWaves(np.stack([_fold(maps, spec) for spec in specs]), k)
-            # The data's block has moved into the loop and leaves zeros behind.
-            specs[:, : K + 1, :cols] = specs[:, n1 - K :, :cols] = 0.0
         else:
             loop = _HalfWaves(np.zeros((2,) + maps.spec.shape, complex), k)
 
     if data:
-        # The rest of the data's spectrum, free flow at every record.
+        # The rest of the data's spectrum, free flow throughout.
         us[0], uts[0] = u0, ut0
-        whole = np.hypot(*_wavenumbers(grid))
-        free, tau = _HalfWaves(specs, whole), stride * dt
-        for j in range(1, len(records)):
-            if len(records) == 2:  # one record interval: a one-off jump
-                free.jump(tau)
-            else:
-                free.flow(_propagator(grid, False, tau), tau)
-            _field(free.u(), n2, out=us[j])
-            _field(free.ut(), n2, out=uts[j])
+        free = _HalfWaves(specs, np.hypot(*_wavenumbers(grid)))
 
     def kick(t, gain):
         """Kick u_t by dt * P(t, u), with gain the gate's time factor at t;
@@ -546,16 +547,19 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         return peak
 
     def record(j):
-        """Add the fields of the unfolded block into record j, which holds
-        the data's free flow; zero data have none, and the fields are
-        written there.  The block's u and u_t pass through maps.spec."""
-        for stack, w in ((us, loop.u), (uts, loop.ut)):
-            spec = np.zeros((n1, n2 // 2 + 1), complex)
-            _unfold(maps, w(out=maps.spec), spec)
-            if data:
-                stack[j] += _field(spec, n2)
-            else:
-                _field(spec, n2, out=stack[j])
+        """Write record j, one field at a time: the spectrum of the data's
+        free part, turned to record j by one jump of the record spacing
+        (zeros for zero data), with the unfolded block of a kicked run in
+        the block's rows, where the free part holds zeros.  Records are
+        written in order, and the block passes through maps.spec."""
+        if data:
+            free.jump(stride * dt)
+        for stack, part in ((us, _HalfWaves.u), (uts, _HalfWaves.ut)):
+            spec = part(free) if data else np.zeros((n1, n2 // 2 + 1), complex)
+            if kicks:
+                _unfold(maps, part(loop, out=maps.spec), spec)
+            _field(spec, n2, out=stack[j])
+            del spec  # so u_t's spectrum is not built beside u's
 
     pos, jumps, p_max = 0, 0, 0.0
     wall = dict.fromkeys(("kicks", "propagate", "records"), 0.0)
@@ -564,7 +568,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         start = time.perf_counter()
         tau = 0.5 * gap * dt
         if gap <= 2:
-            loop.flow(_propagator(grid, True, tau), tau)
+            loop.flow(_propagator(grid, tau), tau)
         else:  # across a closed stretch of the gate: a one-off jump
             loop.jump(tau)
         propagated = time.perf_counter()
@@ -578,6 +582,9 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
             record(event // (2 * stride))
             phase = "records"
         wall[phase] += time.perf_counter() - propagated
+    # A run that never kicks has no loop: its records are the data's free part.
+    for j in range(1, len(records)) if data and not kicks else []:
+        record(j)
 
     stats = {
         "steps": n_steps,

@@ -172,8 +172,8 @@ def plateau_window(s, inner: float, outer: float) -> np.ndarray:
     with a = exp(-1/t) for t > 0 and b = exp(-1/(1-t)) for t < 1, each 0
     elsewhere: 0 for t <= 0, 1 for t >= 1.
     """
-    if not 0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
+    if not 0 < inner < outer < np.inf:
+        raise ValueError("need finite 0 < inner < outer")
     s = np.asarray(s, dtype=float)
     t = np.abs(s, out=np.empty(s.shape))  # an array even for 0-d s
     np.subtract(outer, t, out=t)

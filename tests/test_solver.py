@@ -343,23 +343,34 @@ def test_generic_cutoff_kicks_on_every_step():
     assert np.max(np.abs(every.u - gated.u)) < 1e-12 * np.max(np.abs(gated.u))
 
 
+def test_source_gate_validation():
+    # the edges must be finite: SourceGate(0.4, inf) evaluated to NaN
+    edges = ((0.4, np.inf), (np.inf, np.inf), (np.nan, 0.9), (0.4, np.nan), (0.0, 0.9), (0.9, 0.4))
+    for flat, edge in edges:
+        with pytest.raises(ValueError, match="finite 0 < flat < edge"):
+            SourceGate(flat, edge)
+    assert SourceGate(0.4, 0.9).support == (-0.9, 0.9)
+
+
 def test_cutoff_is_a_source_gate_or_none():
     with pytest.raises(TypeError, match="SourceGate"):
         NonlinearitySpec((0.0, 0.0, 0.0, 1.0), lambda t, X1, X2: z_cutoff(t, X1, X2))
     assert NonlinearitySpec((0.0, 0.0, 0.0, 1.0), z_cutoff).cutoff is z_cutoff
 
 
-@pytest.mark.parametrize("P, entries", [(None, 1), (cubic_nonlinearity(5.0), 3)])
+@pytest.mark.parametrize("P, entries", [(None, 0), (cubic_nonlinearity(5.0), 2)])
 def test_free_flow_keeps_one_cached_propagator(P, entries):
-    # the free flow reuses one whole-spectrum propagator over every record
-    # interval; a gated solve adds only the loop's step and half step
+    # the data's free part jumps from record to record by phases built for
+    # each jump, so a run that never kicks caches no table; a gated solve
+    # caches the loop's two, the step (records before the gate opens) and
+    # the half step (a kick to a record)
     grid = grid2d(64, L)
     u0 = _pulse(grid)
     cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=1)
     solver._propagator.cache_clear()
     out = solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
     assert out.times.size == 61
-    assert solver._propagator.cache_info().currsize <= entries
+    assert solver._propagator.cache_info().currsize == entries
 
 
 def test_linear_propagate_caches_no_propagator():
@@ -392,6 +403,22 @@ def test_free_flow_writes_the_records_in_place():
     zero = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg)
     assert zero.u.strides == (0, 0, 0) and not zero.u.flags.writeable
     assert not zero.u.any() and not zero.ut.any()
+
+
+@pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
+def test_each_record_is_written_once(P, monkeypatch):
+    # a record's field is one inverse transform of the data's free part
+    # with the loop's block in its rows, kicked or not: 2 (R - 1) _field
+    # calls for R records, not a second pair per record for the block
+    grid = grid2d(64, L)
+    u0 = _pulse(grid)
+    calls = {"_field": 0}
+    monkeypatch.setattr(solver, "_field", _counting(solver._field, calls, "_field"))
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=6)
+    out = solve(u0, 0.5 * u0, grid, cfg, P=P)
+    assert out.times.size == 11
+    assert out.metadata["stats"]["kicks_applied"] == (0 if P is None else 50)
+    assert calls["_field"] == 2 * (out.times.size - 1)
 
 
 def _smooth_forcing(t, X1, X2):
@@ -481,9 +508,9 @@ def test_stats_time_the_loop_phases(P):
 def _counting(fn, calls, name):
     """fn, counting its calls in calls[name]."""
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return counted
 
@@ -729,8 +756,9 @@ def test_config_validation():
             SolverConfig(dt=0.1, t0=t0, t1=t1)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1, t0=-1.2, t1=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t0=-1.2, t1=0.5, record_stride=0)
+    for stride in (0, 1.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="record_stride"):
+            SolverConfig(dt=0.1, t0=-1.2, t1=0.5, record_stride=stride)
     cfg = SolverConfig(dt=0.2, t0=-1.2, t1=0.5)  # dt far above h/pi
     with pytest.raises(ValueError):
         solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, cfg)

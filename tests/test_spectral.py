@@ -185,6 +185,11 @@ def test_windows():
     assert np.all(w[np.abs(s) <= 1.0] == 1.0)
     assert np.all(w[np.abs(s) >= 2.0] == 0.0)
     assert np.all((w >= 0) & (w <= 1))
+    # every edge must be finite: an infinite outer edge read NaN everywhere
+    edges = ((1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0), (1.0, np.nan), (0.0, 2.0), (2.0, 1.0))
+    for inner, outer in edges:
+        with pytest.raises(ValueError, match="finite 0 < inner < outer"):
+            plateau_window(s, inner, outer)
 
 
 def _masked_bump(s):
