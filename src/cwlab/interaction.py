@@ -117,8 +117,8 @@ class ConeProbe:
     angle: float
 
     def __post_init__(self):
-        if not (self.t_probe > 0 and np.isfinite(self.angle)):
-            raise ValueError("a probe needs a positive t_probe and a finite angle")
+        if not (0 < self.t_probe < np.inf and np.isfinite(self.angle)):
+            raise ValueError("a probe needs a finite positive t_probe and a finite angle")
 
     @property
     def direction(self) -> np.ndarray:
@@ -743,16 +743,16 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
     factors: factor 1 is resp itself, the others are solved on its config.
     A rung's data strength is its factor times the largest per-wave |eps|,
     so data of either polarity read the same.  Amplitudes are read at the
-    config's first probe.  Needs at least three positive factors spanning a
-    factor of 4.  Runs that blow up are dropped (recorded in ``dropped``);
-    amplitudes at the noise floor are dropped too, and the regression is
-    refused outright if nothing measurable is left.
+    config's first probe.  Needs at least three finite positive factors
+    spanning a factor of 4.  Runs that blow up are dropped (recorded in
+    ``dropped``); amplitudes at the noise floor are dropped too, and the
+    regression is refused outright if nothing measurable is left.
     """
     factors = sorted(float(f) for f in factors)
     if len(factors) < 3:
         raise ValueError("need at least three data strengths")
-    if factors[0] <= 0.0:
-        raise ValueError(f"data strength factors must be positive, got {factors[0]:g}")
+    if not all(0.0 < f < np.inf for f in factors):  # a NaN sorts anywhere
+        raise ValueError(f"data strength factors must be positive and finite, got {factors}")
     if factors[-1] < 4.0 * factors[0]:
         raise ValueError("data strengths must span at least a factor of 4")
     config, eps = _recorded(resp, "config"), resp.metadata["eps"]

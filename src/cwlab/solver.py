@@ -32,9 +32,9 @@ forcing's kick maps back only, and the kick adds dt P to u_t, that is
 Each map is a matrix product per axis with partial DFT matrices, and the
 loop holds the block folded about the centre of P's box, which makes the
 maps along x1 real and half their height; the module _kick holds the fold
-and the maps.  The block, the box and the maps are built once per solve;
-the module's one cache holds the loop's phase tables (_propagator), which
-every solve on a grid reuses.
+and the maps.  The block, the box, the maps and the loop's step table are
+built once per solve, and nothing is kept between solves: a solve is a
+pure function of its inputs.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -265,9 +264,10 @@ class WaveState:
 
 
 def _time_index(times, t: float) -> int | None:
-    """Index of the time in times equal to t up to roundoff; None if none is."""
+    """Index of the time in times equal to t up to roundoff; None if none
+    is, as for a t that is not finite."""
     i = int(np.argmin(np.abs(times - t)))
-    return i if abs(times[i] - t) <= 1e-9 + 1e-9 * abs(t) else None
+    return i if math.isfinite(t) and abs(times[i] - t) <= 1e-9 + 1e-9 * abs(t) else None
 
 
 @dataclass
@@ -346,15 +346,6 @@ def _field(spec, n2: int, out=None):
     return sfft.irfft(sfft.ifft(spec, axis=0, out=spec), n=n2, axis=-1, out=out)
 
 
-@lru_cache(maxsize=64)
-def _propagator(grid: GridND, dt: float):
-    """The phase table of free flow over dt on grid's folded block: the
-    loop's step and half step, which every solve on the grid reuses.  Every
-    other free flow is a one-off jump, which builds its phases for itself
-    (_HalfWaves.jump)."""
-    return _phases(_block(grid).k, dt)
-
-
 def _index_box(nodes, masks):
     """(box, x1, x2): the index box, a slice per axis, from the first to the
     last of the nodes each mask keeps (empty if it keeps none), and its
@@ -389,7 +380,7 @@ def linear_propagate(u, ut, grid: GridND, dt: float):
     _check_grid(grid, u, ut)
     k = np.hypot(*_wavenumbers(grid))
     free = _HalfWaves(np.stack((sfft.rfft2(u), sfft.rfft2(ut))), k)
-    free.jump(dt)  # a one-off: its phases are not cached
+    free.jump(dt)
     return _field(free.u(), grid.shape[1]), _field(free.ut(), grid.shape[1])
 
 
@@ -425,8 +416,9 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     P costs a kick only while the gate is open, and the gate must still be
     closed at t0.  Free flow is exact for any length, so the state is
     propagated once per gap between events (kicks and record times): one
-    full step between consecutive kicks, one jump across each closed
-    stretch.
+    step by the solve's step table between consecutive kicks, one jump
+    across every other gap (a half step to or from a record, or a closed
+    stretch).  Data that are not finite are refused.
 
     The loop holds u and u_t on the dealiased block of the rfft2 spectrum
     alone, kx rows -K..K and ky columns 0..cols-1 (see _block), and holds
@@ -440,22 +432,23 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     holds the folded (E, W) of u and u_t as their half-wave pair
     Y+- = (u -+ i u_t / |k|) / 2, stacked (2, 2, K+1, cols) (see
     _HalfWaves): free flow depends on |k| alone, the same at +-kappa, so a
-    free step multiplies the whole pair once by the cached phase table
-    exp(+-i |k| tau), and a jump turns each half by phases built for it.
+    step multiplies the whole pair once by the step table exp(+-i |k| dt),
+    built once per solve, and a jump turns each half by phases built for it.
     The mean, |k| = 0, has no phase and no 1/|k|: it is carried apart as
     (u0, v0), which free flow shears, u0 += tau v0, and a kick adds dt P's
     mean to v0.  Every kick is cut to the block and reads u = Y+ + Y- only
     through it.  The rest of the data's spectrum, its free part, is
-    therefore free flow throughout, held as its half-wave pair too.  A record has one rule: it turns the free part from
-    the last record by one jump of the record spacing, takes its u and u_t
-    spectra (zeros for zero data), writes the unfolded block into their
-    block rows, where the free part holds zeros, and makes each field by
-    one inverse transform straight into the record.  P is evaluated on its
-    box, the index box of grid holding the gate's spatial support (the
-    whole grid without a gate), with the gate's space factor evaluated
-    there once.  A kick of a P that reads u (a live coefficient
-    of a positive power of u; see NonlinearitySpec.__call__) maps the
-    folded block onto the box (_to_box): real cosine and sine products
+    therefore free flow throughout, held as its half-wave pair too.  A
+    record has one rule: it turns the free part from the last record by
+    one jump of the record spacing, takes its u and u_t spectra (zeros for
+    zero data), writes the unfolded block into their block rows, where the
+    free part holds zeros, and makes each field by one inverse transform
+    straight into the record.  P is evaluated on its box, the index box
+    of grid holding the gate's spatial support (the whole grid without a
+    gate), with the gate's space factor evaluated there once.  A kick of
+    a P that reads u (a live coefficient of a positive power of u; see
+    NonlinearitySpec.__call__) maps the folded block onto the box
+    (_to_box): real cosine and sine products
     along x1 onto the box's rows at c +- d, then a real one along x2 onto
     its x2 columns.  A P that does not read u, a forcing, skips that
     forward half.  P goes back to the folded block (_to_block) by a real
@@ -464,10 +457,11 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     The maps are built for the solve and every product writes
     into a buffer allocated with them (see _KickMaps); one path serves a
     gated box, an off-centre box and the whole grid alike.  The t0 record
-    is the data.  A run that never kicks (P None, or a gate that never
-    opens) takes no time steps: the same record rule writes the free flow
-    of the whole spectrum, and from zero data it returns read-only zero
-    records.
+    is the data, and one event loop writes the others.  A run that never
+    kicks (P None, or a gate that never opens) has no loop to turn and
+    takes no time steps: its records are the free flow of the whole
+    spectrum by the same record rule, and from zero data it returns
+    read-only zero records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step
@@ -480,6 +474,10 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     """
     u0, ut0 = (np.asarray(f, dtype=float) for f in (u0, ut0))
     _check_grid(grid, u0, ut0)
+    # Each field apart: max() drops a NaN or keeps it by argument order.
+    peaks = [_abs_max(f) for f in (u0, ut0)]
+    if not all(map(math.isfinite, peaks)):
+        raise ValueError("data must be finite")
     gate = None if P is None else P.cutoff
     lo, hi = (-math.inf, math.inf) if gate is None else gate.support
     if gate is not None and lo < config.t0:
@@ -503,7 +501,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     gains = {} if gate is None else dict(zip(kicks, gate.time_factor(mids[kicked])))
 
     reads_u = P is not None and _live_top(P.coeffs) > 0
-    data = bool(u0.any() or ut0.any())
+    data = any(peaks)
     n1, n2 = grid.shape
     # Zero data that are never kicked stay zero: their records are then one
     # read-only zero, which takes no memory.
@@ -521,6 +519,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         K, cols, k = block = _block(grid)
         box, x1, x2, space = _gate_box(gate, grid)
         maps = _kick_maps(grid.shape, block, box)
+        step = _phases(k, dt)
         if data:  # the data's block moves into the loop, leaving zeros behind
             loop = _HalfWaves(np.stack([_fold(maps, spec) for spec in specs]), k)
         else:
@@ -563,28 +562,25 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
 
     pos, jumps, p_max = 0, 0, 0.0
     wall = dict.fromkeys(("kicks", "propagate", "records"), 0.0)
-    for event in sorted(kicks + records[1:]) if kicks else []:
-        gap = event - pos
+    for event in sorted(kicks + records[1:]) if kicks or data else []:
         start = time.perf_counter()
-        tau = 0.5 * gap * dt
-        if gap <= 2:
-            loop.flow(_propagator(grid, tau), tau)
-        else:  # across a closed stretch of the gate: a one-off jump
-            loop.jump(tau)
-        propagated = time.perf_counter()
-        wall["propagate"] += propagated - start
-        jumps += gap > 2
-        pos = event
+        if kicks:  # only a kicked run has a loop to turn
+            gap, pos = event - pos, event
+            if gap == 2:  # one step
+                loop.flow(step, dt)
+            else:  # a half step to or from a record, or a closed stretch
+                loop.jump(0.5 * gap * dt)
+            jumps += gap > 2
+            propagated = time.perf_counter()
+            wall["propagate"] += propagated - start
+            start = propagated
         if event % 2:
             p_max = max(p_max, kick(mids[event // 2], gains.get(event)))
             phase = "kicks"
         else:
             record(event // (2 * stride))
             phase = "records"
-        wall[phase] += time.perf_counter() - propagated
-    # A run that never kicks has no loop: its records are the data's free part.
-    for j in range(1, len(records)) if data and not kicks else []:
-        record(j)
+        wall[phase] += time.perf_counter() - start
 
     stats = {
         "steps": n_steps,

@@ -672,6 +672,17 @@ def test_front_fit_rejects_an_omega_with_no_geometry(cfg256, omega):
         front_order_estimate(data, omega, t=t0)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_front_fit_refuses_a_time_that_is_not_finite(cfg256, t):
+    # t = inf sat within the lookup's tolerance 1e-9 + 1e-9 |t| of the t0
+    # record, which was then fitted as if read at t
+    t0 = cfg256.solver.t0
+    u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
+    data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
+    with pytest.raises(ValueError, match="not recorded"):
+        front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t)
+
+
 def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
     # six bins 2.30 apart fill (16, 29.8) wherever they fall: half-length
     # 6 pi / 13.8 = 1.37 at 256; at 512 the band (16, 36) needs only 0.94,
@@ -723,6 +734,11 @@ def test_scaling_refuses_nonpositive_factors(resp256):
         amplitude_scaling(resp256, [-1.0, 0.5, 1.0, 4.0])
     with pytest.raises(ValueError, match="positive"):
         amplitude_scaling(resp256, [0.0, 0.5, 1.0])
+    # a NaN rung was solved and reported as a blow-up; refused before any
+    # solve, in either order
+    for factors in ([0.25, 0.5, 1.0, np.nan], [np.nan, 0.25, 0.5, 1.0], [0.25, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            amplitude_scaling(resp256, factors)
 
 
 def test_scaling_drops_a_rung_that_blows_up(resp256):
@@ -834,6 +850,13 @@ def test_probe_inside_exclusion_rejected(cfg256):
 def test_probe_with_a_non_finite_angle_rejected(angle):
     with pytest.raises(ValueError, match="finite angle"):
         ConeProbe(t_probe=3.8, angle=angle)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, 0.0, -1.0])
+def test_probe_needs_a_finite_positive_time(t):
+    # an infinite t_probe passed the config's record-time check
+    with pytest.raises(ValueError, match="finite positive t_probe"):
+        ConeProbe(t_probe=t, angle=np.deg2rad(157.5))
 
 
 def test_ridge_needs_a_positive_time(resp256, cfg256):

@@ -358,29 +358,49 @@ def test_cutoff_is_a_source_gate_or_none():
     assert NonlinearitySpec((0.0, 0.0, 0.0, 1.0), z_cutoff).cutoff is z_cutoff
 
 
-@pytest.mark.parametrize("P, entries", [(None, 0), (cubic_nonlinearity(5.0), 2)])
-def test_free_flow_keeps_one_cached_propagator(P, entries):
-    # the data's free part jumps from record to record by phases built for
-    # each jump, so a run that never kicks caches no table; a gated solve
-    # caches the loop's two, the step (records before the gate opens) and
-    # the half step (a kick to a record)
+def test_each_kicked_solve_builds_its_step_table_once(monkeypatch):
+    # a solve keeps nothing between solves: each kicked solve builds its
+    # loop's step table once, and every other free flow, a half step to or
+    # from a record or a closed stretch of the gate, is a one-off jump
     grid = grid2d(64, L)
     u0 = _pulse(grid)
+    calls = {"_phases": 0}
+    monkeypatch.setattr(solver, "_phases", _counting(solver._phases, calls, "_phases"))
     cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6, record_stride=1)
-    solver._propagator.cache_clear()
-    out = solve(u0, np.zeros(grid.shape), grid, cfg, P=P)
-    assert out.times.size == 61
-    assert solver._propagator.cache_info().currsize == entries
+    for _ in range(2):
+        calls["_phases"] = 0
+        out = solve(u0, np.zeros(grid.shape), grid, cfg, P=cubic_nonlinearity(5.0))
+        assert out.metadata["stats"]["kicks_applied"] == 50
+        assert calls["_phases"] == 1
 
 
-def test_linear_propagate_caches_no_propagator():
-    # each dt of linear_propagate is a one-off jump over the whole spectrum
+def test_a_jump_turns_by_the_step_tables_values():
+    # a jump over tau multiplies by exactly the values of the table
+    # _phases(k, tau), so a half step jumped gives the record a stepped
+    # half step gave, bit for bit
+    block = solver._block(grid2d(64, L))
+    rng = np.random.default_rng(5)
+    shape = (2, 2, block.K + 1, block.cols)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y[:, 1, 0] = 0.0
+    jumped, stepped = (solver._HalfWaves(y.copy(), block.k) for _ in range(2))
+    jumped.jump(0.015)
+    stepped.flow(solver._phases(block.k, 0.015), 0.015)
+    assert np.array_equal(jumped.y, stepped.y) and jumped.mean == stepped.mean
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
+def test_solve_refuses_data_that_are_not_finite(P, bad):
+    # one bad entry in either field: NaN records, or a blow-up the run did
+    # not measure, would come back otherwise
     grid = grid2d(64, L)
-    u0 = _pulse(grid)
-    solver._propagator.cache_clear()
-    for dt in (0.1, 0.2, 0.3):
-        linear_propagate(u0, u0, grid, dt)
-    assert solver._propagator.cache_info().currsize == 0
+    cfg = SolverConfig(dt=0.03, t0=-1.2, t1=0.6)
+    for field in range(2):
+        data = [_pulse(grid), np.zeros(grid.shape)]
+        data[field][3, 5] = bad
+        with pytest.raises(ValueError, match="data must be finite"):
+            solve(*data, grid, cfg, P=P)
 
 
 def test_free_flow_writes_the_records_in_place():
@@ -390,7 +410,7 @@ def test_free_flow_writes_the_records_in_place():
     grid = grid2d(128, L)
     u0 = _pulse(grid)
     cfg = SolverConfig(dt=0.02, t0=-1.2, t1=-0.4, record_stride=10)
-    solve(u0, u0, grid, cfg)  # warm the caches
+    solve(u0, u0, grid, cfg)  # so numpy's FFT plans are built before tracing
     tracemalloc.start()
     try:
         out = solve(u0, u0, grid, cfg)
@@ -501,8 +521,9 @@ def test_stats_time_the_loop_phases(P):
     assert set(wall) == {"kicks", "propagate", "records"}
     assert all(v >= 0.0 for v in wall.values())
     assert sum(wall.values()) <= elapsed
-    if P is None:  # a run that never kicks runs no loop
-        assert all(v == 0.0 for v in wall.values())
+    if P is None:  # a run that never kicks turns no loop, but writes its records
+        assert wall["kicks"] == wall["propagate"] == 0.0
+        assert wall["records"] > 0.0
 
 
 def _counting(fn, calls, name):
@@ -744,6 +765,19 @@ def test_grid_refinement_is_cauchy():
     d1 = np.linalg.norm(sols[64] - sols[128][::2, ::2]) / np.linalg.norm(sols[128][::2, ::2])
     d2 = np.linalg.norm(sols[128] - sols[256][::2, ::2]) / np.linalg.norm(sols[256][::2, ::2])
     assert d1 / d2 >= 3.0
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_time_lookup_refuses_a_time_that_is_not_finite(t):
+    # inf sat within the tolerance 1e-9 + 1e-9 |t| of every record, and
+    # state_at(inf) handed back the first
+    grid = grid2d(32, L)
+    zero = np.zeros((3,) + grid.shape)
+    fld = solver.SpaceTimeField(grid, np.array([0.0, 0.5, 1.0]), zero, zero)
+    assert solver._time_index(fld.times, t) is None
+    with pytest.raises(ValueError, match="not recorded"):
+        fld.state_at(t)
+    assert fld.state_at(0.5).t == 0.5
 
 
 def test_config_validation():
