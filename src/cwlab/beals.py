@@ -77,29 +77,36 @@ class BealsWeight:
         return BealsWeight(self.s, *ks)
 
 
-def _weighted_power(f: np.ndarray, grid: GridND, weight: BealsWeight) -> np.ndarray:
-    """|transform of f|^2 times the squared weight on the half spectrum of
-    the last axis, each interior column counted twice; built without 3D
-    temporaries except for the <eta>^s factor.
+def _weighted_power(f: np.ndarray, grid: GridND, weight: BealsWeight) -> float:
+    """Sum of |transform of f|^2 times the squared weight over rfftn's half
+    spectrum of the last axis, each interior column counted twice.
+
+    The transform writes into one complex buffer, which numpy's passes over
+    the leading axes reuse in place, and dies once the power p is formed
+    from it.  At s = 0 the squared weight is a product of one factor per
+    axis, contracted with p axis by axis; only s != 0 first multiplies p by
+    the 3D factor <eta>^(2s).  Beyond p, the floor's boolean mask and that
+    factor are the only grid-sized temporaries.
 
     Bins below the double-precision noise floor are dropped first: a weight
     like <eta_j>^6 on every axis reaches 1e50 at the corner of a 128^3 grid
     and would amplify FFT roundoff debris into fake divergence.
     """
-    p = np.abs(np.fft.rfftn(f)) ** 2 * grid.cell_volume**2
+    n1, n2, n3 = grid.shape
+    p = np.abs(np.fft.rfftn(f, out=np.empty((n1, n2, n3 // 2 + 1), complex)))
+    p *= p
+    p *= grid.cell_volume**2
     floor = NOISE_FLOOR * np.sqrt(p.max())
     p[p < floor**2] = 0.0
     e1, e2, e3 = _wavenumbers(grid)
-    # the zero and Nyquist columns stand for themselves, every other column
-    # also for its Hermitian mirror
-    count = np.full(e3.size, 2.0)
-    count[[0, -1]] = 1.0
-    p *= (1.0 + e1**2) ** weight.k1
-    p *= (1.0 + e2**2) ** weight.k2
-    p *= count * (1.0 + e3**2) ** weight.k3
     if weight.s != 0.0:
         p *= (1.0 + e1**2 + e2**2 + e3**2) ** weight.s
-    return p
+    ks = (weight.k1, weight.k2, weight.k3)
+    w1, w2, w3 = ((1.0 + e.ravel() ** 2) ** k for e, k in zip((e1, e2, e3), ks))
+    # the zero and Nyquist columns stand for themselves, every other column
+    # also for its Hermitian mirror
+    w3[1:-1] *= 2.0
+    return float(w1 @ ((p @ w3) @ w2))
 
 
 def beals_norm(
@@ -130,11 +137,11 @@ def beals_norm(
     if not weight.finite():
         raise ValueError("infinite exponents are only meaningful in a scan")
     f = values if cutoff is None else values * cutoff
-    p = _weighted_power(f, grid, weight)
+    total = _weighted_power(f, grid, weight)
     deta = 1.0
     for g in grid.axes:
         deta *= g.freq_spacing()
-    return float(np.sqrt(deta / (2.0 * np.pi) ** 3 * np.sum(p)))
+    return float(np.sqrt(deta / (2.0 * np.pi) ** 3 * total))
 
 
 @dataclass

@@ -443,16 +443,25 @@ class PsiMollifier:
         """psi^(q)(eta), valid for 0 <= q <= r: an array of eta's shape, or a
         float for a scalar eta.
 
-        Each eta integrates over chi's panels split at the ramp's kinks
-        eta - N and eta - 2N; a kink outside chi's support [-2, 2] is
-        clipped onto its end and leaves an empty panel.
+        Off the ramp the value is exact with no quadrature: 1.0 for q = 0
+        and +0.0 for q > 0 at eta <= N-2, +0.0 at eta >= 2N+2, the very
+        bits the panel rule gives there.  Every other eta, NaN included,
+        integrates over chi's panels split at the ramp's kinks eta - N and
+        eta - 2N; a kink outside chi's support [-2, 2] is clipped onto its
+        end and leaves an empty panel.
         """
         if not 0 <= q <= self.r:
             raise ValueError(f"derivative order must be in [0, {self.r}]")
-        eta = np.asarray(eta, dtype=float)[..., None]
-        kinks = np.concatenate([eta - self.n_cut, eta - 2.0 * self.n_cut], axis=-1)
-        breaks = np.broadcast_to(_CHI_BREAKS, eta.shape[:-1] + _CHI_BREAKS.shape)
-        breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
-        integral = _chi_integral(lambda t, e: self._ramp_piece(e - t, q), breaks, eta)
-        out = integral / self._chi_mass
+        eta = np.asarray(eta, dtype=float)
+        plateau = eta <= self.n_cut - 2.0
+        ramp = ~(plateau | (eta >= 2.0 * self.n_cut + 2.0))
+        out = np.zeros(eta.shape)
+        out[plateau] = float(q == 0)
+        if np.any(ramp):
+            e = eta[ramp][:, None]
+            kinks = np.concatenate([e - self.n_cut, e - 2.0 * self.n_cut], axis=-1)
+            breaks = np.broadcast_to(_CHI_BREAKS, (e.size, _CHI_BREAKS.size))
+            breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
+            integral = _chi_integral(lambda t, e: self._ramp_piece(e - t, q), breaks, e)
+            out[ramp] = integral / self._chi_mass
         return out if out.ndim else float(out)

@@ -286,6 +286,8 @@ class SpaceTimeField:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("record times must be finite")
         steps = np.diff(self.times)
         if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("recorded slices must be equally spaced")
@@ -378,6 +380,8 @@ def _check_grid(grid: GridND, *fields):
 def linear_propagate(u, ut, grid: GridND, dt: float):
     """Exact free evolution over dt; unconditionally stable for any dt."""
     _check_grid(grid, u, ut)
+    if not all(math.isfinite(_abs_max(f)) for f in (u, ut)):
+        raise ValueError("fields must be finite")
     k = np.hypot(*_wavenumbers(grid))
     free = _HalfWaves(np.stack((sfft.rfft2(u), sfft.rfft2(ut))), k)
     free.jump(dt)

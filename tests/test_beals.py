@@ -172,6 +172,26 @@ def test_permutation_equivariance():
         assert abs(got - base) <= 1e-12 * base
 
 
+@pytest.mark.parametrize("with_cutoff", [False, True])
+def test_norm_leaves_its_inputs_untouched(with_cutoff):
+    # the transform writes into a buffer of its own: read-only, transposed
+    # (non-contiguous) values and a read-only cutoff come back byte for byte
+    vals, grid = gaussian_field(32, width=1.3)
+    vals = np.transpose(vals * np.cos(grid.meshes()[1]), (2, 0, 1))
+    cutoff = separable_cutoff(grid) if with_cutoff else None
+    inputs = [a for a in (vals, cutoff) if a is not None]
+    for a in inputs:
+        a.flags.writeable = False
+    before = [a.tobytes() for a in inputs]
+    w = BealsWeight(0.4, 1.0, 2.0, 0.5)
+    got = beals_norm(vals, grid, w, cutoff)
+    assert [a.tobytes() for a in inputs] == before
+    copies = [np.ascontiguousarray(a) for a in inputs] + [None]
+    expect = beals_norm(copies[0], grid, w, copies[1])
+    assert not vals.flags.c_contiguous and copies[0].flags.c_contiguous
+    assert abs(got - expect) <= 1e-13 * expect
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         BealsWeight(np.inf, 0.0, 0.0, 0.0)

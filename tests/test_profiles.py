@@ -360,6 +360,21 @@ def test_psi_skips_empty_panels_bitwise(n_cut):
             assert psi.derivative(q, eta).tobytes() == _all_panel_psi(psi, q, eta).tobytes()
 
 
+@pytest.mark.parametrize("n_cut", [64.0, 256.0, 1024.0, 4096.0])
+def test_psi_short_cut_equals_the_full_quadrature_bitwise(n_cut):
+    # eta straddling both ends of the short cut, N-2 and 2N+2, a few ulps
+    # and a few units on either side: the exact 1.0 and +0.0 it returns off
+    # the ramp are the bits the full quadrature gives there, sign included
+    psi = PsiMollifier(n_cut, 3)
+    edges = np.array([[n_cut - 2.0], [2.0 * n_cut + 2.0]])
+    offsets = np.array([-5.0, -2.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 2.0, 5.0])
+    eta = np.concatenate(
+        [edges + offsets, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)], axis=1
+    ).ravel()
+    for q in range(4):
+        assert psi.derivative(q, eta).tobytes() == _all_panel_psi(psi, q, eta).tobytes()
+
+
 @st.composite
 def psi_cases(draw):
     n_cut = draw(st.floats(4.0, 1e4, exclude_min=True))

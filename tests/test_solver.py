@@ -403,6 +403,18 @@ def test_solve_refuses_data_that_are_not_finite(P, bad):
             solve(*data, grid, cfg, P=P)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_propagate_refuses_fields_that_are_not_finite(bad):
+    # one NaN spread to every entry of the result, one inf raised numpy's
+    # RuntimeWarning
+    grid = grid2d(64, L)
+    for field in range(2):
+        data = [_pulse(grid), np.zeros(grid.shape)]
+        data[field][3, 5] = bad
+        with pytest.raises(ValueError, match="fields must be finite"):
+            linear_propagate(*data, grid, 0.1)
+
+
 def test_free_flow_writes_the_records_in_place():
     # the data's free flow is written straight into the two record stacks:
     # besides them a run holds the data's two spectra and one transform's
@@ -778,6 +790,16 @@ def test_time_lookup_refuses_a_time_that_is_not_finite(t):
     with pytest.raises(ValueError, match="not recorded"):
         fld.state_at(t)
     assert fld.state_at(0.5).t == 0.5
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_field_refuses_record_times_that_are_not_finite(t):
+    # a single slice skips the spacing check, and no lookup could read it
+    grid = grid2d(32, L)
+    for times in (np.array([t]), np.array([0.0, t])):
+        zero = np.zeros(times.shape + grid.shape)
+        with pytest.raises(ValueError, match="record times must be finite"):
+            solver.SpaceTimeField(grid, times, zero, zero)
 
 
 def test_config_validation():
