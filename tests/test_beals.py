@@ -186,9 +186,8 @@ def test_norm_leaves_its_inputs_untouched(with_cutoff):
     w = BealsWeight(0.4, 1.0, 2.0, 0.5)
     got = beals_norm(vals, grid, w, cutoff)
     assert [a.tobytes() for a in inputs] == before
-    copies = [np.ascontiguousarray(a) for a in inputs] + [None]
-    expect = beals_norm(copies[0], grid, w, copies[1])
-    assert not vals.flags.c_contiguous and copies[0].flags.c_contiguous
+    assert not vals.flags.c_contiguous
+    expect = beals_norm(np.ascontiguousarray(vals), grid, w, cutoff)
     assert abs(got - expect) <= 1e-13 * expect
 
 
