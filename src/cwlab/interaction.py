@@ -269,19 +269,34 @@ def _lattice_view(line, geometry) -> np.ndarray:
     return view
 
 
-def _waves(lines, t, eps, order=0) -> list:
+def _waves(lines, t, eps, order=0, rows=None) -> list:
     """The waves eps_j v_j with nonzero eps_j at time t (their t-derivatives
     for order 1) on the box of lines, the waves' _wave_lines, each a lattice
     view of its line (_lattice_view): entry k of a line is the wave's value
     at the nodes with p i + q j = k mod N.  The lines are one exp and one
-    length-N FFT of the stacked coefficients carried to t."""
+    length-N FFT of the stacked coefficients carried to t.  rows, when
+    given, keeps the box's last rows alone: an x1-even solve evaluates P on
+    the rows of its box at and above the centre (solver.solve)."""
     eta, coef, views = lines
     live = [j for j, e in enumerate(eps) if e != 0.0]
     if len(live) < len(eps):  # with every wave live, no row is copied out
         eta, coef = eta[live], coef[live]
     c = coef * np.exp(1j * eta * t)
     lines = np.real(np.fft.fft(c if order == 0 else 1j * eta * c))
-    return [_lattice_view(eps[j] * line, views[j]) for j, line in zip(live, lines)]
+    waves = [_lattice_view(eps[j] * line, views[j]) for j, line in zip(live, lines)]
+    return waves if rows is None else [v[len(v) - rows :] for v in waves]
+
+
+def _mirror_even(frame: CharFrame, eps) -> bool:
+    """Whether the waves sum_j eps_j v_j of frame are even under x1 -> -x1
+    on a grid centred on x1 = 0: the mirror (p, q) -> (-p, q) of each
+    wave's integer direction is a direction of frame, and its wave has the
+    same eps.  Node (i, j) of wave (p, q) reads its line at p i + q j and
+    the mirrored node (N - i, j) at -p i + q j mod N, where wave (-p, q)
+    reads the same profile's line at (i, j)."""
+    dirs = [_integer_direction(w) for w in frame.omegas]
+    return all((-p, q) in dirs and eps[dirs.index((-p, q))] == e
+               for (p, q), e in zip(dirs, eps))
 
 
 def make_three_wave_data(frame, m, eps, grid, t0):
@@ -318,6 +333,14 @@ class _ShiftedCoupling(NonlinearitySpec):
     NonlinearitySpec.__call__, looked up at call time, so whatever wraps
     that sees every kick; the repr names every field but the lines, which
     those fields determine, so two problems never read alike.
+
+    The coupling is even under x1 -> -x1 (_x1_even) when every coefficient
+    is a constant and the frame is closed under the mirror of its integer
+    directions, (p, q) -> (-p, q), with equal eps on each mirrored pair
+    (_mirror_even): the standard frame with eps1 = eps2 is.  A zero-data
+    solve of it on a centred grid with a gate then holds the even half of
+    its folded block alone and evaluates P, and reads u_lin, on the rows of
+    the box at and above its centre, the last of its rows (solver.solve).
     """
 
     frame: CharFrame
@@ -332,9 +355,13 @@ class _ShiftedCoupling(NonlinearitySpec):
         object.__setattr__(self, "lines", _wave_lines(self.frame, self.m, self.grid, box))
 
     def __call__(self, t, x1, x2, u, cutoff_value=None):
-        if u is not None:  # P reads u
-            u = sum(_waves(self.lines, t, self.eps), u)
+        if u is not None:  # P reads u, on the box or on its last rows
+            u = sum(_waves(self.lines, t, self.eps, rows=len(u)), u)
         return NonlinearitySpec.__call__(self, t, x1, x2, u, cutoff_value)
+
+    @property
+    def _x1_even(self) -> bool:
+        return not any(map(callable, self.coeffs)) and _mirror_even(self.frame, self.eps)
 
 
 def _eps_of(config: ExperimentConfig, eps) -> tuple:
@@ -384,11 +411,29 @@ def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     return out
 
 
+@dataclass(frozen=True, kw_only=True)
+class _TripleForcing(NonlinearitySpec):
+    """The trilinear channel's coupling, a forcing: coeffs are
+    (forcing, 0, 0, 0), with forcing the _triple_forcing of a3 and of the
+    waves of frame.  The forcing, a3 times a product of the three
+    unit waves, is even under x1 -> -x1 (_x1_even) when a3 is a constant
+    and frame is closed under the mirror of its integer directions
+    (_mirror_even with every eps 1)."""
+
+    frame: CharFrame
+    a3: object
+
+    @property
+    def _x1_even(self) -> bool:
+        return not callable(self.a3) and _mirror_even(self.frame, (1.0, 1.0, 1.0))
+
+
 def _triple_forcing(config: ExperimentConfig, eps):
     """forcing(t, X1, X2) = 6 a3 eps1 eps2 eps3 v1 v2 v3, the trilinear
     part of a3 u^3 at u = sum_j eps_j v_j, with v_j the unit free waves, on
     the box P is evaluated on, _gate_box(P.cutoff, grid) (the whole grid
-    without a gate).
+    without a gate), or on the last rows of it that the meshes cover (an
+    x1-even solve's).
 
     The v_j are read by the rule that builds the data and the free wave of
     a response (_waves): their lines at time t, one FFT for the three,
@@ -400,7 +445,7 @@ def _triple_forcing(config: ExperimentConfig, eps):
 
     def forcing(t, x1, x2):
         f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for v in _waves(lines, t, (1.0, 1.0, 1.0)):
+        for v in _waves(lines, t, (1.0, 1.0, 1.0), rows=len(x1)):
             f = f * v
         return f
 
@@ -418,7 +463,11 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     _triple_forcing).  It is one solve of zero data whose coupling is that
     source alone: it has P's box and kick skipping, and, as the source does
     not read u, each kick transforms only the source.  A callable a3 is
-    evaluated in the source, and a3 = 0 gives exactly zero.
+    evaluated in the source, and a3 = 0 gives exactly zero.  With a
+    constant a3 and a frame closed under the mirror x1 -> -x1 of its
+    directions, as the standard frame is, the source is even in x1 at any
+    eps, and the solve holds the even half of its folded block alone
+    (_TripleForcing; solver.solve).
     It carries no single- or pairwise-interaction term, the part that rides
     the incoming fronts.
 
@@ -439,7 +488,8 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     P = config.P
     if P is None or _live_top(P.coeffs) > 3:
         raise ValueError("the trilinear channel needs a cubic coupling")
-    channel = NonlinearitySpec((_triple_forcing(config, eps), 0.0, 0.0, 0.0), cutoff=P.cutoff)
+    channel = _TripleForcing((_triple_forcing(config, eps), 0.0, 0.0, 0.0), P.cutoff,
+                             frame=config.frame, a3=P.coeffs[3])
     return _response(config, channel, eps)
 
 

@@ -32,9 +32,16 @@ forcing's kick maps back only, and the kick adds dt P to u_t, that is
 Each map is a matrix product per axis with partial DFT matrices, and the
 loop holds the block folded about the centre of P's box, which makes the
 maps along x1 real and half their height; the module _kick holds the fold
-and the maps.  The block, the box, the maps and the loop's step table are
-built once per solve, and nothing is kept between solves: a solve is a
-pure function of its inputs.
+and the maps.  The fold's odd part W vanishes for a field even about that
+centre.  So when a zero-data solve's P is provably even under x1 -> -x1
+(the interaction's couplings of mirror-symmetric waves, on a centred grid
+with a gate, whose box is then centred on x1 = 0), the loop holds the even
+part alone, half the state, and each kick evaluates P and maps on the
+box's rows at and above x1 = 0 alone, half the rows.  The parity is
+decided from the inputs, never measured, and no option selects it.  The
+block, the box, the maps and the loop's step table are built once per
+solve, and nothing is kept between solves: a solve is a pure function of
+its inputs.
 
 Every FFT is numpy.fft (pocketfft), the package's only FFT library: the
 data's spectra, their free flow and the records.  The module keeps it
@@ -205,6 +212,15 @@ class NonlinearitySpec:
             acc *= cutoff_value
         return acc
 
+    @property
+    def _x1_even(self) -> bool:
+        """Whether P(t, x, u) is even under x1 -> -x1 for every u even in
+        it, on a grid centred on x1 = 0; a zero-data solve of such a P holds
+        the fold's even part alone (see solve).  A plain P does not say:
+        only a coupling that knows the waves it reads can, as the
+        interaction's do."""
+        return False
+
 
 def _live_top(coeffs) -> int:
     """Index of the highest live coefficient, callable or nonzero; -1 if none is."""
@@ -369,6 +385,17 @@ def _gate_box(gate: SourceGate | None, grid: GridND):
     return box, x1, x2, None if gate is None else gate.space_factor(x1, x2)
 
 
+def _even_path(P: NonlinearitySpec, grid: GridND, box) -> bool:
+    """Whether the response of zero data to P is even under x1 -> -x1, so
+    the loop may hold the fold's even part E alone (W = 0): P says so
+    (NonlinearitySpec._x1_even), grid is centred on x1 = 0, so the mirror
+    sends x1 row i to row n1 - i, and P's box is symmetric about row n1/2,
+    the fold's centre then; an ungated P's box, the whole grid, is not.
+    Decided from the inputs alone, never by measuring a field."""
+    g, rows = grid.axes[0], box[0]
+    return P._x1_even and 2.0 * g.start == -g.extent and rows.start + rows.stop - 1 == g.points
+
+
 def _check_grid(grid: GridND, *fields):
     if grid.ndim != 2:
         raise ValueError("solver grids are 2D")
@@ -460,11 +487,26 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     products, and the kick adds dt P to u_t: -+ i dt P / 2|k| to Y+-.
     The maps are built for the solve and every product writes
     into a buffer allocated with them (see _KickMaps); one path serves a
-    gated box, an off-centre box and the whole grid alike.  The t0 record
-    is the data, and one event loop writes the others.  A run that never
-    kicks (P None, or a gate that never opens) has no loop to turn and
-    takes no time steps: its records are the free flow of the whole
-    spectrum by the same record rule, and from zero data it returns
+    gated box, an off-centre box and the whole grid alike.
+
+    The even half: a field even under x1 -> -x1 about the fold's centre
+    has W = 0.  When the data are zero and the parity is proved from the
+    inputs (_even_path: P says it is even for every even u, the grid is
+    centred on x1 = 0, and P's box is symmetric about row n1/2, which an
+    ungated P's box, the whole grid, is not), every kick keeps W = 0, and
+    the loop holds E alone, (2, 1, K+1, cols).  The forward map is then
+    the cos product and the x2 product onto the box's rows at and above
+    x1 = 0, P is evaluated on those rows alone, the back map is the x2
+    product and one product by 2 back_cos, and a record unfolds E with
+    W = 0 (the x1-even maps of _kick).  Every other solve, of data, of
+    callable coefficients, of unequal eps on a mirrored pair, of a frame
+    no mirror maps onto itself, on an off-centre grid or ungated, takes
+    the path above.
+
+    The t0 record is the data, and one event loop writes the others.  A
+    run that never kicks (P None, or a gate that never opens) has no loop
+    to turn and takes no time steps: its records are the free flow of the
+    whole spectrum by the same record rule, and from zero data it returns
     read-only zero records.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
@@ -472,9 +514,10 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     bound h / (DEALIAS pi)), the shapes of the spectral block the loop
     carried, (2K+1, cols) in rfft2's layout, and of the box P was evaluated
     on ((0, 0) each when no step was kicked), kick_macs, the real
-    multiply-adds of one kick's products (0 when no step was kicked), and
-    wall_s, the wall time in seconds of the loop's kicks, propagations and
-    records.
+    multiply-adds of one kick's products (0 when no step was kicked),
+    path, "even" when the loop held the even half alone and "general"
+    otherwise, and wall_s, the wall time in seconds of the loop's kicks,
+    propagations and records.
     """
     u0, ut0 = (np.asarray(f, dtype=float) for f in (u0, ut0))
     _check_grid(grid, u0, ut0)
@@ -522,7 +565,10 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     if kicks:
         K, cols, k = block = _block(grid)
         box, x1, x2, space = _gate_box(gate, grid)
-        maps = _kick_maps(grid.shape, block, box)
+        even = not data and _even_path(P, grid, box)
+        maps = _kick_maps(grid.shape, block, box, even)
+        if even:  # P is evaluated on the box's rows at c + d, d >= 0
+            x1, space = x1[-len(maps.u):], space[-len(maps.u):]
         step = _phases(k, dt)
         if data:  # the data's block moves into the loop, leaving zeros behind
             loop = _HalfWaves(np.stack([_fold(maps, spec) for spec in specs]), k)
@@ -596,6 +642,7 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         "block": (2 * K + 1, cols) if kicks else (0, 0),
         "box": maps.u.shape if kicks else (0, 0),
         "kick_macs": _kick_macs(maps, reads_u) if kicks else 0,
+        "path": "even" if kicks and even else "general",
         "wall_s": wall,
     }
     return SpaceTimeField(

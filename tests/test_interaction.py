@@ -300,6 +300,80 @@ def test_response_confined_to_causal_region_of_the_gate(resp256):
     assert np.max(np.abs(state[outside])) < 1e-9
 
 
+# ------------------------------------------------------ the x1-even path
+
+
+def _path(fld):
+    return fld.metadata["stats"]["path"]
+
+
+def _rotated(cfg):
+    """cfg with its frame and probe turned by 90 degrees."""
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    omegas = tuple(tuple(rot @ np.array(w)) for w in cfg.frame.omegas)
+    probe = cfg.probes[0]
+    return replace(cfg, frame=CharFrame(omegas),
+                   probes=(replace(probe, angle=probe.angle + np.pi / 2),))
+
+
+def test_mirror_symmetric_responses_take_the_even_path(resp256, iso256):
+    # the standard frame sends wave 0 to itself and swaps waves 1 and 2
+    # under x1 -> -x1: with equal eps on the pair, constant coefficients and
+    # a gate whose box is centred on x1 = 0, the response and the channel
+    # stay even, and the loop holds the fold's even half alone
+    cfg = default_experiment(points=128)
+    assert _path(resp256) == _path(iso256) == "even"
+    assert _path(nonlinear_response(replace(cfg, P=quartic_coupling()))) == "even"
+    # P is evaluated on the 35 x 35 box's rows at and above x1 = 0
+    assert resp256.metadata["stats"]["box"] == (18, 35)
+
+
+def test_responses_without_a_proof_of_symmetry_take_the_general_path():
+    cfg = default_experiment(points=128)
+    for name in ("callable-a3", "two-wave", "mixed-sign"):
+        P, eps = _COUPLINGS[name]
+        resp = nonlinear_response(replace(cfg, P=P), eps)
+        assert _path(resp) == "general", name
+        if name == "callable-a3":  # the channel's source reads a3 too
+            assert _path(polarization_isolate(resp)) == "general"
+    assert _path(nonlinear_response(_rotated(cfg))) == "general"
+    # a grid off centre by h / 20: the gate's box is still index-symmetric
+    # about row n / 2, but x1 -> -x1 sends no node to a node
+    g = cfg.grid.axes[0]
+    off = Grid1D(g.points, g.extent, start=g.start + 0.05 * g.spacing)
+    off_cfg = replace(cfg, grid=solver.GridND((off, off)))
+    rows = _gate_box(cfg.P.cutoff, off_cfg.grid)[0][0]
+    assert rows.start + rows.stop - 1 == g.points
+    assert _path(nonlinear_response(off_cfg)) == "general"
+    ungated = replace(cfg, P=cubic_nonlinearity(1.0, cutoff=None))
+    assert _path(nonlinear_response(ungated)) == "general"
+    # data: the coupling says it is even, but the data's block is not
+    P = interaction._ShiftedCoupling(cfg.P.coeffs, cfg.P.cutoff, frame=cfg.frame, m=cfg.m,
+                                     grid=cfg.grid, eps=(EPS,) * 3)
+    assert P._x1_even
+    data = make_three_wave_data(cfg.frame, cfg.m, (EPS,) * 3, cfg.grid, cfg.solver.t0)
+    assert _path(solve(*data, cfg.grid, cfg.solver, P=P)) == "general"
+
+
+# The even path and the general one differ by roundoff alone: on the default
+# 256-point response at t1 by 6.7e-15 of the maximum in u and 1.1e-14 in u_t,
+# the same to two digits with the kick's products summed in another order
+# (each inner sum split into even and odd terms) and with numpy's AVX2 and
+# AVX-512 loops off.  The bound keeps nine times that.
+EVEN_AGREEMENT = 1e-13
+
+
+def test_even_path_agrees_with_the_general_path(cfg256, resp256):
+    # a3 as a constant callable is the same coupling, but no callable is
+    # proved even, so it takes the general path
+    ref = nonlinear_response(replace(cfg256, P=cubic_nonlinearity(lambda t, x1, x2: 1.0)))
+    assert _path(resp256) == "even" and _path(ref) == "general"
+    assert resp256.metadata["stats"]["kick_macs"] == 749_232
+    assert ref.metadata["stats"]["kick_macs"] == 1_486_424
+    for got, want in ((resp256.u[-1], ref.u[-1]), (resp256.ut[-1], ref.ut[-1])):
+        assert np.max(np.abs(got - want)) <= EVEN_AGREEMENT * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------- polarization
 
 
@@ -698,17 +772,31 @@ def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
     assert fit512.slope == front_order_estimate(data512, omega, t=t, half_length=1.2).slope
 
 
+def test_incoming_front_order_moves_one_per_unit_m(cfg256):
+    # the front's order is m, so its slope moves by 1 per unit m (ROADMAP
+    # item 10).  Each slope's stderr over its 6 bins is 0.043; were the two
+    # fits' errors independent, the two-point d/dm would carry
+    # hypot(0.043, 0.043) / 0.5 = 0.12, and the margin is three of those,
+    # 0.37, which still tells the front's 1 from the 0 of a reading blind
+    # to m and the 3 of the cone law.  Measured 1.0034: the fits share
+    # their bins and their profiles' rule, so their errors largely cancel.
+    t0 = cfg256.solver.t0
+    fits = []
+    for m in (-2.6, -3.1):
+        u0, ut0 = make_three_wave_data(cfg256.frame, m, (EPS,) * 3, cfg256.grid, t0)
+        data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
+        fits.append(front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0))
+    assert all(fit.n_bins >= 6 and not fit.flags for fit in fits)
+    d_dm = (fits[0].slope - fits[1].slope) / 0.5
+    margin = 3.0 * np.hypot(*(fit.slope_stderr for fit in fits)) / 0.5
+    assert margin < 0.5
+    assert abs(d_dm - 1.0) <= margin
+
+
 def test_frame_rotation_leaves_slope_unchanged(cfg256, resp256):
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    omegas = tuple(tuple(rot @ np.array(w)) for w in cfg256.frame.omegas)
-    probe = cfg256.probes[0]
-    cfg_rot = replace(
-        cfg256,
-        frame=CharFrame(omegas),
-        probes=(replace(probe, angle=probe.angle + np.pi / 2),),
-    )
+    cfg_rot = _rotated(cfg256)
     fit_rot = cone_order_estimate(nonlinear_response(cfg_rot), cfg_rot.probes[0])
-    fit = cone_order_estimate(resp256, probe)
+    fit = cone_order_estimate(resp256, cfg256.probes[0])
     assert abs(fit_rot.slope - fit.slope) < 0.05
 
 

@@ -653,6 +653,29 @@ def test_kick_maps_are_the_cut_numpy_transforms(case):
     assert _close(back[rows, :cols], ref)
 
 
+@pytest.mark.parametrize("case", ["gated_256", "uncentred_96", "offcentre_even_64", "rows_1"])
+def test_even_kick_maps_are_the_maps_of_an_even_field(case):
+    # a block with W = 0 holds a field even about the box's centre c: the
+    # x1-even maps give the general maps' field on the box's rows at c + d,
+    # d >= 0, and map a field given there, repeated at c - d, back to the
+    # general maps' E, with W = 0
+    shape, block, box = _kick_case(case)
+    maps, even = (_kick._kick_maps(shape, block, box, e) for e in (False, True))
+    rng = np.random.default_rng(5)
+    kept = (1, block.K + 1, block.cols)
+    E = rng.standard_normal(kept) + 1j * rng.standard_normal(kept)
+    full = _kick._to_box(maps, np.concatenate((E, np.zeros_like(E)))).copy()
+    half = _kick._to_box(even, E)
+    nb1, h = len(full), len(half)
+    assert h == (nb1 + 1) // 2 and _close(half, full[nb1 - h :])
+
+    f = rng.standard_normal(half.shape)
+    back = _kick._to_block(maps, np.concatenate((f[::-1][: nb1 - h], f))).copy()
+    assert np.abs(back[1]).max() <= 1e-12 * np.abs(back[0]).max()
+    assert _close(_kick._to_block(even, f)[0], back[0])
+    assert _kick._kick_macs(even, True) < _kick._kick_macs(maps, True)
+
+
 @pytest.mark.parametrize("P, macs", [(cubic_nonlinearity(), 1_486_424), (_FORCING, 743_212)])
 def test_stats_count_the_kick_multiply_adds(P, macs):
     # the experiments' gated case at 256 points: a 35 x 35 box, kx rows
