@@ -13,11 +13,15 @@ run recorded.
 A plane wave f(t - x . omega) on a lattice direction (p, q) takes one
 value per p i + q j mod N over the grid's nodes (i, j).  So each wave at
 time t is one line of N values, one FFT of its profile's coefficients,
-read on any index box through a strided view.  The data, the free wave
-u_lin that a response's coupling reads on the gate's box at each kick, and
-the trilinear forcing of the polarization channel read the waves by that
-one rule (_waves), from lines and views each of them builds once for its
-box (_wave_lines), and no wave is tabulated or cached on the grid.
+read on any index box through a strided view.  The data read the waves by
+that one rule (_waves) on the whole grid.  Both couplings of the waves, the
+response's P(u_lin + w) and the trilinear channel's source
+6 a3 eps1 eps2 eps3 v1 v2 v3, are one class (_WaveCoupling): it builds
+the waves' lines and views once on P's gate box (_wave_lines), reads them
+by the same rule at each kick, and states the coupling's x1-parity by one
+rule (_x1_even).  No wave is tabulated or cached on the grid.  Each
+response records the function that built it, so the diagnostics that
+solve a response again at another eps or P solve it as its own kind.
 """
 
 from __future__ import annotations
@@ -144,10 +148,10 @@ class ExperimentConfig:
     probes: tuple
 
     def __post_init__(self):
-        if not self.m < -2.5:
-            raise ValueError("profile order must satisfy m < -5/2")
-        if not self.eps > 0:
-            raise ValueError("data amplitude must be positive")
+        if not -np.inf < self.m < -2.5:
+            raise ValueError("profile order must be finite and satisfy m < -5/2")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("data amplitude must be positive and finite")
         object.__setattr__(self, "probes", tuple(self.probes))
         if not self.probes:
             raise ValueError("config carries no probe")
@@ -321,26 +325,24 @@ def make_three_wave_data(frame, m, eps, grid, t0):
 
 
 @dataclass(frozen=True, kw_only=True)
-class _ShiftedCoupling(NonlinearitySpec):
-    """P(t, x, u_lin + w), for the P of coeffs and cutoff: the coupling of
-    the response w to the three-wave data of frame, m and per-wave eps on
-    grid, whose free flow u_lin = sum_j eps_j v_j it reads at each kick on
-    P's box by the data's rule (_waves).  The waves' lines on P's box are
-    built once, with the coupling.
+class _WaveCoupling(NonlinearitySpec):
+    """A P of coeffs and cutoff that reads the three-wave data of frame, m
+    and per-wave eps on grid: each kick reads the waves eps_j v_j on P's
+    box, _gate_box(cutoff, grid) (the whole grid without a gate), by the
+    data's rule (_waves), from their lines on that box, built once, with
+    the coupling.  P is evaluated by NonlinearitySpec.__call__, looked up at
+    call time, so whatever wraps that sees every kick; the repr names every
+    field but the lines, which those fields determine, so two problems never
+    read alike.
 
-    Solved from zero data by solve, it gives the data's response, with the
-    loop's block holding w alone.  P is evaluated by
-    NonlinearitySpec.__call__, looked up at call time, so whatever wraps
-    that sees every kick; the repr names every field but the lines, which
-    those fields determine, so two problems never read alike.
-
-    The coupling is even under x1 -> -x1 (_x1_even) when every coefficient
-    is a constant and the frame is closed under the mirror of its integer
+    A coupling is even under x1 -> -x1 (_x1_even) when every coefficient is
+    a constant and the frame is closed under the mirror of its integer
     directions, (p, q) -> (-p, q), with equal eps on each mirrored pair
     (_mirror_even): the standard frame with eps1 = eps2 is.  A zero-data
     solve of it on a centred grid with a gate then holds the even half of
-    its folded block alone and evaluates P, and reads u_lin, on the rows of
-    the box at and above its centre, the last of its rows (solver.solve).
+    its folded block alone and evaluates P, and reads the waves, on the
+    rows of the box at and above its centre, the last of its rows
+    (solver.solve).
     """
 
     frame: CharFrame
@@ -354,14 +356,34 @@ class _ShiftedCoupling(NonlinearitySpec):
         box = _gate_box(self.cutoff, self.grid)[0]
         object.__setattr__(self, "lines", _wave_lines(self.frame, self.m, self.grid, box))
 
+    @property
+    def _x1_even(self) -> bool:
+        return not any(map(callable, self.coeffs)) and _mirror_even(self.frame, self.eps)
+
+
+class _ShiftedCoupling(_WaveCoupling):
+    """P(t, x, u_lin + w), the coupling of the response w to the data: it
+    adds the free flow u_lin = sum_j eps_j v_j of the waves to u.  Solved
+    from zero data by solve, it gives the data's response, with the loop's
+    block holding w alone."""
+
     def __call__(self, t, x1, x2, u, cutoff_value=None):
         if u is not None:  # P reads u, on the box or on its last rows
             u = sum(_waves(self.lines, t, self.eps, rows=len(u)), u)
         return NonlinearitySpec.__call__(self, t, x1, x2, u, cutoff_value)
 
-    @property
-    def _x1_even(self) -> bool:
-        return not any(map(callable, self.coeffs)) and _mirror_even(self.frame, self.eps)
+
+class _TripleForcing(_WaveCoupling):
+    """The trilinear channel's coupling, a forcing: P's value for coeffs
+    (6 eps1 eps2 eps3 a3, 0, 0, 0), a constant, or a callable for a callable
+    a3, times the product v1 v2 v3 of the unit waves (eps = (1, 1, 1)), on
+    P's box or on the last rows of it that the meshes cover.  It never reads
+    u, and it is even in x1 (_x1_even) for a constant a3 on a frame closed
+    under the mirror, at any eps of the data."""
+
+    def __call__(self, t, x1, x2, u, cutoff_value=None):
+        v1, v2, v3 = _waves(self.lines, t, self.eps, rows=len(x1))
+        return NonlinearitySpec.__call__(self, t, x1, x2, None, cutoff_value) * v1 * v2 * v3
 
 
 def _eps_of(config: ExperimentConfig, eps) -> tuple:
@@ -369,15 +391,17 @@ def _eps_of(config: ExperimentConfig, eps) -> tuple:
     return (config.eps,) * 3 if eps is None else tuple(np.broadcast_to(eps, (3,)))
 
 
-def _response(config: ExperimentConfig, P, eps) -> SpaceTimeField:
+def _response(config: ExperimentConfig, P, eps, build) -> SpaceTimeField:
     """The solve of zero data under P on config's grid and run, read-only,
-    recording the config and per-wave eps it stands for.  solve is looked
-    up as this module's global at call time, so whatever wraps that sees
-    every response."""
+    recording the config and per-wave eps it stands for and build, the
+    function of (config, eps) that made it, through which the diagnostics
+    solve it again at another eps or P.  solve is looked up as this
+    module's global at call time, so whatever wraps that sees every
+    response."""
     zero = np.broadcast_to(0.0, config.grid.shape)
     out = solve(zero, zero, config.grid, config.solver, P=P)
     out.u.flags.writeable = out.ut.flags.writeable = False
-    out.metadata.update(config=config, frame=config.frame, eps=eps)
+    out.metadata.update(config=config, frame=config.frame, eps=eps, build=build)
     return out
 
 
@@ -391,15 +415,15 @@ def nonlinear_response(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     source gate is open; the closed stretches before and after the crossing
     are single exact propagations.  This is solve(P) - solve(P=None) up to
     roundoff, without subtracting two O(eps) fields.  P=None gives w = 0.
-    The field records its config and per-wave eps, and its arrays are
-    read-only: the diagnostics extend a response they are handed instead of
-    solving it again, so one field may serve several of them.
+    The field records its config, per-wave eps and this function, and its
+    arrays are read-only: the diagnostics extend a response they are handed
+    instead of solving it again, so one field may serve several of them.
     """
     eps, P = _eps_of(config, eps), config.P
     if P is not None:
         P = _ShiftedCoupling(P.coeffs, P.cutoff, frame=config.frame, m=config.m,
                              grid=config.grid, eps=eps)
-    return _response(config, P, eps)
+    return _response(config, P, eps, nonlinear_response)
 
 
 def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
@@ -411,45 +435,20 @@ def linear_field(config: ExperimentConfig, eps=None) -> SpaceTimeField:
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
-class _TripleForcing(NonlinearitySpec):
-    """The trilinear channel's coupling, a forcing: coeffs are
-    (forcing, 0, 0, 0), with forcing the _triple_forcing of a3 and of the
-    waves of frame.  The forcing, a3 times a product of the three
-    unit waves, is even under x1 -> -x1 (_x1_even) when a3 is a constant
-    and frame is closed under the mirror of its integer directions
-    (_mirror_even with every eps 1)."""
-
-    frame: CharFrame
-    a3: object
-
-    @property
-    def _x1_even(self) -> bool:
-        return not callable(self.a3) and _mirror_even(self.frame, (1.0, 1.0, 1.0))
-
-
-def _triple_forcing(config: ExperimentConfig, eps):
-    """forcing(t, X1, X2) = 6 a3 eps1 eps2 eps3 v1 v2 v3, the trilinear
-    part of a3 u^3 at u = sum_j eps_j v_j, with v_j the unit free waves, on
-    the box P is evaluated on, _gate_box(P.cutoff, grid) (the whole grid
-    without a gate), or on the last rows of it that the meshes cover (an
-    x1-even solve's).
-
-    The v_j are read by the rule that builds the data and the free wave of
-    a response (_waves): their lines at time t, one FFT for the three,
-    laid onto that box as lattice views, so a kick builds no table.
-    """
-    P, grid = config.P, config.grid
-    lines = _wave_lines(config.frame, config.m, grid, _gate_box(P.cutoff, grid)[0])
+def _trilinear_response(config: ExperimentConfig, eps) -> SpaceTimeField:
+    """The trilinear channel of the data at per-wave eps under config's P
+    (polarization_isolate), recorded as a nonlinear_response is, with this
+    function as its build.  P None, or a P with a live coefficient above
+    the cubic, raises ValueError; zero coefficients above it, which P
+    itself never reads, do not."""
+    P = config.P
+    if P is None or _live_top(P.coeffs) > 3:
+        raise ValueError("the trilinear channel needs a cubic coupling")
     a3, scale = P.coeffs[3], 6.0 * eps[0] * eps[1] * eps[2]
-
-    def forcing(t, x1, x2):
-        f = scale * (a3(t, x1, x2) if callable(a3) else a3)
-        for v in _waves(lines, t, (1.0, 1.0, 1.0), rows=len(x1)):
-            f = f * v
-        return f
-
-    return forcing
+    source = (lambda t, x1, x2: scale * a3(t, x1, x2)) if callable(a3) else scale * a3
+    channel = _TripleForcing((source, 0.0, 0.0, 0.0), P.cutoff, frame=config.frame,
+                             m=config.m, grid=config.grid, eps=(1.0, 1.0, 1.0))
+    return _response(config, channel, eps, _trilinear_response)
 
 
 def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
@@ -458,16 +457,16 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     This is the first-Picard eps1 eps2 eps3 term of the response: the
     forward solution, from zero data, of the source
     6 a3 eps1 eps2 eps3 v1 v2 v3 under P's gate, with v_j the unit free
-    waves, exact translates read by the rule that builds the data (each
-    wave's line at the kick time, laid onto P's box as a lattice view; see
-    _triple_forcing).  It is one solve of zero data whose coupling is that
-    source alone: it has P's box and kick skipping, and, as the source does
-    not read u, each kick transforms only the source.  A callable a3 is
-    evaluated in the source, and a3 = 0 gives exactly zero.  With a
-    constant a3 and a frame closed under the mirror x1 -> -x1 of its
-    directions, as the standard frame is, the source is even in x1 at any
-    eps, and the solve holds the even half of its folded block alone
-    (_TripleForcing; solver.solve).
+    waves.  It is one solve of zero data whose coupling (_TripleForcing)
+    is that source alone: the same class of coupling as the response's,
+    so it reads the waves by the data's rule from lines built once on P's
+    box, has P's box and kick skipping and states its x1-parity by the one
+    rule (_WaveCoupling); as the source does not read u, each kick
+    transforms only the source.  A callable a3 is evaluated in the source,
+    and a3 = 0 gives exactly zero.  With a constant a3 and a frame closed
+    under the mirror x1 -> -x1 of its directions, as the standard frame
+    is, the source is even in x1 at any eps, and the solve holds the even
+    half of its folded block alone (solver.solve).
     It carries no single- or pairwise-interaction term, the part that rides
     the incoming fronts.
 
@@ -479,18 +478,13 @@ def polarization_isolate(resp: SpaceTimeField) -> SpaceTimeField:
     in u and 3.5e-5 in u_t, and the gap falls as eps^2 (4.00 times smaller
     at eps/2).
 
-    The field records resp's config, frame and eps, like a
-    nonlinear_response, and metadata["stats"] is the solve's.  P None, or
-    a P with a live coefficient above the cubic, raises ValueError; zero
-    coefficients above it, which P itself never reads, do not.
+    The field records resp's config, frame and eps, and its build, so
+    amplitude_scaling and coefficient_recovery re-solve it as a channel;
+    metadata["stats"] is the solve's.  P None, or a P with a live
+    coefficient above the cubic, raises ValueError; zero coefficients above
+    it, which P itself never reads, do not.
     """
-    config, eps = _recorded(resp, "config"), resp.metadata["eps"]
-    P = config.P
-    if P is None or _live_top(P.coeffs) > 3:
-        raise ValueError("the trilinear channel needs a cubic coupling")
-    channel = _TripleForcing((_triple_forcing(config, eps), 0.0, 0.0, 0.0), P.cutoff,
-                             frame=config.frame, a3=P.coeffs[3])
-    return _response(config, channel, eps)
+    return _trilinear_response(_recorded(resp, "config"), resp.metadata["eps"])
 
 
 def _band(grid: GridND, lo: float, top: float, share: float) -> tuple[float, float]:
@@ -789,8 +783,9 @@ class EpsScaling:
 def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
     """Log-log regression of cone amplitude against data strength.
 
-    Each rung scales the data of resp, a nonlinear_response, by one of
-    factors: factor 1 is resp itself, the others are solved on its config.
+    Each rung scales the data of resp, a nonlinear_response or a channel
+    (polarization_isolate), by one of factors: factor 1 is resp itself, the
+    others are solved on its config by the build it records.
     A rung's data strength is its factor times the largest per-wave |eps|,
     so data of either polarity read the same.  Amplitudes are read at the
     config's first probe.  Needs at least three finite positive factors
@@ -805,7 +800,7 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
         raise ValueError(f"data strength factors must be positive and finite, got {factors}")
     if factors[-1] < 4.0 * factors[0]:
         raise ValueError("data strengths must span at least a factor of 4")
-    config, eps = _recorded(resp, "config"), resp.metadata["eps"]
+    config, eps, build = _recorded(resp, "config"), resp.metadata["eps"], _recorded(resp, "build")
     probe = config.probes[0]
     peak = max(abs(e) for e in eps)
     used, amps, dropped = [], [], []
@@ -813,7 +808,7 @@ def amplitude_scaling(resp: SpaceTimeField, factors) -> EpsScaling:
         strength = f * peak
         try:
             # Each rung is read and dropped before the next one solves.
-            rung = resp if f == 1.0 else nonlinear_response(config, tuple(f * e for e in eps))
+            rung = resp if f == 1.0 else build(config, tuple(f * e for e in eps))
         except BlowupError:
             dropped.append(strength)
             continue
@@ -851,8 +846,10 @@ class CoeffEstimate:
 def coefficient_recovery(resp: SpaceTimeField, trials):
     """Cone-amplitude ratios of trial couplings against a baseline response.
 
-    resp, a nonlinear_response, is the baseline.  Each trial is a coupling
-    (a NonlinearitySpec) run on the baseline's config and data.  Amplitudes
+    resp, a nonlinear_response or a channel (polarization_isolate), is the
+    baseline.  Each trial is a coupling (a NonlinearitySpec) run on the
+    baseline's config and data by the build the baseline records, so a
+    channel's trials are channels.  Amplitudes
     are read at the config's first probe.  The ratio estimates the trial's
     cubic coefficient relative to the baseline's, the common propagation
     factor cancelling; the signed correlation over the probe tube
@@ -872,7 +869,7 @@ def coefficient_recovery(resp: SpaceTimeField, trials):
         raise ValueError("baseline cone amplitude is at the noise floor")
     out = []
     for trial in trials:
-        b = _tube(nonlinear_response(replace(config, P=trial), eps), probe)[0][mask]
+        b = _tube(_recorded(resp, "build")(replace(config, P=trial), eps), probe)[0][mask]
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
         corr = float(np.sum(a * b) / denom) if denom != 0.0 else 0.0

@@ -52,8 +52,8 @@ class SymbolSpec:
     order: float
 
     def __post_init__(self):
-        if not self.order < -1:
-            raise ValueError(f"symbol order must be < -1, got {self.order}")
+        if not -np.inf < self.order < -1:
+            raise ValueError(f"symbol order must be finite and < -1, got {self.order}")
 
     def __call__(self, eta) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
@@ -98,8 +98,8 @@ def synthesize_profile(
 
 def k_of_m(m: float) -> int:
     """The unique integer k with -m-2 <= k < -m-1, for non-integer m < -1."""
-    if not m < -1:
-        raise ValueError(f"order must be < -1, got {m}")
+    if not -math.inf < m < -1:
+        raise ValueError(f"order must be finite and < -1, got {m}")
     if abs(m - round(m)) < 1e-9:
         raise ValueError(f"integer order {m} has no admissible vanishing index")
     k = math.ceil(-m - 2.0)
@@ -411,6 +411,10 @@ def _chi_integral(g, breaks, *params) -> np.ndarray:
     return total
 
 
+# chi's mass under the same panel rule, so psi's plateau value is exactly 1
+_CHI_MASS = _chi_integral(lambda t: 1.0, _CHI_BREAKS)
+
+
 class PsiMollifier:
     """Soft spectral cutoff psi = chi * ramp, evaluated by panel quadrature.
 
@@ -424,9 +428,6 @@ class PsiMollifier:
         self.n_cut = float(n_cut)
         self.r = r
         self.family = mollifier_polynomial(r)
-        # normalize by the chi mass under the same panel rule, so the
-        # plateau value is exactly 1 (same nodes, same weights)
-        self._chi_mass = _chi_integral(lambda t: 1.0, _CHI_BREAKS)
 
     def _ramp_piece(self, s: np.ndarray, q: int) -> np.ndarray:
         """q-th derivative of the soft truncation profile at argument s."""
@@ -463,5 +464,5 @@ class PsiMollifier:
             breaks = np.broadcast_to(_CHI_BREAKS, (e.size, _CHI_BREAKS.size))
             breaks = np.sort(np.clip(np.concatenate([breaks, kinks], axis=-1), -2.0, 2.0))
             integral = _chi_integral(lambda t, e: self._ramp_piece(e - t, q), breaks, e)
-            out[ramp] = integral / self._chi_mass
+            out[ramp] = integral / _CHI_MASS
         return out if out.ndim else float(out)

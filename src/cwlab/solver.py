@@ -8,8 +8,10 @@ evaluates once on the gate's box; steps whose midpoint lies outside its
 time support are not kicked, and each closed stretch is crossed in one
 exact propagation.  One loop, solve, integrates every problem: a forcing,
 a P that does not read u, solved from zero data gives the forward
-fundamental solution, and a response w = u - u_lin is the zero-data solve
-of a coupling that adds the free wave u_lin to u itself.
+fundamental solution; a response w = u - u_lin is the zero-data solve
+of a coupling that adds the free wave u_lin to u itself, and its
+trilinear channel the zero-data solve of a forcing, a3 times the product
+of the three unit waves.
 
 Every spectrum is rfft2's own array, indexed [kx, ky], and every spectrum
 the solver propagates is held as its half-wave pair: Y+- = (uh -+ i vh/|k|)/2
@@ -34,8 +36,9 @@ loop holds the block folded about the centre of P's box, which makes the
 maps along x1 real and half their height; the module _kick holds the fold
 and the maps.  The fold's odd part W vanishes for a field even about that
 centre.  So when a zero-data solve's P is provably even under x1 -> -x1
-(the interaction's couplings of mirror-symmetric waves, on a centred grid
-with a gate, whose box is then centred on x1 = 0), the loop holds the even
+(the interaction's wave couplings, a response's and its channel's, of
+mirror-symmetric waves, on a centred grid with a gate, whose box is then
+centred on x1 = 0), the loop holds the even
 part alone, half the state, and each kick evaluates P and maps on the
 box's rows at and above x1 = 0 alone, half the rows.  The parity is
 decided from the inputs, never measured, and no option selects it.  The
@@ -218,7 +221,7 @@ class NonlinearitySpec:
         it, on a grid centred on x1 = 0; a zero-data solve of such a P holds
         the fold's even part alone (see solve).  A plain P does not say:
         only a coupling that knows the waves it reads can, as the
-        interaction's do."""
+        interaction's wave couplings do, by one rule."""
         return False
 
 
@@ -498,10 +501,11 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     the cos product and the x2 product onto the box's rows at and above
     x1 = 0, P is evaluated on those rows alone, the back map is the x2
     product and one product by 2 back_cos, and a record unfolds E with
-    W = 0 (the x1-even maps of _kick).  Every other solve, of data, of
-    callable coefficients, of unequal eps on a mirrored pair, of a frame
-    no mirror maps onto itself, on an off-centre grid or ungated, takes
-    the path above.
+    W = 0 (the x1-even maps of _kick).  Every other solve takes the path
+    above: of data, of callable coefficients, of a response to unequal eps
+    on a mirrored pair (a channel reads the unit waves, whatever the data's
+    eps), of a frame no mirror maps onto itself, on an off-centre grid or
+    ungated.
 
     The t0 record is the data, and one event loop writes the others.  A
     run that never kicks (P None, or a gate that never opens) has no loop

@@ -70,10 +70,12 @@ class Grid1D:
     def __post_init__(self):
         if not _is_pow2(self.points) or self.points < 4:
             raise ValueError(f"points must be a power of two >= 4, got {self.points}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < np.inf:
+            raise ValueError("extent must be positive and finite")
         if self.start is None:
             object.__setattr__(self, "start", -0.5 * self.extent)
+        elif not np.isfinite(self.start):
+            raise ValueError("start must be finite")
 
     @property
     def spacing(self) -> float:

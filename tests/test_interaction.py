@@ -239,12 +239,16 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_response_builds_its_wave_lines_and_gate_box_once(cfg256, monkeypatch):
-    # the coupling builds what its kicks read when it is made, not per kick
+    # the coupling builds what its kicks read when it is made, not per kick,
+    # for the response and for its channel alike
     lines = _count_calls(monkeypatch, interaction, "_wave_lines")
     boxes = _count_calls(monkeypatch, interaction, "_gate_box")
     resp = nonlinear_response(cfg256)
     assert resp.metadata["stats"]["kicks_applied"] == 79
     assert len(lines) == len(boxes) == 1
+    iso = polarization_isolate(resp)
+    assert iso.metadata["stats"]["kicks_applied"] == 79
+    assert len(lines) == len(boxes) == 2
 
 
 def test_default_step_is_converged_under_halving(cfg256, resp256, iso256):
@@ -285,6 +289,7 @@ def test_response_is_read_only_and_records_its_input(cfg256, resp256):
     # the diagnostics share one response and extend it from what it records
     assert resp256.metadata["config"] == cfg256
     assert resp256.metadata["eps"] == (cfg256.eps,) * 3
+    assert resp256.metadata["build"] is nonlinear_response
     with pytest.raises(ValueError):
         resp256.u[-1, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -324,6 +329,11 @@ def test_mirror_symmetric_responses_take_the_even_path(resp256, iso256):
     cfg = default_experiment(points=128)
     assert _path(resp256) == _path(iso256) == "even"
     assert _path(nonlinear_response(replace(cfg, P=quartic_coupling()))) == "even"
+    # the channel's source is a3 times the unit waves' product, even at any
+    # eps of the data, so the channels of unequal-eps responses are even too
+    for name in ("two-wave", "mixed-sign"):
+        P, eps = _COUPLINGS[name]
+        assert _path(polarization_isolate(nonlinear_response(replace(cfg, P=P), eps))) == "even"
     # P is evaluated on the 35 x 35 box's rows at and above x1 = 0
     assert resp256.metadata["stats"]["box"] == (18, 35)
 
@@ -486,16 +496,32 @@ def test_channel_reads_the_highest_live_coefficient(a3, cfg256, resp256, iso256)
 
 
 def test_channel_forcing_is_the_product_of_the_data_waves(cfg256):
-    # the data and the trilinear forcing evaluate the waves by one rule: at
-    # unit eps and a3 = 1 the forcing is 6 v1 v2 v3 on P's box, with v_j the
-    # unit-wave data restricted to that box
+    # the data and the channel's coupling evaluate the waves by one rule: at
+    # unit eps, a3 = 1 and an open gate the coupling is 6 v1 v2 v3 on P's
+    # box, with v_j the unit-wave data restricted to that box
     box, x1, x2, _ = _gate_box(cfg256.P.cutoff, cfg256.grid)
-    forcing = interaction._triple_forcing(cfg256, (1.0, 1.0, 1.0))
+    channel = interaction._TripleForcing((6.0, 0.0, 0.0, 0.0), cfg256.P.cutoff,
+                                         frame=cfg256.frame, m=cfg256.m, grid=cfg256.grid,
+                                         eps=(1.0, 1.0, 1.0))
     for t in (cfg256.solver.t0, cfg256.solver.t1):
         waves = [make_three_wave_data(cfg256.frame, cfg256.m, e, cfg256.grid, t)[0][box]
                  for e in np.eye(3)]
         ref = 6.0 * waves[0] * waves[1] * waves[2]
-        assert np.max(np.abs(forcing(t, x1, x2) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = channel(t, x1, x2, None, cutoff_value=1.0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_channel_is_solved_again_as_a_channel(cfg256, iso256):
+    # the channel records its build, so its scaling rungs and recovery
+    # trials are channels: exactly trilinear in eps and linear in a3
+    assert iso256.metadata["build"] is interaction._trilinear_response
+    assert abs(amplitude_scaling(iso256, [0.25, 0.5, 1.0]).exponent - 3.0) <= 1e-9
+    (est,) = coefficient_recovery(iso256, [cubic_nonlinearity(2.0)])
+    assert abs(est.c_hat - 2.0) <= 1e-12
+    assert abs(est.correlation - 1.0) <= 1e-12
+    # a trial without a channel is refused, as polarization_isolate refuses it
+    with pytest.raises(ValueError, match="cubic"):
+        coefficient_recovery(iso256, [quartic_coupling()])
 
 
 def test_free_wave_of_a_response_is_the_data_on_the_box(cfg256):
@@ -932,6 +958,14 @@ def test_probe_inside_exclusion_rejected(cfg256):
     bad = ConeProbe(t_probe=3.8, angle=np.deg2rad(92.0))
     with pytest.raises(ValueError, match="exclusion"):
         replace(cfg256, probes=(bad,))
+
+
+@pytest.mark.parametrize("field, value", [("m", -np.inf), ("eps", np.inf)])
+def test_config_refuses_a_non_finite_order_or_amplitude(field, value):
+    # m = -inf gave an exactly zero response, eps = inf an overflow at the
+    # first kick
+    with pytest.raises(ValueError, match="finite"):
+        replace(default_experiment(points=128), **{field: value})
 
 
 @pytest.mark.parametrize("angle", [np.nan, np.inf])

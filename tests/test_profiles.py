@@ -50,6 +50,11 @@ def test_symbol_validation():
         SymbolSpec(-1.0)
     with pytest.raises(ValueError):
         SymbolSpec(0.5)
+    # an order of -inf was accepted, and k_of_m(-inf) overflowed
+    with pytest.raises(ValueError, match="finite"):
+        SymbolSpec(-np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        profiles.k_of_m(-np.inf)
 
 
 def test_profile_spectrum_slope():
@@ -342,7 +347,7 @@ def _all_panel_psi(psi, q, eta):
     total = 0.0
     for panel in np.moveaxis(panels, -1, 0):
         total = total + panel
-    return total / psi._chi_mass
+    return total / profiles._CHI_MASS
 
 
 @pytest.mark.parametrize("n_cut", [64.0, 256.0, 1024.0, 4096.0])

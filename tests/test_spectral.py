@@ -43,6 +43,13 @@ def test_grid_validation(points, extent):
     assert np.isclose(g.nyquist, np.pi / g.spacing)
 
 
+@pytest.mark.parametrize("extent, start", [(np.inf, None), (8.0, np.nan), (8.0, np.inf)])
+def test_grid_refuses_a_non_finite_extent_or_start(extent, start):
+    # each was accepted and gave NaN or inf nodes
+    with pytest.raises(ValueError, match="finite"):
+        Grid1D(64, extent, start=start)
+
+
 @st.composite
 def grids_and_samples(draw):
     """A grid of 4..1024 points with any extent and start, and standard
