@@ -5,6 +5,13 @@ The norm weights the transform of a localized field by
 is decided numerically from the growth of the truncated norm as the grid
 refines: a flat tail means the weighted integral converges, steady growth
 means it diverges.  This is a declared convention, not a proof.
+
+A norm holds one complex half spectrum of the grid (16.25 MiB at 128^3)
+and, while it transforms, one slab of about _CHUNK_BYTES: the factors it
+multiplies, the field and its cutoff or the two fields of a product and
+their cutoff, meet only slab by slab inside the transform, and the power
+is written into the spectrum's own bytes.  A field or power that is not
+finite is refused with ValueError, not returned as a NaN norm.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ INF_EXPONENT_PROXY = 6.0
 # so at m = -2.6 the member/non-member pair k1 = 2.0 / 2.3 grows like 0
 # versus 0.4: the threshold sits between them.
 GROWTH_THRESHOLD = 0.25
+
+# Bytes of factor product that _weighted_power forms and transforms at a
+# time: one slab of whole axis-0 rows (at least one row).
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -77,36 +88,81 @@ class BealsWeight:
         return BealsWeight(self.s, *ks)
 
 
-def _weighted_power(f: np.ndarray, grid: GridND, weight: BealsWeight) -> float:
-    """Sum of |transform of f|^2 times the squared weight over rfftn's half
-    spectrum of the last axis, each interior column counted twice.
+def _weighted_power(factors: tuple, grid: GridND, weight: BealsWeight) -> float:
+    """Squared weighted norm of the product of factors, each of grid's shape.
 
-    The transform writes into one complex buffer, which numpy's passes over
-    the leading axes reuse in place, and dies once the power p is formed
-    from it.  At s = 0 the squared weight is a product of one factor per
-    axis, contracted with p axis by axis; only s != 0 first multiplies p by
-    the 3D factor <eta>^(2s).  Beyond p, the floor's boolean mask and that
-    factor are the only grid-sized temporaries.
+    The product is never formed whole.  Slab by slab along axis 0, in
+    slabs of about _CHUNK_BYTES of product, the factors are multiplied into
+    one slab buffer (a lone factor is read as it stands) and rfft'd along
+    the last axis straight into its rows of one complex spectrum buffer;
+    then the fft passes over axes 1 and 0, which numpy's rfftn makes, run in
+    place.  The power |F|^2 * cell_volume^2 is written slab by slab, in
+    increasing order, into a float view of the first half of the spectrum's
+    own bytes: slab i of the power lies in the bytes of spectrum slabs <= i,
+    which are read by then.  So a norm holds the spectrum (n1 * n2 *
+    (n3 // 2 + 1) complex values) and, while it transforms, one slab
+    buffer: no product, no separate power, and no 3D weight factor.  Each
+    step does the arithmetic of the whole-array rule in its order, so the
+    result is bitwise that of abs(rfftn(product))**2 * cell_volume**2 formed
+    as arrays of their own.
 
-    Bins below the double-precision noise floor are dropped first: a weight
-    like <eta_j>^6 on every axis reaches 1e50 at the corner of a 128^3 grid
-    and would amplify FFT roundoff debris into fake divergence.
+    The noise floor reads the power's maximum, which must be finite: a NaN
+    or inf in a factor, or a power past the float range, raises ValueError.
+    Bins below the floor are dropped first: a weight like <eta_j>^6 on every
+    axis reaches 1e50 at the corner of a 128^3 grid and would amplify FFT
+    roundoff debris into fake divergence.  Then each slab is multiplied by
+    its slab of <eta>^(2s) (only for s != 0), and the rest of the squared
+    weight, a product of one factor per axis, is contracted with the power
+    axis by axis.  rfftn's half spectrum of the last axis counts each
+    interior column twice.
     """
     n1, n2, n3 = grid.shape
-    p = np.abs(np.fft.rfftn(f, out=np.empty((n1, n2, n3 // 2 + 1), complex)))
-    p *= p
-    p *= grid.cell_volume**2
-    floor = NOISE_FLOOR * np.sqrt(p.max())
-    p[p < floor**2] = 0.0
+    rows = max(1, _CHUNK_BYTES // (8 * n2 * n3))
+    slabs = [slice(i, i + rows) for i in range(0, n1, rows)]
+    spec = np.empty((n1, n2, n3 // 2 + 1), complex)
+    first, *rest = factors
+    buf = np.empty((rows, n2, n3)) if rest else None
+    # a NaN or inf in a factor, or a power past the float range, is
+    # refused below at the maximum, so the transform does not warn of it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for sl in slabs:
+            f = first[sl]
+            if rest:
+                f = np.multiply(f, rest[0][sl], out=buf[: f.shape[0]])
+                for g in rest[1:]:
+                    f *= g[sl]
+            np.fft.rfft(f, axis=-1, out=spec[sl])
+        del buf, f
+        np.fft.fft(spec, axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
+        p = spec.view(float).reshape(-1)[: spec.size].reshape(spec.shape)
+        for sl in slabs:
+            ps = p[sl]
+            # through a slab temporary: numpy's SIMD abs skips an output that
+            # overlaps its input, as the first slab's does, for a scalar loop
+            # whose last bits differ
+            ps[...] = np.abs(spec[sl])
+            ps *= ps
+            ps *= grid.cell_volume**2
+    top = p.max()
+    if not np.isfinite(top):
+        raise ValueError("the field's power spectrum is not finite")
+    floor = NOISE_FLOOR * np.sqrt(top)
     e1, e2, e3 = _wavenumbers(grid)
-    if weight.s != 0.0:
-        p *= (1.0 + e1**2 + e2**2 + e3**2) ** weight.s
+    for sl in slabs:
+        ps = p[sl]
+        ps[ps < floor**2] = 0.0
+        if weight.s != 0.0:
+            ps *= (1.0 + e1[sl] ** 2 + e2**2 + e3**2) ** weight.s
     ks = (weight.k1, weight.k2, weight.k3)
     w1, w2, w3 = ((1.0 + e.ravel() ** 2) ** k for e, k in zip((e1, e2, e3), ks))
     # the zero and Nyquist columns stand for themselves, every other column
     # also for its Hermitian mirror
     w3[1:-1] *= 2.0
-    return float(w1 @ ((p @ w3) @ w2))
+    deta = 1.0
+    for g in grid.axes:
+        deta *= g.freq_spacing()
+    return deta / (2.0 * np.pi) ** 3 * float(w1 @ ((p @ w3) @ w2))
 
 
 def beals_norm(
@@ -120,7 +176,13 @@ def beals_norm(
     With the h-normalized DFT the weight-free case reduces to the plain
     L2(ds) norm of cutoff*values (Parseval).  The cutoff localizes the field
     strictly inside the periodic box; pass None if the field is already
-    compactly supported.
+    compactly supported.  values and cutoff must each have the grid's shape,
+    and the field must be finite (ValueError otherwise).
+
+    The product cutoff*values is never formed: _weighted_power multiplies
+    the two slab by slab into its transform, so beyond its inputs a norm
+    holds one complex half spectrum (16.25 MiB at 128^3) and one slab of
+    about _CHUNK_BYTES.
 
     Only |transform|^2 enters the norm, so the grid's start phase
     exp(-i start*eta), of modulus one, is never applied.  The field is real,
@@ -134,14 +196,12 @@ def beals_norm(
         raise ValueError("beals_norm expects a 3D grid")
     if values.shape != grid.shape:
         raise ValueError("field shape does not match grid")
+    if cutoff is not None and np.shape(cutoff) != grid.shape:
+        raise ValueError("cutoff shape does not match grid")
     if not weight.finite():
         raise ValueError("infinite exponents are only meaningful in a scan")
-    f = values if cutoff is None else values * cutoff
-    total = _weighted_power(f, grid, weight)
-    deta = 1.0
-    for g in grid.axes:
-        deta *= g.freq_spacing()
-    return float(np.sqrt(deta / (2.0 * np.pi) ** 3 * total))
+    factors = (values,) if cutoff is None else (values, cutoff)
+    return float(np.sqrt(_weighted_power(factors, grid, weight)))
 
 
 @dataclass
@@ -207,14 +267,17 @@ def algebra_check(
 ) -> float:
     """Ratio ||uv|| / (||u|| ||v||) in the weighted norm (0 for zero input).
 
-    For v is u (the square) the one norm serves both factors.
+    For v is u (the square) the one norm serves both factors.  The product
+    u*v is never formed: its norm passes (u, v, cutoff) to the slab-wise
+    transform of _weighted_power, so the check holds no more than one norm
+    does, a half spectrum and one slab.
     """
     nu = beals_norm(u, grid, weight, cutoff)
     nv = nu if v is u else beals_norm(v, grid, weight, cutoff)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    nuv = beals_norm(u * v, grid, weight, cutoff)
-    return nuv / (nu * nv)
+    factors = (u, v) if cutoff is None else (u, v, cutoff)
+    return float(np.sqrt(_weighted_power(factors, grid, weight))) / (nu * nv)
 
 
 def algebra_scan(

@@ -119,7 +119,12 @@ class GridND:
         return [g.nodes() for g in self.axes]
 
     def meshes(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.nodes(), indexing="ij"))
+        """The coordinate arrays np.meshgrid(*nodes, indexing="ij") gives,
+        one per axis, each of the grid's shape, as read-only broadcast views
+        of the 1D nodes: the same values in O(n) memory.  Copy one before
+        writing to it."""
+        sparse = np.meshgrid(*self.nodes(), indexing="ij", sparse=True)
+        return [np.broadcast_to(m, self.shape) for m in sparse]
 
 
 def grid3d(points: int, extent: float) -> GridND:

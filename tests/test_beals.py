@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cwlab import beals
 from cwlab.beals import (
     BealsWeight,
     INF_EXPONENT_PROXY,
@@ -17,6 +20,7 @@ from cwlab.spectral import (
     Grid1D,
     GridND,
     dft_forward,
+    _wavenumbers,
     grid3d,
     plateau_window,
 )
@@ -305,3 +309,109 @@ def test_zero_product_ratio():
     grid = grid3d(16, EXTENT)
     z = np.zeros(grid.shape)
     assert algebra_check(z, z, grid, BealsWeight(0.0, 1.0, 1.0, 1.0)) == 0.0
+
+
+def test_scan_refuses_a_field_holding_a_nan():
+    def with_nan(n):
+        vals, grid = plane_wave_field(n)
+        vals[n // 2, 0, 0] = np.nan
+        return vals, grid
+
+    with pytest.raises(ValueError):
+        membership_scan(with_nan, BealsWeight(0.0, 2.0, 0.0, 0.0), (16, 32))
+
+
+def test_norm_refuses_a_cutoff_of_another_shape():
+    grid = grid3d(16, EXTENT)
+    with pytest.raises(ValueError):
+        beals_norm(np.ones(grid.shape), grid, BealsWeight(), np.ones(16))
+
+
+def test_norm_refuses_an_infinite_field():
+    grid = grid3d(16, EXTENT)
+    with pytest.raises(ValueError):
+        beals_norm(np.full(grid.shape, np.inf), grid, BealsWeight())
+
+
+def reference_norm(values, grid, weight, cutoff=None):
+    """The norm with the product and the power formed whole: the field
+    cutoff*values, |rfftn|^2 * cell_volume^2 as its own array, the floor,
+    the 3D <eta>^(2s) factor, then the axis-by-axis contraction."""
+    f = values if cutoff is None else values * cutoff
+    p = np.abs(np.fft.rfftn(f)) ** 2 * grid.cell_volume**2
+    p[p < (NOISE_FLOOR * np.sqrt(p.max())) ** 2] = 0.0
+    e1, e2, e3 = _wavenumbers(grid)
+    if weight.s != 0.0:
+        p = p * (1.0 + e1**2 + e2**2 + e3**2) ** weight.s
+    ks = (weight.k1, weight.k2, weight.k3)
+    w1, w2, w3 = ((1.0 + e.ravel() ** 2) ** k for e, k in zip((e1, e2, e3), ks))
+    w3[1:-1] *= 2.0
+    deta = 1.0
+    for g in grid.axes:
+        deta *= g.freq_spacing()
+    return float(np.sqrt(deta / (2.0 * np.pi) ** 3 * float(w1 @ ((p @ w3) @ w2))))
+
+
+@pytest.mark.parametrize("points", [(32, 32, 32), (16, 32, 64)])
+@pytest.mark.parametrize("s", [0.0, 0.5])
+@pytest.mark.parametrize("with_cutoff", [False, True])
+def test_slab_wise_norm_equals_the_whole_array_norm_bitwise(points, s, with_cutoff, monkeypatch):
+    # Grid1D admits only powers of two, so the non-cubic grid is (16, 32, 64)
+    grid = GridND(tuple(Grid1D(n, ext) for n, ext in zip(points, (12.0, 10.0, 8.0))))
+    y1, y2, y3 = grid.meshes()
+    vals = np.exp(-(y1**2 + 2.0 * y2**2 + y3**2) / 2.0) * np.cos(2.0 * y1 + y3)
+    vals += 1e-3 * np.random.default_rng(3).standard_normal(grid.shape)
+    cutoff = separable_cutoff(grid) if with_cutoff else None
+    # the default chunk takes each grid in one slab; 50 kB slabs of 6 and
+    # 4 rows leave a short last slab on the cube
+    for chunk in (beals._CHUNK_BYTES, 50_000):
+        monkeypatch.setattr(beals, "_CHUNK_BYTES", chunk)
+        for k in (0.0, 2.0, 2.3, 6.0):
+            w = BealsWeight(s, k, 0.5 * k, 6.0 - k)
+            assert beals_norm(vals, grid, w, cutoff) == reference_norm(vals, grid, w, cutoff)
+
+
+# Memory beyond the inputs at 64^3, with 256 KiB slabs, a quarter of
+# _CHUNK_BYTES and an eighth of one 2 MiB field.  A norm holds the complex
+# half spectrum and, while it transforms, one slab of product; the rest
+# (the weight vectors, the contraction's partial sums, a slab of <eta>^(2s))
+# stays under SLACK, about 13 kB measured.
+SLAB, SLACK = 2**18, 2**16
+
+
+def _traced_peak(fn):
+    fn()  # FFT plans and first-call caches are not the norm's memory
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def field64(monkeypatch):
+    monkeypatch.setattr(beals, "_CHUNK_BYTES", SLAB)
+    vals, grid = gaussian_field(64, width=1.3)
+    vals = vals * np.cos(grid.meshes()[1])
+    spectrum = 64 * 64 * 33 * np.dtype(complex).itemsize
+    return vals, grid, spectrum
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_norm_with_a_cutoff_holds_one_spectrum_and_one_slab(field64, s):
+    vals, grid, spectrum = field64
+    cutoff = separable_cutoff(grid)
+    w = BealsWeight(s, 2.0, 2.0, 2.0)
+    assert _traced_peak(lambda: beals_norm(vals, grid, w, cutoff)) < spectrum + SLAB + SLACK
+
+
+@pytest.mark.parametrize("with_cutoff", [False, True])
+def test_algebra_check_forms_no_product(field64, with_cutoff):
+    u, grid, spectrum = field64
+    v = np.cos(u)
+    cutoff = separable_cutoff(grid) if with_cutoff else None
+    w = BealsWeight(0.5, 2.0, 2.0, 2.0)
+    # u*v alone would be u.nbytes = 2 MiB past the spectrum
+    assert spectrum + SLAB + SLACK < spectrum + u.nbytes
+    assert _traced_peak(lambda: algebra_check(u, v, grid, w, cutoff)) < spectrum + SLAB + SLACK

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +112,31 @@ def test_parseval_nd():
     dvol = np.prod([ax.freq_spacing() for ax in g.axes])
     rhs = dvol / (2.0 * np.pi) ** 2 * np.sum(np.abs(spec) ** 2)
     assert abs(lhs - rhs) < 1e-10 * lhs
+
+
+@pytest.mark.parametrize("axes", [
+    (Grid1D(64, 12.0),) * 3,
+    (Grid1D(16, 12.0), Grid1D(32, 10.0, 1.5), Grid1D(64, 8.0)),
+])
+def test_meshes_are_read_only_broadcast_views_of_the_nodes(axes):
+    grid = GridND(axes)
+    tracemalloc.start()
+    try:
+        meshes = grid.meshes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(n): the sparse nodes and the views, against 2 MiB for one dense
+    # 64^3 mesh
+    assert peak < 16 * 1024
+    dense = np.meshgrid(*grid.nodes(), indexing="ij")
+    assert len(meshes) == len(dense) == 3
+    for m, d in zip(meshes, dense):
+        assert m.shape == grid.shape and m.dtype == d.dtype
+        assert m.tobytes() == d.tobytes()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0, 0] = 0.0
 
 
 def test_power_law_slope_recovery():

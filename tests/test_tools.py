@@ -110,6 +110,62 @@ def test_rss_phases_exits_1_when_a_check_fails(monkeypatch, capsys):
     assert "failed checks: stub_check" in capsys.readouterr().err
 
 
+class _BealsWorkload:
+    """A workload whose operation calls each beals function the tool wraps,
+    through the module as bench/workloads.py does, on 8^3 and 16^3 grids."""
+
+    def __init__(self, seed):
+        pass
+
+    def setup(self):
+        pass
+
+    def op(self):
+        import numpy as np
+        from cwlab import beals, spectral
+
+        def field(n):
+            grid = spectral.grid3d(n, 12.0)
+            return np.exp(-sum(y**2 for y in grid.meshes())), grid
+
+        def pair(n):
+            v, grid = field(n)
+            return v, v, grid
+
+        return (beals.membership_scan(field, beals.BealsWeight(), (8, 16)),
+                beals.algebra_scan(pair, beals.BealsWeight(), (8,)),
+                beals.beals_norm(*field(8), beals.BealsWeight()))
+
+    def check(self, out):
+        return [SimpleNamespace(name="stub_check", ok=True)], {}
+
+
+def test_rss_phases_prints_the_peak_after_each_beals_call(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))  # undone with the tool's own entries
+    import run
+    import workloads
+    from cwlab import beals
+
+    for var in run.THREAD_VARS:  # the tool sets them; restored on teardown
+        monkeypatch.setenv(var, run.THREADS)
+    monkeypatch.setitem(workloads.WORKLOADS, "beals_stub", _BealsWorkload)
+    originals = {name: getattr(beals, name) for name in ("beals_norm", "membership_scan", "algebra_scan")}
+    assert _load("rss_phases").main(["rss_phases.py", "beals_stub"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # a scan's norms print before the scan; the square's one norm serves
+    # both factors, and the product's norm is no beals_norm call; nothing
+    # prints in the traced operation, once the functions are restored
+    assert [row[0] for row in rows] == [
+        "import", "setup",
+        "beals.beals_norm", "beals.beals_norm", "beals.membership_scan",
+        "beals.beals_norm", "beals.algebra_scan",
+        "beals.beals_norm",
+        "op", "check", "traced",
+    ]
+    assert all(float(row[1]) > 0.0 for row in rows)
+    assert {name: getattr(beals, name) for name in originals} == originals
+
+
 # How far a recomputed physics field may sit from tests/physics_record.json,
 # relative to the recorded value (ROADMAP item 6).  Fitted slopes and gaps
 # get 1e-10: the cone fit amplifies data roundoff about a thousandfold.  The

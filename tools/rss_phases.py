@@ -5,10 +5,12 @@ worker does (set-up, one operation, its check), and prints the process's
 peak resident set size (ru_maxrss, in the benchmark's MB of 2**20 bytes)
 after each phase: import, set-up, the first operation and the check.
 During the first operation it also prints the peak after each return of a
-public interaction function (those bench/tracing.py traces), wrapped by
-module attribute for that operation alone and restored after it, so a jump
-shows at the call that made it.  BLAS and OpenMP thread counts are capped
-as bench/run.py caps them.
+public interaction function (those bench/tracing.py traces) and of
+beals.beals_norm, membership_scan and algebra_scan, wrapped by module
+attribute for that operation alone and restored after it, so a jump shows
+at the call that made it.  A scan reads beals_norm through the module, so
+each norm of a scan prints before the scan does.  BLAS and OpenMP thread
+counts are capped as bench/run.py caps them.
 
 ru_maxrss is a high-water mark of the whole heap, so where the allocator
 happens to place a block can move it by a megabyte or more on unchanged
@@ -19,6 +21,7 @@ is 1 when a check of the operation's output fails, else 0.
 
     python tools/rss_phases.py response_512 --seed 21
     python tools/rss_phases.py experiment_256
+    python tools/rss_phases.py calculus_3d
 
 Run from any directory; the program is imported from ./src.  The tool
 itself uses the standard library only.
@@ -36,6 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BEALS_FUNCS = ("beals_norm", "membership_scan", "algebra_scan")
 
 
 def peak_rss_mb() -> float:
@@ -81,13 +85,13 @@ def main(argv: list[str]) -> int:
     from tracing import INTERACTION_FUNCS
     from workloads import WORKLOADS
 
-    from cwlab import interaction
+    from cwlab import beals, interaction
 
     print(f"import  {peak_rss_mb():8.2f} MB")
     wl = WORKLOADS[args.workload](args.seed)
     wl.setup()
     print(f"setup   {peak_rss_mb():8.2f} MB")
-    with rss_after_calls(interaction, INTERACTION_FUNCS):
+    with rss_after_calls(interaction, INTERACTION_FUNCS), rss_after_calls(beals, BEALS_FUNCS):
         out = wl.op()
     print(f"op      {peak_rss_mb():8.2f} MB")
     checks, _ = wl.check(out)
