@@ -28,12 +28,15 @@ by the same maps.
 A field even under the mirror about c, its values at c + d and c - d
 equal, has W = 0, and a kick of P even about c keeps it so.  The solver
 proves that for some zero-data solves (solver.solve) and then holds E
-alone, (1, K+1, cols), on the x1-even maps (_kick_maps with even): the
-forward map is the cos product onto the box's h rows at c + d, d >= 0,
-then the x2 product on those rows, where P is evaluated; the back map is
-the x2 product, then one product by 2 back_cos, since the lines at c - d
-repeat those at c + d.  That is half of each product's rows and half the
-loop's state.
+alone, (1, K+1, cols), on the x1-even maps (_kick_maps with even), which
+hold only the box's h rows at c + d, d >= 0.  One body serves both
+halves; the even half is the folded block with W absent.  The forward map
+writes cos E onto the lines at c + d; with W, it writes cos E - sin W onto
+the lines at c - d and then adds sin W at c + d.  The back map, with W,
+takes the difference of the lines at c +- d and then their sum, in place
+at c + d; on the even maps the lines at c - d repeat those at c + d, and
+back_cos carries them by a factor 2.  That is half of each product's rows
+and half the loop's state.
 """
 
 from __future__ import annotations
@@ -62,10 +65,11 @@ class _KickMaps(NamedTuple):
     the Hermitian weights (1 at ky = 0, else 2; the block holds no Nyquist
     column) and 1 / (n1 n2).
 
-    The x1-even maps (_kick_maps with even) act on E alone, on the box's
-    rows at c + d, d >= 0: their lines, u and spec hold h rows and E
-    alone, back_cos is twice the transpose above, and sin, back_sin, even
-    and odd, which only W and the rows at c - d need, are None.
+    One body serves the general maps and the x1-even maps (_kick_maps with
+    even), which act on E alone, W absent, on the box's rows at c + d,
+    d >= 0: their lines, u and spec hold h rows and E alone, back_cos is
+    twice the transpose above, and sin, back_sin, down and odd, which only
+    W and the rows at c - d need, are None.
     """
 
     cos: np.ndarray  # (h, K+1)
@@ -76,8 +80,9 @@ class _KickMaps(NamedTuple):
     to_x2: np.ndarray  # (2 cols, nb2)
     from_x2: np.ndarray  # (nb2, 2 cols)
     lines: np.ndarray  # (nb1 or h, 2 cols): the ky spectra of the box's x1 rows
-    even: np.ndarray | None  # (h, 2 cols): cos E, or the lines' sum at c +- d
-    odd: np.ndarray | None  # (h, 2 cols): sin W, or the lines' difference
+    up: np.ndarray  # (h, 2 cols): a view of the lines at c + d, d >= 0
+    down: np.ndarray | None  # (h, 2 cols): a view of the lines at c - d, d >= 0
+    odd: np.ndarray | None  # (h, 2 cols): sin W, or the lines' difference at c +- d
     u: np.ndarray  # (nb1 or h, nb2): a field on the box
     spec: np.ndarray  # (2 or 1, K+1, cols) complex: a folded spectrum on the block
 
@@ -106,10 +111,10 @@ def _kick_maps(shape, block, box, even=False) -> _KickMaps:
     from_x2 = e2.view(float)  # columns (cos, -sin) per ky
     ky_weights = np.repeat(np.where(ky == 0, 1.0, 2.0) / (n1 * n2), 2)
     to_x2 = np.ascontiguousarray((from_x2 * ky_weights).T)
+    lines = np.empty((rows, 2 * cols))
     return _KickMaps(
-        cos, sin, back_cos, back_sin, phase[:, None], to_x2, from_x2,
-        lines=np.empty((rows, 2 * cols)),
-        even=None if even else np.empty((h, 2 * cols)),
+        cos, sin, back_cos, back_sin, phase[:, None], to_x2, from_x2, lines,
+        up=lines[rows - h :], down=None if even else lines[:h][::-1],
         odd=None if even else np.empty((h, 2 * cols)),
         u=np.empty((rows, from_x2.shape[0])),
         spec=np.empty((parts, block.K + 1, cols), dtype=complex),
@@ -156,17 +161,13 @@ def _to_box(maps: _KickMaps, folded) -> np.ndarray:
     """The field on the box whose rfft2 is the block that folded holds and
     zero elsewhere, in maps.u; on the x1-even maps, folded holds E alone
     and the field is written on the box's rows at c + d alone."""
-    if maps.odd is None:  # x1-even: the lines at c + d are cos E
-        np.matmul(maps.cos, folded[0].view(float), out=maps.lines)
-        return np.matmul(maps.lines, maps.to_x2, out=maps.u)
-    nb1, h = maps.lines.shape[0], maps.even.shape[0]
-    E, W = (f.view(float) for f in folded)
-    np.matmul(maps.cos, E, out=maps.even)
-    np.matmul(maps.sin, W, out=maps.odd)
-    # The centre row of an odd box is written twice, the same both times:
-    # its sin row is exactly 0.
-    np.add(maps.even, maps.odd, out=maps.lines[nb1 - h :])
-    np.subtract(maps.even, maps.odd, out=maps.lines[:h][::-1])
+    np.matmul(maps.cos, folded[0].view(float), out=maps.up)
+    if len(folded) == 2:  # cos E - sin W at c - d, then cos E + sin W at c + d
+        np.matmul(maps.sin, folded[1].view(float), out=maps.odd)
+        # The centre row of an odd box is both an up and a down row: its sin
+        # row is exactly 0, so it holds cos E throughout.
+        np.subtract(maps.up, maps.odd, out=maps.down)
+        np.add(maps.up, maps.odd, out=maps.up)
     return np.matmul(maps.lines, maps.to_x2, out=maps.u)
 
 
@@ -176,13 +177,9 @@ def _to_block(maps: _KickMaps, f) -> np.ndarray:
     given on the box's rows at c + d, repeated at c - d, and maps.spec
     holds E alone."""
     np.matmul(f, maps.from_x2, out=maps.lines)
-    if maps.odd is None:  # x1-even: the lines' sum at c +- d is twice those at c + d
-        np.matmul(maps.back_cos, maps.lines, out=maps.spec[0].view(float))
-        return maps.spec
-    nb1, h = maps.lines.shape[0], maps.even.shape[0]
-    up, down = maps.lines[nb1 - h :], maps.lines[:h][::-1]
-    np.add(up, down, out=maps.even)
-    np.subtract(up, down, out=maps.odd)
-    np.matmul(maps.back_cos, maps.even, out=maps.spec[0].view(float))
-    np.matmul(maps.back_sin, maps.odd, out=maps.spec[1].view(float))
+    if len(maps.spec) == 2:  # the lines' difference at c +- d, then their sum
+        np.subtract(maps.up, maps.down, out=maps.odd)
+        np.add(maps.up, maps.down, out=maps.up)
+        np.matmul(maps.back_sin, maps.odd, out=maps.spec[1].view(float))
+    np.matmul(maps.back_cos, maps.up, out=maps.spec[0].view(float))
     return maps.spec

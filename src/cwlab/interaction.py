@@ -615,31 +615,32 @@ def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe) -> float:
     return float(np.sum(bp[mask] ** 2) * fld.grid.cell_volume)
 
 
-def _clean_half_length(grid, probe, frame, r0, t_traces):
-    """Largest radial slice half-length clear of fronts and box edges.
+def _clean_half_length(grid, probe, frame, t):
+    """Largest half-length of the radial slice through the cone at radius t
+    that stays clear of fronts and box edges.
 
-    Fronts sit at x . omega = t_traces (mod the direction's box period);
-    crossings of the slice line x(s) = (r0 + s) * direction are kept out of
+    Fronts sit at x . omega = t (mod the direction's box period); their
+    crossings of the slice line x(s) = (t + s) * direction are kept out of
     the window with a 10% margin, as is the antipodal cone crossing.
     """
     g = _square_axis(grid)
     half_box = 0.5 * g.extent
     nu = probe.direction
     bound = min(
-        (0.98 * half_box) / max(abs(nu[0]), abs(nu[1])) - r0,
+        (0.98 * half_box) / max(abs(nu[0]), abs(nu[1])) - t,
         0.30 * g.extent,
     )
-    clearances = [1.8 * r0]
+    clearances = [1.8 * t]
     for omega in frame.omegas:
         p, q = _integer_direction(omega)
         period = g.extent / float(np.hypot(p, q))
         c = float(nu[0] * omega[0] + nu[1] * omega[1])
         if abs(c) < 1e-12:
             continue
-        span = abs(bound) + r0 + period
+        span = abs(bound) + t + period
         kmax = int(np.ceil(span / period)) + 1
         for k in range(-kmax, kmax + 1):
-            s = (t_traces + k * period) / c - r0
+            s = (t + k * period) / c - t
             if abs(s) > 1e-9:
                 clearances.append(0.9 * abs(s))
     ell = min(bound, min(clearances))
@@ -685,44 +686,37 @@ def _slice_fit(state: WaveState, center, direction, half_length) -> DecayFit:
     return fit
 
 
-def cone_order_estimate(
-    fld: SpaceTimeField, probe: ConeProbe, half_length=None, center_radius=None
-) -> DecayFit:
+def cone_order_estimate(fld: SpaceTimeField, probe: ConeProbe) -> DecayFit:
     """Transversal decay slope across the cone at one probe angle.
 
     Takes a windowed radial slice through the probe point (the smooth bulk
     below the fit band, default_band of the grid, removed first) and fits
     the log-log decay of its DFT.  Exactly one conormal crossing sits
     inside the window (fronts of the field's frame and the antipodal
-    crossing are kept out by the half-length choice), so the fitted slope
-    reads off the transversal symbol order of the circle wave directly; no
-    curvature correction is needed in this representation.  center_radius
-    moves the window off the circle, e.g. onto a smooth region as a
-    control.
+    crossing are kept out by the half-length choice, _clean_half_length),
+    so the fitted slope reads off the transversal symbol order of the
+    circle wave directly; no curvature correction is needed in this
+    representation.
     """
     state = fld.state_at(probe.t_probe)
-    r0 = float(state.t) if center_radius is None else float(center_radius)
-    if half_length is None:
-        half_length = _clean_half_length(fld.grid, probe, _recorded(fld, "frame"), r0, state.t)
-    return _slice_fit(state, r0 * probe.direction, probe.direction, half_length)
+    half_length = _clean_half_length(fld.grid, probe, _recorded(fld, "frame"), state.t)
+    return _slice_fit(state, state.t * probe.direction, probe.direction, half_length)
 
 
-def front_order_estimate(fld: SpaceTimeField, omega, t, half_length=None) -> DecayFit:
+def front_order_estimate(fld: SpaceTimeField, omega, t) -> DecayFit:
     """Decay slope across one plane front (the incoming-wave control).
 
     Slices along omega through the front line {x . omega = t} at its point
     t * omega and fits in the band default_band of the grid.  The slice's
-    bins sit pi / half_length apart; the default half_length is the
-    shortest one of at least 1.2 whose spacing puts MIN_BINS bins in the
-    band wherever the bins fall, so a bin never has to sit on the band's
-    edge to make up the count.
+    bins sit pi / half_length apart; its half_length is the shortest one
+    of at least 1.2 whose spacing puts MIN_BINS bins in the band wherever
+    the bins fall, so a bin never has to sit on the band's edge to make up
+    the count.
     """
     w = _unit(omega)
     state = fld.state_at(t)
-    if half_length is None:
-        lo, hi = default_band(fld.grid)
-        half_length = max(1.2, MIN_BINS * np.pi / (hi - lo))
-    return _slice_fit(state, state.t * w, w, half_length)
+    lo, hi = default_band(fld.grid)
+    return _slice_fit(state, state.t * w, w, max(1.2, MIN_BINS * np.pi / (hi - lo)))
 
 
 # The ridge is sampled on RIDGE_ANGLES rays, and each ray's peak is sought

@@ -444,74 +444,33 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
           P: NonlinearitySpec | None = None) -> SpaceTimeField:
     """Integrate u_tt = Lap u + P(y, u) from (u0, ut0) at t0 up to t1.
 
-    Strang splitting: step i kicks u_t by dt * P(t_mid, u) at its midpoint
-    t_mid when the time support of P's gate holds t_mid (every step for an
-    ungated P); elsewhere P vanishes and the step is free flow, so a gated
-    P costs a kick only while the gate is open, and the gate must still be
-    closed at t0.  Free flow is exact for any length, so the state is
-    propagated once per gap between events (kicks and record times): one
-    step by the solve's step table between consecutive kicks, one jump
-    across every other gap (a half step to or from a record, or a closed
-    stretch).  Data that are not finite are refused.
+    u0 and ut0 are fields on grid, a 2D grid; config sets the time window,
+    the step (nudged onto the lattice, see SolverConfig.lattice) and the
+    record stride; P is the coupling, or None for free flow.  Strang
+    splitting: step i kicks u_t by dt * P(t_mid, u) at its midpoint t_mid
+    when the time support of P's gate holds t_mid (every step for an
+    ungated P); elsewhere P vanishes and the step is free flow, which is
+    exact for any length, so the state is propagated once per gap between
+    events (kicks and record times).  Every kick is cut to the dealiased
+    block of the spectrum (_block) and evaluates P on its box, the index
+    box of grid holding the gate's spatial support (the whole grid without
+    a gate); the loop holds the block folded, as half-wave pairs, and maps
+    it onto the box and back by the maps of cwlab._kick, and a zero-data
+    solve whose P is provably even under x1 -> -x1 (_even_path) holds the
+    fold's even half alone.  A P that does not read u, a forcing, maps
+    back only.  The block, the box, the maps and the step table are built
+    for the solve, and nothing is kept between solves.
 
-    The loop holds u and u_t on the dealiased block of the rfft2 spectrum
-    alone, kx rows -K..K and ky columns 0..cols-1 (see _block), and holds
-    it folded about the centre c of P's box: the state of each is
-    (E, W), E = s[kappa] + s[-kappa] and W = i (s[kappa] - s[-kappa]) for
-    kappa = 0..K, with s the block shifted by exp(2 pi i kappa c / n1).
-    The fold is exact because the block's kx rows and the box's x1 rows
-    are both symmetric, about 0 and about c; it is applied once, when the
-    data's block moves into the loop at t0 and leaves zeros in the data's
-    spectrum (zero for zero data), and undone once per record.  The loop
-    holds the folded (E, W) of u and u_t as their half-wave pair
-    Y+- = (u -+ i u_t / |k|) / 2, stacked (2, 2, K+1, cols) (see
-    _HalfWaves): free flow depends on |k| alone, the same at +-kappa, so a
-    step multiplies the whole pair once by the step table exp(+-i |k| dt),
-    built once per solve, and a jump turns each half by phases built for it.
-    The mean, |k| = 0, has no phase and no 1/|k|: it is carried apart as
-    (u0, v0), which free flow shears, u0 += tau v0, and a kick adds dt P's
-    mean to v0.  Every kick is cut to the block and reads u = Y+ + Y- only
-    through it.  The rest of the data's spectrum, its free part, is
-    therefore free flow throughout, held as its half-wave pair too.  A
-    record has one rule: it turns the free part from the last record by
-    one jump of the record spacing, takes its u and u_t spectra (zeros for
-    zero data), writes the unfolded block into their block rows, where the
-    free part holds zeros, and makes each field by one inverse transform
-    straight into the record.  P is evaluated on its box, the index box
-    of grid holding the gate's spatial support (the whole grid without a
-    gate), with the gate's space factor evaluated there once.  A kick of
-    a P that reads u (a live coefficient of a positive power of u; see
-    NonlinearitySpec.__call__) maps the folded block onto the box
-    (_to_box): real cosine and sine products
-    along x1 onto the box's rows at c +- d, then a real one along x2 onto
-    its x2 columns.  A P that does not read u, a forcing, skips that
-    forward half.  P goes back to the folded block (_to_block) by a real
-    product along x2 onto the block's ky columns and the transposed x1
-    products, and the kick adds dt P to u_t: -+ i dt P / 2|k| to Y+-.
-    The maps are built for the solve and every product writes
-    into a buffer allocated with them (see _KickMaps); one path serves a
-    gated box, an off-centre box and the whole grid alike.
+    Refused, with ValueError: fields not of grid's shape or a grid that is
+    not 2D, data that are not finite, a gate already open at t0, and a dt
+    above the step bound h / (DEALIAS pi).  A P that overflows raises
+    BlowupError.
 
-    The even half: a field even under x1 -> -x1 about the fold's centre
-    has W = 0.  When the data are zero and the parity is proved from the
-    inputs (_even_path: P says it is even for every even u, the grid is
-    centred on x1 = 0, and P's box is symmetric about row n1/2, which an
-    ungated P's box, the whole grid, is not), every kick keeps W = 0, and
-    the loop holds E alone, (2, 1, K+1, cols).  The forward map is then
-    the cos product and the x2 product onto the box's rows at and above
-    x1 = 0, P is evaluated on those rows alone, the back map is the x2
-    product and one product by 2 back_cos, and a record unfolds E with
-    W = 0 (the x1-even maps of _kick).  Every other solve takes the path
-    above: of data, of callable coefficients, of a response to unequal eps
-    on a mirrored pair (a channel reads the unit waves, whatever the data's
-    eps), of a frame no mirror maps onto itself, on an off-centre grid or
-    ungated.
-
-    The t0 record is the data, and one event loop writes the others.  A
-    run that never kicks (P None, or a gate that never opens) has no loop
-    to turn and takes no time steps: its records are the free flow of the
-    whole spectrum by the same record rule, and from zero data it returns
-    read-only zero records.
+    Records are taken at every stride-th step from t0, the t0 record being
+    the data; the last lands on t1.  A run that never kicks (P None, or a
+    gate that never opens) takes no time steps: its records are the free
+    flow of the whole spectrum, and from zero data they are one read-only
+    zero array.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step

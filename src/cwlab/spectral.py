@@ -294,19 +294,19 @@ def _trig_phases(s, start: float, eta) -> np.ndarray:
 def evaluate_trig(values: np.ndarray, grid: GridND, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a real 2D field at points.
 
-    values is the field on grid, or its rfft2 spectrum, a complex array,
-    which a caller that holds the spectrum (a filtered field) hands over to
-    save the two transforms between them.  ``points`` has shape (m, 2).  The
-    interpolant is the one of trig_modes, summed over the half spectrum of
-    rfft2: the interpolant is real, so each interior x2 frequency stands for
-    itself and its conjugate and is counted twice, the zero column once (the
-    Nyquist row and column are zero).
+    values is the field's rfft2 spectrum on grid, a complex array of shape
+    (n1, n2 // 2 + 1); anything else, a real field among them, raises
+    ValueError.  ``points`` has shape (m, 2).  The interpolant is the one
+    of trig_modes, summed over the half spectrum of rfft2: the interpolant
+    is real, so each interior x2 frequency stands for itself and its
+    conjugate and is counted twice, the zero column once (the Nyquist row
+    and column are zero).
     """
     if grid.ndim != 2:
         raise ValueError("trig evaluation implemented for 2D grids")
     (g1, g2), (eta1, eta2) = grid.axes, _wavenumbers(grid)
-    if not np.iscomplexobj(values):
-        values = np.fft.rfft2(np.asarray(values, dtype=float))
+    if not np.iscomplexobj(values) or np.shape(values) != (g1.points, g2.points // 2 + 1):
+        raise ValueError("trig evaluation takes the field's rfft2 spectrum on the grid")
     coef = values / (g1.points * g2.points)
     coef[g1.points // 2] = 0.0
     coef[:, -1] = 0.0
@@ -412,7 +412,8 @@ def windowed_slice(
 ) -> SliceProfile:
     """Sample a field along ``center + s*direction`` and apply a bump window.
 
-    values is the field, or its rfft2 spectrum (see evaluate_trig).
+    values is the field's rfft2 spectrum; anything else raises ValueError
+    (see evaluate_trig).
     The slice lives on its own periodic grid of extent 2*half_length, with
     the power of two of points (at least 16) that samples it at least as
     finely as the field's grid; the window vanishes for |s| >= half_length,

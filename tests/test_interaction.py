@@ -12,6 +12,7 @@ from conftest import lawson_reference
 from cwlab import interaction, solver
 from cwlab.interaction import (
     DEFAULT_FRAME,
+    MIN_BINS,
     ConeProbe,
     amplitude_band,
     amplitude_scaling,
@@ -32,6 +33,8 @@ from cwlab.interaction import (
     ridge_radius,
     run_experiment,
     two_wave_probe,
+    _clean_half_length,
+    _slice_fit,
 )
 from cwlab.solver import (
     CharFrame,
@@ -45,7 +48,7 @@ from cwlab.solver import (
     _gate_box,
 )
 from cwlab.profiles import SymbolSpec, synthesize_profile
-from cwlab.spectral import Grid1D, plateau_window, trig_modes
+from cwlab.spectral import Grid1D, _unit, plateau_window, trig_modes
 
 M = -2.6
 EPS = 0.05
@@ -742,9 +745,9 @@ def test_smooth_region_reads_superpolynomial(resp256, cfg256):
     # window radii 0.7..2.3: inside the light disk, clear of the gated
     # emission annulus (its sources sit at |x|<0.9, |t|<0.9, so singular
     # content at t=3.8 lives in radii about 2.56..5.04)
-    fit = cone_order_estimate(
-        resp256, cfg256.probes[0], center_radius=1.5, half_length=0.8
-    )
+    probe = cfg256.probes[0]
+    state = resp256.state_at(probe.t_probe)
+    fit = _slice_fit(state, 1.5 * probe.direction, probe.direction, 0.8)
     assert fit.superpolynomial
     assert fit.slope == -np.inf
     assert "noise_floor" in fit.flags and "insufficient_bins" not in fit.flags
@@ -755,7 +758,8 @@ def test_front_fit_with_too_few_bins_is_no_measurement(cfg256):
     t0 = cfg256.solver.t0
     u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, cfg256.grid, t0)
     data = SpaceTimeField(cfg256.grid, np.array([t0]), u0[None], ut0[None])
-    fit = front_order_estimate(data, DEFAULT_FRAME.omegas[0], t=t0, half_length=1.2)
+    state, w = data.state_at(t0), _unit(DEFAULT_FRAME.omegas[0])
+    fit = _slice_fit(state, state.t * w, w, 1.2)
     assert np.isnan(fit.slope)
     assert "insufficient_bins" in fit.flags
     assert not fit.superpolynomial
@@ -795,7 +799,31 @@ def test_front_fit_sizes_its_slice_from_the_band(cfg256, data512):
     assert abs(fit.slope - M) < 0.15
     omega, t = DEFAULT_FRAME.omegas[0], float(data512.times[0])
     fit512 = front_order_estimate(data512, omega, t=t)
-    assert fit512.slope == front_order_estimate(data512, omega, t=t, half_length=1.2).slope
+    state, w = data512.state_at(t), _unit(omega)
+    assert fit512.slope == _slice_fit(state, state.t * w, w, 1.2).slope
+
+
+def test_public_slice_fits_are_the_instrument_at_their_windows(cfg256, resp256):
+    # cone_order_estimate and front_order_estimate are _slice_fit through
+    # the cone or front point at the window each derives, bit for bit: the
+    # clean half-length across the cone, and across a front the shortest
+    # half-length of at least 1.2 that puts MIN_BINS bins in the band
+    probe, grid = cfg256.probes[0], cfg256.grid
+    state = resp256.state_at(probe.t_probe)
+    half = _clean_half_length(grid, probe, cfg256.frame, state.t)
+    ref = _slice_fit(state, state.t * probe.direction, probe.direction, half)
+    assert cone_order_estimate(resp256, probe) == ref
+    assert ref.n_bins >= MIN_BINS
+
+    t0 = cfg256.solver.t0
+    u0, ut0 = make_three_wave_data(cfg256.frame, M, (EPS,) * 3, grid, t0)
+    data = SpaceTimeField(grid, np.array([t0]), u0[None], ut0[None])
+    state, (lo, hi) = data.state_at(t0), default_band(grid)
+    for omega in DEFAULT_FRAME.omegas:
+        w = _unit(omega)
+        ref = _slice_fit(state, state.t * w, w, max(1.2, MIN_BINS * np.pi / (hi - lo)))
+        assert front_order_estimate(data, omega, t=t0) == ref
+        assert ref.n_bins >= MIN_BINS
 
 
 def test_incoming_front_order_moves_one_per_unit_m(cfg256):

@@ -326,17 +326,33 @@ def test_trig_evaluation_exact_on_nodes():
     grid, vals, _ = _plane_wave_field(n=64)
     x, y = grid.meshes()
     pts = np.column_stack([x.ravel()[::13], y.ravel()[::13]])
-    out = evaluate_trig(vals, grid, pts)
+    out = evaluate_trig(np.fft.rfft2(vals), grid, pts)
     assert np.max(np.abs(out - vals.ravel()[::13])) < 1e-9
 
 
-def test_trig_evaluation_reads_a_spectrum_as_its_field():
-    # a complex array is the field's rfft2 spectrum, evaluated as it stands
+def test_trig_evaluation_refuses_a_real_field():
+    # the reader takes the rfft2 spectrum alone; a real array is refused,
+    # not transformed
     grid, vals, _ = _plane_wave_field(n=64)
     pts = np.random.default_rng(2).uniform(-4.0, 4.0, (50, 2))
-    spec = np.fft.rfft2(vals)
-    assert np.array_equal(evaluate_trig(spec, grid, pts), evaluate_trig(vals, grid, pts))
-    assert np.array_equal(spec, np.fft.rfft2(vals))  # left as it was
+    with pytest.raises(ValueError, match="rfft2 spectrum"):
+        evaluate_trig(vals, grid, pts)
+    with pytest.raises(ValueError, match="rfft2 spectrum"):
+        windowed_slice(vals, grid, (0.0, 0.0), (0.0, 1.0), half_length=1.0)
+
+
+@pytest.mark.parametrize("cut", ["full_fft2", "transposed", "one_row_short"])
+def test_trig_evaluation_refuses_a_spectrum_of_another_shape(cut):
+    # a complex array must be the grid's rfft2 shape, (n1, n2 // 2 + 1)
+    grid = GridND((Grid1D(32, 8.0), Grid1D(64, 8.0)))
+    vals = np.random.default_rng(4).standard_normal(grid.shape)
+    spec = {"full_fft2": np.fft.fft2(vals), "transposed": np.fft.rfft2(vals.T),
+            "one_row_short": np.fft.rfft2(vals)[:-1]}[cut]
+    pts = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="rfft2 spectrum"):
+        evaluate_trig(spec, grid, pts)
+    with pytest.raises(ValueError, match="rfft2 spectrum"):
+        windowed_slice(spec, grid, (0.0, 0.0), (0.0, 1.0), half_length=1.0)
 
 
 @given(
@@ -354,7 +370,7 @@ def test_trig_evaluation_matches_complex_fft_reference(k1, k2, ext1, ext2, start
     phases = [np.exp(1j * np.outer(pts[:, a] - g.start, g.freqs()))
               for a, g in enumerate(grid.axes)]
     ref = np.real(np.einsum("mk,mk->m", phases[0] @ coef, phases[1]))
-    got = evaluate_trig(vals, grid, pts)
+    got = evaluate_trig(np.fft.rfft2(vals), grid, pts)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -380,7 +396,7 @@ def test_slice_across_front_recovers_profile_order():
     # window leakage scales like exp(-c*sqrt(w*eta)); width >= ~3 keeps the
     # smooth bulk of the profile below its |eta|^-2.6 tail over [8, 64]
     grid, vals, prof = _plane_wave_field(n=1024, ext=24.0, m=-2.6)
-    sl = windowed_slice(vals, grid, (0.0, 0.0), (0.0, 1.0), half_length=10.0)
+    sl = windowed_slice(np.fft.rfft2(vals), grid, (0.0, 0.0), (0.0, 1.0), half_length=10.0)
     assert isinstance(sl, SliceProfile)
     fit = decay_exponent(sl.windowed, sl.grid, band=(8.0, 64.0))
     assert abs(fit.slope - (-2.6)) < 0.15
@@ -390,7 +406,7 @@ def test_slice_window_halving_stability():
     grid, vals, _ = _plane_wave_field(n=1024, ext=24.0, m=-2.6)
     slopes = []
     for half in (10.0, 5.0):
-        sl = windowed_slice(vals, grid, (0.0, 0.0), (0.0, 1.0), half_length=half)
+        sl = windowed_slice(np.fft.rfft2(vals), grid, (0.0, 0.0), (0.0, 1.0), half_length=half)
         fit = decay_exponent(sl.windowed, sl.grid, band=(8.0, 64.0))
         slopes.append(fit.slope)
     assert abs(slopes[0] - slopes[1]) < 0.1
@@ -399,7 +415,7 @@ def test_slice_window_halving_stability():
 def test_slice_along_front_is_smooth():
     grid, vals, _ = _plane_wave_field(n=1024, ext=24.0, m=-2.6)
     # offset from the singular line, directed along it
-    sl = windowed_slice(vals, grid, (0.0, 0.7), (1.0, 0.0), half_length=10.0)
+    sl = windowed_slice(np.fft.rfft2(vals), grid, (0.0, 0.7), (1.0, 0.0), half_length=10.0)
     windowed = sl.windowed + 1e-30  # fully constant slice would have no usable bins
     fit = decay_exponent(windowed, sl.grid, band=(8.0, 64.0), min_bins=4)
     assert fit.superpolynomial or "noise_floor" in fit.flags
@@ -408,18 +424,18 @@ def test_slice_along_front_is_smooth():
 def test_slice_rejects_segment_leaving_domain():
     grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
     with pytest.raises(ValueError):
-        windowed_slice(vals, grid, (3.0, 0.0), (1.0, 0.0), half_length=2.0)
+        windowed_slice(np.fft.rfft2(vals), grid, (3.0, 0.0), (1.0, 0.0), half_length=2.0)
 
 
 @pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0)])
 def test_slice_rejects_a_direction_with_no_geometry(direction):
     grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
     with pytest.raises(ValueError, match="finite and nonzero"):
-        windowed_slice(vals, grid, (0.0, 0.0), direction, half_length=1.0)
+        windowed_slice(np.fft.rfft2(vals), grid, (0.0, 0.0), direction, half_length=1.0)
 
 
 @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
 def test_slice_rejects_a_non_finite_center(center):
     grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
     with pytest.raises(ValueError, match="finite center"):
-        windowed_slice(vals, grid, center, (1.0, 0.0), half_length=1.0)
+        windowed_slice(np.fft.rfft2(vals), grid, center, (1.0, 0.0), half_length=1.0)
