@@ -14,7 +14,7 @@ jump turns each half by its phase in turn (_HalfWaves.jump).  A kick that
 adds p to vh adds -+ i p / 2k to Y+-.  The mean, the mode with k = 0, has
 no phase and no 1/k: it is carried apart as (uh0, vh0), which free flow
 shears, uh0 += tau vh0.  The solver holds its loop's folded block, the
-data's free part, which each record turns by one jump of the record
+data's whole spectrum, which each record turns by one jump of the record
 spacing, and linear_propagate's jump by this one rule (_HalfWaves).  A
 solve builds one table, its loop's step, and every other free flow is a
 jump, so no table outlives the solve that built it.

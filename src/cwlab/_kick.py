@@ -18,12 +18,12 @@ Y+- = (u -+ i u_t / |k|) / 2 and turns both by one phase table
 exp(+-i |k| tau) (cwlab._halfwave); the mean, at |k| = 0, has no phase and
 is carried apart.  A kick maps the folded u = Y+ + Y- onto the box, and P
 back, which adds -+ i dt P / 2|k| to Y+- and dt P's mean to u_t's.  The
-fold is applied once, when the data enter the loop, and takes the block out
-of the data's spectrum, which keeps only its free part; the unfold writes
-the block back into its rows once per record (_unfold).  This module is the
-only one that names the block's rows and columns of an rfft2 spectrum.  The
-interaction's tube reads map a band's block of a slice onto the tube's box
-by the same maps.
+fold is applied once, when the data enter the loop, and only reads the
+data's spectrum, which flows whole beside the loop; the unfold overwrites
+every entry of the block's rows and columns with the loop's block once per
+record (_unfold).  This module is the only one that names the block's rows
+and columns of an rfft2 spectrum.  The interaction's tube reads map a
+band's block of a slice onto the tube's box by the same maps.
 
 A field even under the mirror about c, its values at c + d and c - d
 equal, has W = 0, and a kick of P even about c keeps it so.  The solver
@@ -131,12 +131,11 @@ def _kick_macs(maps: _KickMaps, reads_u: bool) -> int:
 
 def _fold(maps: _KickMaps, spec) -> np.ndarray:
     """The folded block, (2, K+1, cols): E and W of the block of spec, an
-    rfft2 spectrum, shifted by maps.phase; see the module docstring.  The
-    block is taken out of spec: its rows and columns there are zeroed."""
+    rfft2 spectrum, shifted by maps.phase; see the module docstring.  spec
+    is only read."""
     K, cols = maps.spec.shape[1] - 1, maps.spec.shape[2]
     pos = spec[: K + 1, :cols] * maps.phase
     neg = spec[spec.shape[0] - K :, :cols][::-1] * maps.phase[1:].conj()  # kx = -1..-K
-    spec[: K + 1, :cols] = spec[spec.shape[0] - K :, :cols] = 0.0
     folded = np.zeros((2, K + 1, cols), dtype=complex)
     folded[0] = pos
     folded[0, 1:] += neg
@@ -145,10 +144,10 @@ def _fold(maps: _KickMaps, spec) -> np.ndarray:
 
 
 def _unfold(maps: _KickMaps, folded, spec) -> None:
-    """Write the block that folded holds into its rows and columns of spec,
-    an rfft2 spectrum: s[kappa] = (E - i W) / 2 and s[-kappa] = (E + i W) / 2
-    for kappa > 0, s[0] = E[0], unshifted by maps.phase; W = 0 when folded
-    holds E alone."""
+    """Overwrite every entry of the block's rows and columns of spec, an
+    rfft2 spectrum, with the block that folded holds:
+    s[kappa] = (E - i W) / 2 and s[-kappa] = (E + i W) / 2 for kappa > 0,
+    s[0] = E[0], unshifted by maps.phase; W = 0 when folded holds E alone."""
     E, K, cols = folded[0], maps.spec.shape[1] - 1, maps.spec.shape[2]
     # W, or a read-only zero that takes no memory when folded holds E alone
     W = folded[1] if len(folded) == 2 else np.broadcast_to(0.0, E.shape)

@@ -282,12 +282,9 @@ def _waves(lines, t, eps, order=0, rows=None) -> list:
     given, keeps the box's last rows alone: an x1-even solve evaluates P on
     the rows of its box at and above the centre (solver.solve)."""
     eta, coef, views = lines
-    live = [j for j, e in enumerate(eps) if e != 0.0]
-    if len(live) < len(eps):  # with every wave live, no row is copied out
-        eta, coef = eta[live], coef[live]
     c = coef * np.exp(1j * eta * t)
     lines = np.real(np.fft.fft(c if order == 0 else 1j * eta * c))
-    waves = [_lattice_view(eps[j] * line, views[j]) for j, line in zip(live, lines)]
+    waves = [_lattice_view(e * line, view) for e, line, view in zip(eps, lines, views) if e != 0.0]
     return waves if rows is None else [v[len(v) - rows :] for v in waves]
 
 
@@ -550,9 +547,10 @@ def _tube_mask(grid: GridND, t: float, probe: ConeProbe, frame: CharFrame):
     return box, tube
 
 
-def _tube(fld: SpaceTimeField, probe: ConeProbe):
-    """(u band-passed to amplitude_band on the tube's box, tube mask on that
-    box) on the slice at the probe time.
+def _tube(fld: SpaceTimeField, probe: ConeProbe) -> np.ndarray:
+    """The tube's values of u band-passed to amplitude_band on the slice at
+    the probe time: the band-passed field on the tube's box (_tube_mask),
+    read through the tube's mask, a 1D array in the box's row-major order.
 
     The band's gain vanishes from |k| = band[1] up, so only the block
     |kx|, |ky| <= band[1] of the slice's spectrum is band-passed and mapped
@@ -566,7 +564,7 @@ def _tube(fld: SpaceTimeField, probe: ConeProbe):
     maps = _kick_maps(grid.shape, block, box)
     folded = _fold(maps, np.fft.rfft2(state.u))
     folded *= _band_gain(band)(block.k)
-    return _to_box(maps, folded), mask
+    return _to_box(maps, folded)[mask]
 
 
 def crossing_angle(frame: CharFrame, i: int, j: int) -> float:
@@ -605,14 +603,12 @@ def cone_amplitude(fld: SpaceTimeField, probe: ConeProbe) -> float:
     PROBE_ARC to each side of the probe angle, and drops angles within
     PROBE_EXCLUSION of a plane tangency of the field's frame.
     """
-    bp, mask = _tube(fld, probe)
-    return float(np.max(np.abs(bp[mask])))
+    return float(np.max(np.abs(_tube(fld, probe))))
 
 
 def probe_band_energy(fld: SpaceTimeField, probe: ConeProbe) -> float:
     """Band-passed squared mass in the probe tube (the two-wave null metric)."""
-    bp, mask = _tube(fld, probe)
-    return float(np.sum(bp[mask] ** 2) * fld.grid.cell_volume)
+    return float(np.sum(_tube(fld, probe) ** 2) * fld.grid.cell_volume)
 
 
 def _clean_half_length(grid, probe, frame, t):
@@ -855,15 +851,14 @@ def coefficient_recovery(resp: SpaceTimeField, trials):
     config, eps = _recorded(resp, "config"), resp.metadata["eps"]
     probe = config.probes[0]
     band = amplitude_band(config.grid)
-    bp0, mask = _tube(resp, probe)
-    a = bp0[mask]
+    a = _tube(resp, probe)
     amp0 = float(np.max(np.abs(a)))
     peak = np.max(np.abs(band_pass(resp.state_at(probe.t_probe).u, config.grid, band)))
     if amp0 <= NOISE_FLOOR * float(peak):
         raise ValueError("baseline cone amplitude is at the noise floor")
     out = []
     for trial in trials:
-        b = _tube(_recorded(resp, "build")(replace(config, P=trial), eps), probe)[0][mask]
+        b = _tube(_recorded(resp, "build")(replace(config, P=trial), eps), probe)
         amp = float(np.max(np.abs(b)))
         denom = np.sqrt(np.sum(a**2) * np.sum(b**2))
         corr = float(np.sum(a * b) / denom) if denom != 0.0 else 0.0
@@ -881,7 +876,6 @@ class ExperimentReport:
     eps_exponent: float | None
     coeff_estimates: list
     null_energies: dict
-    band: tuple
     probe: ConeProbe
     notes: dict = field(default_factory=dict)
 
@@ -985,7 +979,6 @@ def run_experiment(
         eps_exponent=eps_exponent,
         coeff_estimates=estimates,
         null_energies=nulls,
-        band=default_band(config.grid),
         probe=probe,
         notes=notes,
     )

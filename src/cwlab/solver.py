@@ -23,14 +23,14 @@ mean, |k| = 0, has no phase and no 1/|k|, so it is carried apart as
 touches only what a kick can read or write (FFT pruning): the dealiased
 block of the spectrum, an index set of that array.  Every kick is cut to
 the block and reads u only through it, so the data's spectrum outside the
-block, its free part, is free flow throughout: each record turns it by one
-exact jump, writes the loop's block into its rows and makes each field by
-one inverse transform (zero data have no free part).  P is evaluated only
-on the box, the index box of the grid holding the gate's spatial support
-(the whole grid for an ungated coupling), so a kick maps the block's
-u = Y+ + Y- onto the box and P back, and never touches the whole grid; a
-forcing's kick maps back only, and the kick adds dt P to u_t, that is
--+ i dt P / 2|k| to Y+- and dt P to vh0.
+block is free flow throughout: each record turns the data's whole spectrum
+by one exact jump, overwrites every entry of the block's rows and columns
+with the loop's block and makes each field by one inverse transform.  P is
+evaluated only on the box, the index box of the grid holding the gate's
+spatial support (the whole grid for an ungated coupling), so a kick maps
+the block's u = Y+ + Y- onto the box and P back, and never touches the
+whole grid; a forcing's kick maps back only, and the kick adds dt P to
+u_t, that is -+ i dt P / 2|k| to Y+- and dt P to vh0.
 Each map is a matrix product per axis with partial DFT matrices, and the
 loop holds the block folded about the centre of P's box, which makes the
 maps along x1 real and half their height; the module _kick holds the fold
@@ -467,10 +467,12 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
     BlowupError.
 
     Records are taken at every stride-th step from t0, the t0 record being
-    the data; the last lands on t1.  A run that never kicks (P None, or a
-    gate that never opens) takes no time steps: its records are the free
-    flow of the whole spectrum, and from zero data they are one read-only
-    zero array.
+    the data; the last lands on t1.  The fold only reads the data's
+    spectrum, and each record of a kicked run overwrites every entry of the
+    block's rows and columns of the data's free flow with the loop's block.
+    A run that never kicks (P None, or a gate that never opens) takes no
+    time steps: its records are the free flow of the whole spectrum, and
+    from zero data they are one read-only zero array.
 
     metadata["stats"] records steps, kicks applied and skipped, exact jumps
     (free flows longer than one step), max |P|, dt_margin (dt over the step
@@ -533,13 +535,14 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         if even:  # P is evaluated on the box's rows at c + d, d >= 0
             x1, space = x1[-len(maps.u):], space[-len(maps.u):]
         step = _phases(k, dt)
-        if data:  # the data's block moves into the loop, leaving zeros behind
+        if data:  # the data's block enters the loop; specs are only read
             loop = _HalfWaves(np.stack([_fold(maps, spec) for spec in specs]), k)
         else:
             loop = _HalfWaves(np.zeros((2,) + maps.spec.shape, complex), k)
 
     if data:
-        # The rest of the data's spectrum, free flow throughout.
+        # The data's whole spectrum, free flow throughout; each record
+        # overwrites its block's entries with the loop's.
         us[0], uts[0] = u0, ut0
         free = _HalfWaves(specs, np.hypot(*_wavenumbers(grid)))
 
@@ -559,11 +562,11 @@ def solve(u0, ut0, grid: GridND, config: SolverConfig,
         return peak
 
     def record(j):
-        """Write record j, one field at a time: the spectrum of the data's
-        free part, turned to record j by one jump of the record spacing
-        (zeros for zero data), with the unfolded block of a kicked run in
-        the block's rows, where the free part holds zeros.  Records are
-        written in order, and the block passes through maps.spec."""
+        """Write record j, one field at a time: the data's spectrum, turned
+        to record j by one jump of the record spacing (zeros for zero data),
+        with every entry of the block's rows and columns overwritten by the
+        unfolded block of a kicked run.  Records are written in order, and
+        the block passes through maps.spec."""
         if data:
             free.jump(stride * dt)
         for stack, part in ((us, _HalfWaves.u), (uts, _HalfWaves.ut)):

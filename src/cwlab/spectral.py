@@ -30,15 +30,24 @@ ValueError.
 
 Conventions
 -----------
-All transforms use the Riemann-sum normalization
+Two normalizations are in use.  dft_forward, dft_inverse and
+dft_forward_nd, and through them decay_exponent and the profiles of
+cwlab.profiles, use the Riemann-sum normalization
 
     spectrum(eta_k) = h * sum_j f(s_j) * exp(-i * s_j * eta_k),
 
-with h the grid spacing and eta_k the FFT frequency lattice (integer
-multiples of 2*pi/extent).  Spectra therefore approximate the continuum
-Fourier transform of the sampled field, and Parseval reads
+with h the grid spacing (the cell volume in nD) and eta_k the FFT
+frequency lattice (integer multiples of 2*pi/extent).  Those spectra
+approximate the continuum Fourier transform of the sampled field, and
+Parseval reads
 
     h * sum |f|^2 = (delta_eta / (2*pi)) * sum |spectrum|^2.
+
+Every other spectrum is numpy's own, unnormalized and without the start
+phase: the solver's rfft2 spectra, the radial filters band_pass and
+high_pass, evaluate_trig's input, the spline of _periodic_cubic_spline
+and cwlab.beals's rfftn, which multiplies by cell_volume itself.
+trig_modes divides numpy's fftn by the sample count.
 
 Grids are centered at zero unless an explicit start is given.
 """

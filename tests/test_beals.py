@@ -415,3 +415,13 @@ def test_algebra_check_forms_no_product(field64, with_cutoff):
     # u*v alone would be u.nbytes = 2 MiB past the spectrum
     assert spectrum + SLAB + SLACK < spectrum + u.nbytes
     assert _traced_peak(lambda: algebra_check(u, v, grid, w, cutoff)) < spectrum + SLAB + SLACK
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [pytest.param(GridND((Grid1D(8, 2.0 * np.pi),) * 2), id="2D grid"),
+     pytest.param(GridND((Grid1D(8, 2.0 * np.pi),)), id="1D grid")],
+)
+def test_beals_refusals_raise_with_their_message(grid):
+    with pytest.raises(ValueError, match="beals_norm expects a 3D grid"):
+        beals_norm(np.zeros(grid.shape), grid, BealsWeight())

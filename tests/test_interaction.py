@@ -48,7 +48,7 @@ from cwlab.solver import (
     _gate_box,
 )
 from cwlab.profiles import SymbolSpec, synthesize_profile
-from cwlab.spectral import Grid1D, _unit, plateau_window, trig_modes
+from cwlab.spectral import Grid1D, GridND, _unit, plateau_window, trig_modes
 
 M = -2.6
 EPS = 0.05
@@ -637,12 +637,13 @@ def test_cone_amplitude_holds_no_tube_mask(resp256):
 
 def test_tube_reads_the_band_passed_slice_on_its_box(cfg256, resp256):
     # the amplitude band's block of the slice's spectrum, mapped onto the
-    # tube's box alone, is the whole band-passed slice cut to that box
+    # tube's box alone, is the whole band-passed slice cut to that box,
+    # read on the tube
     probe, grid = cfg256.probes[0], cfg256.grid
-    got, tube = interaction._tube(resp256, probe)
-    box, ref_tube = interaction._tube_mask(grid, probe.t_probe, probe, cfg256.frame)
-    ref = band_pass(resp256.state_at(probe.t_probe).u, grid, amplitude_band(grid))[box]
-    assert np.array_equal(tube, ref_tube) and got.shape == ref.shape
+    got = interaction._tube(resp256, probe)
+    box, tube = interaction._tube_mask(grid, probe.t_probe, probe, cfg256.frame)
+    ref = band_pass(resp256.state_at(probe.t_probe).u, grid, amplitude_band(grid))[box][tube]
+    assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -1071,3 +1072,44 @@ def test_amplitude_band_tracks_the_grid():
     lo, hi = amplitude_band(grid2d(512, 13.5))
     assert lo == 8.0
     assert np.isclose(hi, grid2d(512, 13.5).axes[0].nyquist / 4.0)
+
+
+def test_a_probe_ray_along_a_front_has_a_finite_window(cfg256, resp256):
+    # at 180 degrees the probe ray runs along the axis wave's fronts,
+    # omega = (0, 1): they never cross it, and the diagonal waves' fronts,
+    # the antipodal crossing and the box bound the slice window
+    probe = ConeProbe(t_probe=cfg256.solver.t1, angle=np.pi)
+    assert abs(float(np.dot(probe.direction, cfg256.frame.omegas[0]))) < 1e-12
+    ell = _clean_half_length(cfg256.grid, probe, cfg256.frame, probe.t_probe)
+    assert np.isfinite(ell) and ell > 0.0
+    fit = cone_order_estimate(resp256, probe)
+    assert fit.band == default_band(cfg256.grid)
+
+
+def _unrecorded(cfg):
+    """A field of cfg's grid that records no config."""
+    zero = np.zeros((1,) + cfg.grid.shape)
+    return SpaceTimeField(cfg.grid, np.array([cfg.solver.t1]), zero, zero)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda cfg, resp: interaction._integer_direction((np.cos(0.3), np.sin(0.3))),
+                     "is not parallel to a lattice vector", id="direction off the lattice"),
+        pytest.param(lambda cfg, resp: interaction._square_axis(
+                         GridND((Grid1D(64, 13.5), Grid1D(128, 13.5)))),
+                     "interaction experiments run on square 2D grids", id="grid not square"),
+        pytest.param(lambda cfg, resp: amplitude_scaling(_unrecorded(cfg), (0.25, 0.5, 1.0)),
+                     "no config recorded with the field", id="scaling of a field without config"),
+        pytest.param(lambda cfg, resp: _clean_half_length(
+                         cfg.grid, ConeProbe(0.01, np.deg2rad(157.5)), cfg.frame, 0.01),
+                     "probe geometry leaves no room for a slice window", id="no room for a window"),
+        pytest.param(lambda cfg, resp: amplitude_scaling(resp, (1e-6, 1e-5, 1.0)),
+                     "fewer than three amplitudes above the noise floor",
+                     id="amplitudes at the floor"),
+    ],
+)
+def test_interaction_refusals_raise_with_their_message(cfg256, resp256, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(cfg256, resp256)

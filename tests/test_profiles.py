@@ -402,3 +402,26 @@ def test_psi_array_call_equals_scalar_calls_bitwise(case, sigma):
     eta = psi.n_cut * np.array(sigma)
     scalars = np.array([psi.derivative(q, e) for e in eta])
     assert psi.derivative(q, eta).tobytes() == scalars.tobytes()
+
+
+_G64 = Grid1D(64, 2.0 * np.pi)  # Nyquist 32
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: synthesize_profile(SymbolSpec(-2.6), _G64, cutoff=33.0),
+                     "cutoff exceeds grid Nyquist frequency", id="cutoff above Nyquist"),
+        pytest.param(lambda: piriou_decompose(ConormalProfile(_G64, np.zeros(64))),
+                     "profile has no order; pass k explicitly", id="profile with no order"),
+        pytest.param(lambda: piriou_decompose(
+                         synthesize_profile(SymbolSpec(-2.6), Grid1D(16, 2.0 * np.pi))),
+                     "grid too coarse for the jet matcher", id="coarse grid"),
+        pytest.param(lambda: PsiMollifier(4.0, 2), "cutoff scale must exceed 4", id="n_cut of 4"),
+        pytest.param(lambda: PsiMollifier(8.0, 2).derivative(3, 10.0),
+                     r"derivative order must be in \[0, 2\]", id="derivative above r"),
+    ],
+)
+def test_profiles_refusals_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

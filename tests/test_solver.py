@@ -439,7 +439,7 @@ def test_free_flow_writes_the_records_in_place():
 
 @pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
 def test_each_record_is_written_once(P, monkeypatch):
-    # a record's field is one inverse transform of the data's free part
+    # a record's field is one inverse transform of the data's free flow
     # with the loop's block in its rows, kicked or not: 2 (R - 1) _field
     # calls for R records, not a second pair per record for the block
     grid = grid2d(64, L)
@@ -491,11 +491,13 @@ _OPAQUE_SOURCED = NonlinearitySpec(
         ("solve, every step recorded", cubic_nonlinearity(5.0), 1, True),
         ("forcing response", _FORCING, 10**6, False),
         ("forcing solve, every step recorded", _FORCING, 1, True),
+        ("quadratic solve", NonlinearitySpec((0.0, 0.0, 2.0, 5.0), z_cutoff), 10**6, True),
     ],
 )
 def test_pruned_loop_matches_full_grid_stepper(shape, extents, margin, case, P, stride, data):
     # a response is the solve of zero data; a solve of data carries their
-    # block in the loop and the rest of their spectrum as free flow
+    # block in the loop and their whole spectrum as free flow, whose block
+    # entries each record overwrites with the loop's
     grid = GridND(tuple(Grid1D(n, e) for n, e in zip(shape, extents)))
     h = min(g.spacing for g in grid.axes)
     u0 = _pulse(grid) if data else np.zeros(grid.shape)
@@ -519,6 +521,25 @@ def test_pruned_loop_matches_full_grid_stepper(shape, extents, margin, case, P, 
     assert stats["box"] == (shape if P.cutoff is None else inside)
     assert stats["dt_margin"] == pytest.approx(cfg.dt * DEALIAS * np.pi / h, rel=1e-12)
     assert np.array_equal(out.u[0], u0) and np.array_equal(out.ut[0], ut0)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 2.0, 1.0), (0.0, -0.7, 2.0, 1.0),
+                                    (0.25, -0.7, 2.0, 1.0)])
+@pytest.mark.parametrize("gate", [None, z_cutoff])
+def test_lower_constant_coefficients_evaluate_the_polynomial(coeffs, gate):
+    # Horner's rule adds each nonzero constant below the top in place: P is
+    # a0 + a1 u + a2 u^2 + a3 u^3, times the gate when there is one
+    grid = grid2d(64, L)
+    x1, x2 = meshes(grid)
+    u = 2.0 * np.sin(x1) * np.cos(0.5 * x2) + _pulse(grid)
+    t = 0.1
+    a0, a1, a2, a3 = coeffs
+    ref = a0 + a1 * u + a2 * u**2 + a3 * u**3
+    if gate is not None:
+        ref = ref * gate(t, x1, x2)
+    got = NonlinearitySpec(coeffs, gate)(t, x1, x2, u)
+    assert got.shape == grid.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("P", [None, cubic_nonlinearity(5.0)])
@@ -651,6 +672,25 @@ def test_kick_maps_are_the_cut_numpy_transforms(case):
     back = np.zeros_like(full)
     _kick._unfold(maps, _kick._to_block(maps, f), back)
     assert _close(back[rows, :cols], ref)
+
+
+@pytest.mark.parametrize("case", ["gated_256", "uncentred_96", "whole_grid_256", "rows_0"])
+def test_fold_only_reads_its_spectrum(case):
+    # the fold reads the block of a whole rfft2 spectrum, read-only here, and
+    # writes nothing into it: each record overwrites the block's entries
+    shape, block, box = _kick_case(case)
+    rng = np.random.default_rng(13)
+    size = (shape[0], shape[1] // 2 + 1)
+    spec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    before = spec.copy()
+    spec.flags.writeable = False
+    maps = _kick._kick_maps(shape, block, box)
+    folded = _kick._fold(maps, spec)
+    assert np.array_equal(spec, before)
+    back = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    _kick._unfold(maps, folded, back)
+    rows = np.r_[0 : block.K + 1, shape[0] - block.K : shape[0]]
+    assert np.allclose(back[rows, : block.cols], before[rows, : block.cols], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["gated_256", "uncentred_96", "offcentre_even_64", "rows_1"])
@@ -850,3 +890,38 @@ def test_config_validation():
         solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, over, P=cubic_nonlinearity())
     out = solve(np.zeros(grid.shape), np.zeros(grid.shape), grid, under, P=cubic_nonlinearity())
     assert out.metadata["stats"]["dt_margin"] == pytest.approx(0.9, rel=1e-12)
+
+
+_CUBE = GridND((Grid1D(8, L),) * 3)
+_G32 = grid2d(32, L)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: CharFrame(((1.0, 0.0), (0.0, 1.0))),
+                     "need three 2D direction vectors", id="frame of two directions"),
+        pytest.param(lambda: NonlinearitySpec((0.0, 0.0, 1.0)),
+                     r"need at least four coefficients \(degree >= 3\)", id="three coefficients"),
+        pytest.param(lambda: NonlinearitySpec((0.0, np.inf, 0.0, 1.0)),
+                     "coefficients must be finite", id="infinite coefficient"),
+        pytest.param(lambda: NonlinearitySpec((0.0, 0.0, np.nan, 1.0)),
+                     "coefficients must be finite", id="NaN coefficient"),
+        pytest.param(lambda: solver.SpaceTimeField(_G32, np.array([0.0, 0.1, 0.3]),
+                                                   np.zeros((3, 32, 32)), np.zeros((3, 32, 32))),
+                     "recorded slices must be equally spaced", id="unequal record spacing"),
+        pytest.param(lambda: solve(np.zeros(_CUBE.shape), np.zeros(_CUBE.shape), _CUBE,
+                                   SolverConfig(dt=0.01, t0=-1.2, t1=-1.1)),
+                     "solver grids are 2D", id="solve on a 3D grid"),
+        pytest.param(lambda: energy(np.zeros(_CUBE.shape), np.zeros(_CUBE.shape), _CUBE),
+                     "solver grids are 2D", id="energy on a 3D grid"),
+        pytest.param(lambda: solve(np.zeros((32, 16)), np.zeros((32, 16)), _G32,
+                                   SolverConfig(dt=0.01, t0=-1.2, t1=-1.1)),
+                     "field shape does not match grid", id="solve of a field of another shape"),
+        pytest.param(lambda: energy(np.zeros(_G32.shape), np.zeros((16, 32)), _G32),
+                     "field shape does not match grid", id="energy of a field of another shape"),
+    ],
+)
+def test_solver_refusals_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -439,3 +439,21 @@ def test_slice_rejects_a_non_finite_center(center):
     grid, vals, _ = _plane_wave_field(n=64, ext=8.0, m=-3.0)
     with pytest.raises(ValueError, match="finite center"):
         windowed_slice(np.fft.rfft2(vals), grid, center, (1.0, 0.0), half_length=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: dft_forward(np.zeros(7), Grid1D(8, 2.0 * np.pi)),
+                     "sample count does not match grid", id="dft of the wrong sample count"),
+        pytest.param(lambda: evaluate_trig(np.zeros((8, 8, 5), complex),
+                                           GridND((Grid1D(8, 2.0 * np.pi),) * 3), np.zeros((1, 2))),
+                     "trig evaluation implemented for 2D grids", id="trig evaluation on a 3D grid"),
+        pytest.param(lambda: spectral.band_pass(np.zeros((16, 16)),
+                                                GridND((Grid1D(16, 2.0 * np.pi),) * 2), (5.0, 2.0)),
+                     r"invalid band \(5.0, 2.0\)", id="inverted band"),
+    ],
+)
+def test_spectral_refusals_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

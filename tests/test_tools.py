@@ -1,8 +1,10 @@
 """The repository's tools: tools/code_lines.py, which every code-line figure
 in CHANGES.md comes from, tools/rss_phases.py, which every memory figure
-by phase comes from, and tools/physics_record.py, whose committed record
-every physics figure is compared with."""
+by phase comes from, tools/physics_record.py, whose committed record
+every physics figure is compared with, and tools/line_trace.py, which lists
+the statements the workloads never run."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -227,3 +229,25 @@ def test_physics_record_matches_the_committed_file(tmp_path):
             if not ok:
                 moved.append(f"{name}.{key}: {want!r} -> {value!r}")
     assert not moved, "physics moved: " + "; ".join(moved)
+
+
+def test_line_trace_lists_what_experiment_256_never_runs():
+    # the tool sets its own thread caps and path, so it runs in a process of its own
+    run = subprocess.run([sys.executable, str(TOOLS / "line_trace.py"), "experiment_256"],
+                         capture_output=True, text=True, check=True)
+    listed, module = {}, None
+    for line in run.stdout.splitlines()[1:]:
+        if line.startswith(" "):
+            number, scope = line.split()[:2]
+            listed.setdefault((module, scope), set()).add(int(number))
+        else:
+            module = line.split(":")[0]
+    src = TOOLS.parent / "src" / "cwlab"
+    leak = next(n for n in ast.walk(ast.parse((src / "interaction.py").read_text()))
+                if isinstance(n, ast.FunctionDef) and n.name == "_under_window_leakage")
+    # its whole body but the docstring: every slice fit of the workload has its bins
+    assert listed[("interaction", "_under_window_leakage")] == {s.lineno for s in leak.body[1:]}
+    # the kick runs; only its overflow refusal does not
+    solver = (src / "solver.py").read_text().splitlines()
+    kick = [solver[n - 1].split("(")[0].strip() for n in listed.get(("solver", "solve.kick"), ())]
+    assert kick == ["raise BlowupError"]
