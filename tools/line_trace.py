@@ -1,23 +1,24 @@
 """The statement lines of cwlab that the benchmark workloads never run.
 
-Runs the named workloads of bench/workloads.py in this process, as the
-benchmark's worker does (set-up, one operation, its check), under
-sys.settrace, with line events taken only in frames of src/cwlab.  For each
-module it then prints the statements inside functions, outside docstrings
-by tools/code_lines.py's rule, of which no line ran, each with its line
+Runs the named workloads of bench/workloads.py at seed 1 in this process
+with tools/physics_record.py's run_workloads (the program's import, then
+per workload set-up, one operation and its check), under sys.settrace, with
+line events taken only in frames of src/cwlab.  For each module it then
+prints the statements inside functions, outside docstrings by
+tools/code_lines.py's rule, of which no line ran, each with its line
 number, its enclosing function and its first line:
 
     python tools/line_trace.py                    # all three workloads
-    python tools/line_trace.py experiment_256 --seed 3
+    python tools/line_trace.py experiment_256
 
 A module's heading gives how many of its statements in functions did not
-run.  Module- and class-level statements run at import, before the trace
-starts, and are not listed.  A statement ran when one of its lines did,
-or, for a compound statement, one of the lines of its header (up to its
-first nested statement).  BLAS and OpenMP thread counts are capped as
-bench/run.py caps them.  The exit status is 1 when a check of a workload's
-output fails, else 0.  Run from any directory; the program is imported
-from ./src.  The tool itself uses the standard library only.
+run.  Module- and class-level statements are not listed; what they call at
+import counts as run.  A statement ran when one of its lines did, or, for a
+compound statement, one of the lines of its header (up to its first nested
+statement).  BLAS and OpenMP thread counts are capped as bench/run.py caps
+them.  The exit status is 1 when a check of a workload's output fails, else
+0.  Run from any directory; the program is imported from ./src.  The tool
+itself uses the standard library only.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ import sys
 from pathlib import Path
 
 from code_lines import docstring_lines  # this file's directory is on sys.path
+from physics_record import WORKLOADS, run_workloads
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
 PACKAGE = ROOT / "src" / "cwlab"
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -59,22 +62,13 @@ def statements(source: str):
 
 
 def main(argv: list[str]) -> int:
-    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
-    from run import THREAD_VARS, THREADS, WORKLOADS  # stdlib only; numpy is not loaded yet
-
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("workloads", nargs="*", default=list(WORKLOADS),
                     help=f"any of {', '.join(WORKLOADS)}; all of them when none is named")
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv[1:])
-    names = args.workloads
+    names = ap.parse_args(argv[1:]).workloads
     if not set(names) <= set(WORKLOADS):
         ap.error(f"unknown workload in {names}")
-
-    for var in THREAD_VARS:
-        os.environ[var] = THREADS
-    from workloads import WORKLOADS as CLASSES
 
     prefix = str(PACKAGE) + os.sep
     hits: dict[str, set[int]] = {}
@@ -91,19 +85,14 @@ def main(argv: list[str]) -> int:
             return local
         return None
 
-    failed = []
-    for name in names:
-        wl = CLASSES[name](args.seed)
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            wl.setup()
-            checks, _ = wl.check(wl.op())
-        finally:
-            sys.settrace(previous)
-        failed += [f"{name}.{c.name}" for c in checks if not c.ok]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _, failed = run_workloads(names, SEED)
+    finally:
+        sys.settrace(previous)
 
-    print(f"statements not run by {', '.join(names)} (seed {args.seed})")
+    print(f"statements not run by {', '.join(names)} (seed {SEED})")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         lines, ran = source.splitlines(), hits.get(str(path), set())
